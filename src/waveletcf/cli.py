@@ -241,11 +241,12 @@ def cmd_spectral(args, cfg) -> int:
         else:
             unchanged = (
                 meta["q"] == q
-                and meta["t"] == cfg["t"]
-                and meta["drop_threshold"] == cfg["drop_threshold"]
-                and meta["exponent_mode"] == cfg["exponent_mode"]
+                and meta["eig_tol"] == cfg["eig_tol"]
+                and meta["eig_seed"] == cfg.eig_seed()
             )
             if unchanged:
+                # t is not part of the key: check this run's response too
+                spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
                 print(f"cache hit {out}")
                 for line in _spectral_summary(decomp, bc):
                     print(line)
@@ -258,18 +259,10 @@ def cmd_spectral(args, cfg) -> int:
 
     decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
     bc = spectral.boxcox_fit(decomp.shifted_lambdas)
-    # assemble once so a non-positive response dies here, not mid-training
-    spectral.build_wavelet_pair(
-        decomp, bc, cfg["t"], cfg["drop_threshold"], cfg["exponent_mode"]
-    )
+    # evaluate once so a non-positive response dies here, not mid-training
+    spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
     spectral.save_spectral_cache(
-        out,
-        decomp,
-        bc,
-        train_hash,
-        cfg["t"],
-        cfg["drop_threshold"],
-        cfg["exponent_mode"],
+        out, decomp, bc, train_hash, cfg["eig_tol"], cfg.eig_seed()
     )
     for line in _spectral_summary(decomp, bc):
         print(line)
@@ -294,8 +287,6 @@ def cmd_train(args, cfg) -> int:
     train_config = cfg.train_config()
     fit_kwargs = dict(
         exponent_mode=cfg["exponent_mode"],
-        materialize_wavelets=cfg["materialize_wavelets"],
-        drop_threshold=cfg["drop_threshold"],
         val_fraction=cfg["val_fraction"],
         log_fn=print,
     )
@@ -359,8 +350,6 @@ def cmd_train(args, cfg) -> int:
             "stopped_early": result.stopped_early,
             "learning_rate": train_config.learning_rate,
             "exponent_mode": cfg["exponent_mode"],
-            "materialize_wavelets": cfg["materialize_wavelets"],
-            "drop_threshold": cfg["drop_threshold"],
             "root_seed": cfg["seed"],
         },
     )
@@ -381,10 +370,6 @@ def _score_trace(cfg, decomp, bc, ckpt_config, ckpt_meta, params):
         bc,
         ckpt_config.t,
         exponent_mode=ckpt_meta.get("exponent_mode", cfg["exponent_mode"]),
-        materialize_wavelets=ckpt_meta.get(
-            "materialize_wavelets", cfg["materialize_wavelets"]
-        ),
-        drop_threshold=ckpt_meta.get("drop_threshold", cfg["drop_threshold"]),
     )
     return model.forward(params, oper, ckpt_config)
 
@@ -449,17 +434,10 @@ def cmd_cold_start(args, cfg) -> int:
             cfg.model_config(),
             cfg.train_config(),
             exponent_mode=cfg["exponent_mode"],
-            materialize_wavelets=cfg["materialize_wavelets"],
-            drop_threshold=cfg["drop_threshold"],
             val_fraction=cfg["val_fraction"],
         )
         oper = model.PropagationOperator(
-            decomp,
-            bc,
-            cfg["t"],
-            exponent_mode=cfg["exponent_mode"],
-            materialize_wavelets=cfg["materialize_wavelets"],
-            drop_threshold=cfg["drop_threshold"],
+            decomp, bc, cfg["t"], exponent_mode=cfg["exponent_mode"]
         )
         trace = model.forward(result.best_params, oper, cfg.model_config())
         report = eval_mod.evaluate(

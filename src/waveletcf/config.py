@@ -24,15 +24,6 @@ from .train import TrainConfig
 ENV_PREFIX = "WAVELETCF_"
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError("expected true/false")
-
-
 def _parse_int(raw: str) -> int:
     return int(raw.strip())
 
@@ -79,14 +70,12 @@ KEY_SPECS = {
     # spectral
     "q": (_parse_int, 0),  # 0 means auto (default_q of the graph size)
     "eig_tol": (_parse_float, 1e-9),
-    "drop_threshold": (_parse_float, 1e-7),
     "exponent_mode": (_parse_str, "power"),
     # model
     "layers": (_parse_int, 3),
     "width": (_parse_int, 64),
     "t": (_parse_float, 0.5),
     "eta": (_parse_float, 0.01),
-    "materialize_wavelets": (_parse_bool, False),
     # training
     "batch_size": (_parse_int, 1024),
     "learning_rate": (_parse_float, 0.05),
@@ -222,10 +211,6 @@ class RunConfig:
             raise ConfigError(f"q must be >= 0 (0 means auto), got {v['q']}")
         if v["eig_tol"] <= 0:
             raise ConfigError(f"eig_tol must be positive, got {v['eig_tol']}")
-        if v["drop_threshold"] < 0:
-            raise ConfigError(
-                f"drop_threshold must be >= 0, got {v['drop_threshold']}"
-            )
         if v["min_user_interactions"] < 1 or v["min_item_interactions"] < 1:
             raise ConfigError("activity thresholds must be >= 1")
         if v["threads"] < 1:
@@ -316,8 +301,6 @@ class RunConfig:
                 continue
             if isinstance(value, tuple):
                 value = ",".join(str(x) for x in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
             out.append(f"{key}={value}")
         return out
 

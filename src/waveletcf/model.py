@@ -11,18 +11,13 @@ score is the dot product of the concatenated vectors.
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from . import bundles
 from .errors import ConfigError, DataError
-from .spectral import (
-    BoxCoxResult,
-    SpectralDecomposition,
-    build_wavelet_pair,
-    filter_response,
-)
+from .spectral import BoxCoxResult, SpectralDecomposition, filter_response
 
 CHECKPOINT_VERSION = 1
 
@@ -106,9 +101,11 @@ def init_params(
 class PropagationOperator:
     """The fixed (non-learnable) spectral machinery of one layer.
 
-    The fused path applies Phi diag(g * g_inv * lam * h) Phi^T exactly in
-    the eigenbasis. The materialized path multiplies by the sparsified
-    wavelet matrices instead, reproducing their thresholding error.
+    A layer's wavelet pair psi = Phi diag(g) Phi^T and psi^-1 = Phi
+    diag(1/g) Phi^T multiply to the projector Phi Phi^T, so the pair
+    cancels on the retained eigenspace and the layer applies
+    Phi diag(lam * h) Phi^T exactly in the eigenbasis. The response g
+    still sets the gate h = sigma(g * theta).
     """
 
     def __init__(
@@ -117,31 +114,21 @@ class PropagationOperator:
         bc: BoxCoxResult,
         t: float,
         exponent_mode: str = "power",
-        materialize_wavelets: bool = False,
-        drop_threshold: float = 1e-7,
     ):
         self.phi = decomp.phi
         self.lam = decomp.shifted_lambdas
         self.q = decomp.q
         self.n = decomp.n
         self.t = float(t)
-        filt = filter_response(decomp, bc, t, exponent_mode)
-        self.g = filt.response
-        self.g_inv = 1.0 / filt.response
-        self.materialized = bool(materialize_wavelets)
-        if self.materialized:
-            pair = build_wavelet_pair(decomp, bc, t, drop_threshold, exponent_mode)
-            self.psi = pair.psi
-            self.psi_inv = pair.psi_inv
+        self.g = filter_response(decomp, bc, t, exponent_mode).response
 
     def gate(self, theta: np.ndarray) -> np.ndarray:
         """Per-frequency gate h = sigma(g * theta)."""
         return sigmoid(self.g * theta)
 
     def diag_factor(self, h: np.ndarray) -> np.ndarray:
-        """Fused diagonal: forward response, inverse response, shifted
-        eigenvalue, and gate, multiplied literally."""
-        return self.g * self.g_inv * self.lam * h
+        """Diagonal of the layer operator in the eigenbasis."""
+        return self.lam * h
 
 
 @dataclass
@@ -152,7 +139,6 @@ class LayerCache:
     coeff: np.ndarray  # Q x P eigenbasis coefficients of the layer input
     mixed: np.ndarray  # N x P block after the spectral operator
     pre: np.ndarray  # N x P pre-activation (mixed @ W)
-    z_in_coeff: Optional[np.ndarray] = None  # materialized path only
 
 
 @dataclass
@@ -182,21 +168,11 @@ def propagate_layer(
             f"input width {z.shape[1]} does not match weight shape {w.shape}"
         )
     h = oper.gate(params.theta[layer])
-    if oper.materialized:
-        z_in = oper.psi_inv @ z
-        z_in_coeff = oper.phi.T @ z_in
-        coeff = (oper.lam * h)[:, None] * z_in_coeff
-        mixed = oper.psi @ (oper.phi @ coeff)
-        cache_extra = z_in_coeff
-    else:
-        coeff = oper.phi.T @ z
-        mixed = oper.phi @ (oper.diag_factor(h)[:, None] * coeff)
-        cache_extra = None
+    coeff = oper.phi.T @ z
+    mixed = oper.phi @ (oper.diag_factor(h)[:, None] * coeff)
     pre = mixed @ w
     out = sigmoid(pre)
-    return out, LayerCache(
-        h=h, coeff=coeff, mixed=mixed, pre=pre, z_in_coeff=cache_extra
-    )
+    return out, LayerCache(h=h, coeff=coeff, mixed=mixed, pre=pre)
 
 
 def forward(
@@ -227,7 +203,7 @@ def score_pairs(trace: ForwardTrace, users: np.ndarray, items: np.ndarray):
 
 
 def score_user(trace: ForwardTrace, user: int) -> np.ndarray:
-    """All item scores for one user; never materializes the full matrix."""
+    """All item scores for one user; never builds the full score matrix."""
     return trace.concat_items @ trace.concat_users[user]
 
 

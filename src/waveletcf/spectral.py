@@ -19,7 +19,7 @@ from .graph import BipartiteLaplacian, SparseSymMatrix
 
 EXPONENT_MODES = ("power", "boxcox")
 
-SPECTRAL_CACHE_VERSION = 1
+SPECTRAL_CACHE_VERSION = 2
 
 
 def default_q(n: int) -> int:
@@ -79,6 +79,8 @@ class WaveletPair:
     Both are symmetric N x N matrices Phi diag(g) Phi^T; `psi_inv` uses the
     reciprocal response so the product acts as identity on the retained
     eigenspace. Entries below `drop_threshold` in magnitude are removed.
+    Propagation never builds the pair; it is the dense reference that
+    tests check the eigenbasis path against.
     """
 
     psi: SparseSymMatrix
@@ -312,13 +314,19 @@ def filter_response(
     t: float,
     exponent_mode: str = "power",
 ) -> AdaptiveFilter:
-    """Evaluate the transfer function at every retained eigenvalue."""
+    """Evaluate the transfer function at every retained eigenvalue.
+
+    Raises NumericalError if any response underflows to zero: the gates
+    and the inverse wavelet response both need g > 0.
+    """
     resp = np.array(
         [
             transfer(bc, lam, y, t, exponent_mode)
             for lam, y in zip(decomp.shifted_lambdas, bc.transformed)
         ]
     )
+    if (resp <= 0).any():
+        raise NumericalError("filter response must be strictly positive")
     return AdaptiveFilter(t=float(t), response=resp)
 
 
@@ -347,8 +355,6 @@ def build_wavelet_pair(
     if drop_threshold < 0:
         raise ConfigError(f"drop_threshold must be >= 0, got {drop_threshold}")
     g = filter_response(decomp, bc, t, exponent_mode).response
-    if (g <= 0).any():
-        raise NumericalError("filter response must be strictly positive")
     return WaveletPair(
         psi=_materialize(decomp.phi, g, drop_threshold),
         psi_inv=_materialize(decomp.phi, 1.0 / g, drop_threshold),
@@ -363,24 +369,26 @@ def save_spectral_cache(
     decomp: SpectralDecomposition,
     bc: BoxCoxResult,
     dataset_hash: str,
-    t: float,
-    drop_threshold: float,
-    exponent_mode: str = "power",
+    eig_tol: float,
+    eig_seed: int,
 ) -> None:
-    """Persist the decomposition and fitted filter keyed by dataset hash."""
+    """Persist the decomposition and fitted power transform.
+
+    The metadata records every input they depend on: the training split's
+    hash, q, and the eigensolver's tolerance and seed.
+    """
     meta = {
         "kind": "spectral-cache",
         "version": SPECTRAL_CACHE_VERSION,
         "dataset_hash": dataset_hash,
         "q": int(decomp.q),
+        "eig_tol": float(eig_tol),
+        "eig_seed": int(eig_seed),
         "kappa": bc.kappa,
         "mean": bc.mean,
         "std": bc.std,
         "total": bc.total,
         "degenerate": bc.degenerate,
-        "t": float(t),
-        "drop_threshold": float(drop_threshold),
-        "exponent_mode": exponent_mode,
     }
     arrays = {
         "lambdas": decomp.lambdas,

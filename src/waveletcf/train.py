@@ -208,20 +208,11 @@ def backward(
         grads.w[layer] = cache.mixed.T @ d_pre
         d_mixed = d_pre @ params.w[layer].T
         h = cache.h
-        if oper.materialized:
-            d_inner = oper.psi @ d_mixed
-            d_coeff = oper.phi.T @ d_inner
-            d_lamh = np.sum(d_coeff * cache.z_in_coeff, axis=1)
-            grads.theta[layer] = d_lamh * oper.lam * oper.g * h * (1.0 - h)
-            d_zc = (oper.lam * h)[:, None] * d_coeff
-            d_z = oper.psi_inv @ (oper.phi @ d_zc)
-        else:
-            d_fc = oper.phi.T @ d_mixed
-            d_f = np.sum(d_fc * cache.coeff, axis=1)
-            base = oper.g * oper.g_inv * oper.lam
-            grads.theta[layer] = d_f * base * oper.g * h * (1.0 - h)
-            d_c = oper.diag_factor(h)[:, None] * d_fc
-            d_z = oper.phi @ d_c
+        d_fc = oper.phi.T @ d_mixed
+        d_f = np.sum(d_fc * cache.coeff, axis=1)
+        grads.theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
+        d_c = oper.diag_factor(h)[:, None] * d_fc
+        d_z = oper.phi @ d_c
         d_next = d_slices[layer] + d_z
 
     grads.x0 = d_next[:m]
@@ -312,8 +303,6 @@ def fit(
     train_config: TrainConfig,
     *,
     exponent_mode: str = "power",
-    materialize_wavelets: bool = False,
-    drop_threshold: float = 1e-7,
     val_fraction: float = 0.1,
     log_fn: Optional[Callable[[str], None]] = None,
     state_path=None,
@@ -344,12 +333,7 @@ def fit(
         ),
     )
     oper = PropagationOperator(
-        decomp,
-        bc,
-        model_config.t,
-        exponent_mode=exponent_mode,
-        materialize_wavelets=materialize_wavelets,
-        drop_threshold=drop_threshold,
+        decomp, bc, model_config.t, exponent_mode=exponent_mode
     )
     rng = np.random.default_rng(child_seed(train_config.seed, TRIPLES))
 

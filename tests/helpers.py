@@ -5,6 +5,8 @@ import scipy.sparse.csgraph as csgraph
 
 from waveletcf.graph import build_adjacency, build_laplacian
 from waveletcf.ingest import InteractionSet
+from waveletcf.model import sigmoid
+from waveletcf.spectral import build_wavelet_pair
 
 
 def interaction_set_from_pairs(num_users, num_items, pairs):
@@ -75,3 +77,26 @@ def cluster_projector_error(vals, mine, oracle, gap=1e-6):
             worst = max(worst, np.abs(a @ a.T - b @ b.T).max())
             start = i
     return worst
+
+
+def wavelet_pair_forward(params, decomp, bc, t, layers):
+    """Propagation oracle that applies the explicit, unthresholded pair.
+
+    Each layer computes sigma(psi Phi diag(lam h) Phi^T psi^-1 z W) with
+    psi and psi^-1 assembled as dense N x N matrices. Returns the
+    concatenated (users, items) embeddings.
+    """
+    pair = build_wavelet_pair(decomp, bc, t, drop_threshold=0.0)
+    psi = pair.psi.toarray()
+    psi_inv = pair.psi_inv.toarray()
+    phi = decomp.phi
+    m = params.x0.shape[0]
+    z = np.vstack([params.x0, params.y0])
+    zs = [z]
+    for layer in range(layers):
+        h = sigmoid(pair.response * params.theta[layer])
+        inner = (phi * (decomp.shifted_lambdas * h)) @ phi.T
+        z = sigmoid(psi @ inner @ psi_inv @ z @ params.w[layer])
+        zs.append(z)
+    concat = np.hstack(zs)
+    return concat[:m], concat[m:]

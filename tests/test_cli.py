@@ -86,8 +86,9 @@ def test_missing_input_is_a_data_error(pipeline, capsys):
 
 def test_unknown_config_key_is_a_config_error(pipeline, capsys):
     _, cfg = pipeline
-    assert main(["ingest", "--config", cfg, "--set", "bogus=1"]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    for key in ("bogus", "drop_threshold", "materialize_wavelets"):
+        assert main(["ingest", "--config", cfg, "--set", f"{key}=1"]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -107,10 +108,20 @@ def test_spectral_cache_hit(pipeline, capsys):
 
 
 def test_spectral_parameter_change_needs_force(pipeline, capsys):
-    _, cfg = pipeline
-    assert main(["spectral", "--config", cfg, "--set", "t=0.9"]) == 2
+    root, cfg = pipeline
+    assert main(["spectral", "--config", cfg, "--set", "eig_tol=1e-6"]) == 2
     assert "different parameters" in capsys.readouterr().err
-    assert main(["spectral", "--config", cfg, "--set", "t=0.9", "--force"]) == 0
+    # the cache holds no filter output, so the filter scale is not its key
+    assert main(["spectral", "--config", cfg, "--set", "t=0.9"]) == 0
+    assert "cache hit" in capsys.readouterr().out
+    # an underflowed filter response is refused and leaves the cache alone
+    before = (root / "spec.bundle").read_bytes()
+    assert main(["spectral", "--config", cfg, "--set", "t=1e300", "--force"]) == 4
+    assert "strictly positive" in capsys.readouterr().err
+    assert (root / "spec.bundle").read_bytes() == before
+    assert main(
+        ["spectral", "--config", cfg, "--set", "eig_tol=1e-6", "--force"]
+    ) == 0
     # restore the module fixture's cache
     assert main(["spectral", "--config", cfg, "--force"]) == 0
 

@@ -1,9 +1,13 @@
 """Tests for config file parsing, override precedence, and validation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from waveletcf import seeds
 from waveletcf.config import (
+    KEY_SPECS,
     RunConfig,
     env_overrides,
     flag_overrides,
@@ -18,7 +22,6 @@ def test_defaults():
     cfg = resolve(None, [], environ={})
     assert cfg["threads"] == 1
     assert cfg["k_values"] == (20,)
-    assert cfg["drop_threshold"] == 1e-7
     assert cfg["batch_size"] == 1024
     assert cfg["patience"] == 10
     assert cfg["layers"] == 3 and cfg["width"] == 64
@@ -33,14 +36,9 @@ def test_file_parsing_comments_and_blanks(tmp_path):
         "\n"
         "seed=42   # trailing comment\n"
         "k_values=5, 10 ,20\n"
-        "materialize_wavelets=yes\n"
     )
     values = load_config_file(path)
-    assert values == {
-        "seed": 42,
-        "k_values": (5, 10, 20),
-        "materialize_wavelets": True,
-    }
+    assert values == {"seed": 42, "k_values": (5, 10, 20)}
 
 
 def test_file_unknown_key_suggests(tmp_path):
@@ -65,10 +63,7 @@ def test_missing_config_file():
 def test_value_parsers():
     assert parse_value("threads", " 4 ") == 4
     assert parse_value("t", "0.25") == 0.25
-    assert parse_value("materialize_wavelets", "off") is False
     assert parse_value("grid_learning_rates", "0.01,0.05") == (0.01, 0.05)
-    with pytest.raises(ConfigError, match="true/false"):
-        parse_value("materialize_wavelets", "maybe")
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_value("threads", "many")
     with pytest.raises(ConfigError, match="k_values"):
@@ -165,7 +160,6 @@ def test_echo_lines_round_trip():
     lines = cfg.echo_lines()
     assert "dataset=x.ds" in lines
     assert "k_values=5,20" in lines
-    assert "materialize_wavelets=false" in lines
     assert not any(line.startswith("input=") for line in lines)
     # echoed lines parse back to the same values
     reparsed = {}
@@ -173,3 +167,15 @@ def test_echo_lines_round_trip():
         key, raw = line.split("=", 1)
         reparsed[key] = parse_value(key, raw)
     assert RunConfig(reparsed).values == cfg.values
+
+
+def test_readme_documents_exactly_the_config_keys():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            # the first cell may name several keys, e.g. the Adam row
+            documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert documented == set(KEY_SPECS)

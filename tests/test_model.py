@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import interaction_set_from_pairs, laplacian_for, random_bipartite
+from helpers import (
+    interaction_set_from_pairs,
+    laplacian_for,
+    random_bipartite,
+    wavelet_pair_forward,
+)
 
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.model import (
@@ -135,18 +140,20 @@ def test_layer_shape_mismatch():
         propagate_layer(np.zeros((dec.n, 5)), 0, params, oper)
 
 
-def test_fused_equals_materialized_on_full_spectrum():
-    data, lap, dec, bc = spectral_setup(seed=12, max_nodes=40)
+@pytest.mark.parametrize(
+    "max_nodes, q", [(40, None), (100, 30)], ids=["full", "truncated"]
+)
+def test_forward_matches_wavelet_pair_oracle(max_nodes, q):
+    data, lap, dec, bc = spectral_setup(seed=12, max_nodes=max_nodes, q=q)
     cfg = ModelConfig(layers=2, width=3, seed=6)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
-    fused = PropagationOperator(dec, bc, t=0.5)
-    mat = PropagationOperator(
-        dec, bc, t=0.5, materialize_wavelets=True, drop_threshold=0.0
-    )
-    t1 = forward(params, fused, cfg)
-    t2 = forward(params, mat, cfg)
-    assert np.abs(t1.concat_users - t2.concat_users).max() <= 1e-8
-    assert np.abs(t1.concat_items - t2.concat_items).max() <= 1e-8
+    rng = np.random.default_rng(3)
+    for th in params.theta:
+        th += rng.normal(0, 0.5, th.shape)
+    trace = forward(params, PropagationOperator(dec, bc, t=0.5), cfg)
+    users, items = wavelet_pair_forward(params, dec, bc, 0.5, cfg.layers)
+    assert np.abs(trace.concat_users - users).max() <= 1e-8
+    assert np.abs(trace.concat_items - items).max() <= 1e-8
 
 
 def test_forward_concatenation_shapes():

@@ -284,6 +284,12 @@ def test_response_decreases_with_scale():
     assert (f2.response < f1.response).all()
 
 
+def test_underflowed_response_raises():
+    dec, bc, _ = fitted_filter()
+    with pytest.raises(NumericalError, match="strictly positive"):
+        filter_response(dec, bc, 1e300)
+
+
 # ------------------------------------------------------------------ wavelets
 
 
@@ -348,13 +354,14 @@ def test_spectral_cache_roundtrip(tmp_path):
     bc = boxcox_fit(dec.shifted_lambdas)
     h = dataset_hash(data)
     p = tmp_path / "spec.bundle"
-    save_spectral_cache(p, dec, bc, h, t=0.5, drop_threshold=1e-7)
+    save_spectral_cache(p, dec, bc, h, eig_tol=1e-9, eig_seed=0)
     dec2, bc2, meta = load_spectral_cache(p, expected_hash=h)
     assert np.array_equal(dec.phi, dec2.phi)
     assert np.array_equal(dec.lambdas, dec2.lambdas)
     assert np.array_equal(dec.shifted_lambdas, dec2.shifted_lambdas)
     assert bc2.kappa == bc.kappa and bc2.total == bc.total
-    assert meta["t"] == 0.5 and meta["q"] == dec.q
+    assert meta["q"] == dec.q
+    assert meta["eig_tol"] == 1e-9 and meta["eig_seed"] == 0
 
 
 def test_spectral_cache_hash_mismatch(tmp_path):
@@ -363,7 +370,7 @@ def test_spectral_cache_hash_mismatch(tmp_path):
     dec = eigensolve(lap, q=4)
     bc = boxcox_fit(dec.shifted_lambdas)
     p = tmp_path / "spec.bundle"
-    save_spectral_cache(p, dec, bc, "a" * 64, t=0.1, drop_threshold=0.0)
+    save_spectral_cache(p, dec, bc, "a" * 64, eig_tol=1e-9, eig_seed=0)
     with pytest.raises(DataError, match="dataset"):
         load_spectral_cache(p, expected_hash="b" * 64)
 
@@ -374,6 +381,6 @@ def test_spectral_cache_bytes_deterministic(tmp_path):
     dec = eigensolve(lap, q=6)
     bc = boxcox_fit(dec.shifted_lambdas)
     p1, p2 = tmp_path / "a.bundle", tmp_path / "b.bundle"
-    save_spectral_cache(p1, dec, bc, "c" * 64, t=0.2, drop_threshold=1e-7)
-    save_spectral_cache(p2, dec, bc, "c" * 64, t=0.2, drop_threshold=1e-7)
+    save_spectral_cache(p1, dec, bc, "c" * 64, eig_tol=1e-9, eig_seed=0)
+    save_spectral_cache(p2, dec, bc, "c" * 64, eig_tol=1e-9, eig_seed=0)
     assert p1.read_bytes() == p2.read_bytes()

@@ -199,14 +199,12 @@ def test_depth_zero_gradients_match_closed_form():
     assert np.abs(grads.x0[others]).max() == 0.0
 
 
-def finite_difference_check(materialize):
+def test_gradients_match_finite_differences_fused():
     data = random_bipartite(41, max_nodes=24)
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=lap.n)
     bc = boxcox_fit(dec.shifted_lambdas)
-    oper = PropagationOperator(
-        dec, bc, t=0.7, materialize_wavelets=materialize, drop_threshold=0.0
-    )
+    oper = PropagationOperator(dec, bc, t=0.7)
     cfg = ModelConfig(layers=3, width=4, t=0.7, seed=19)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     rng = np.random.default_rng(23)
@@ -240,14 +238,6 @@ def finite_difference_check(materialize):
         scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-8)
         rel = np.abs(fd - analytic).max() / scale
         assert rel <= 1e-4, f"{name}: rel error {rel:.2e}"
-
-
-def test_gradients_match_finite_differences_fused():
-    finite_difference_check(materialize=False)
-
-
-def test_gradients_match_finite_differences_materialized():
-    finite_difference_check(materialize=True)
 
 
 def test_zero_gradient_at_saturation():
