@@ -8,6 +8,8 @@ Writing the same payload twice produces identical bytes.
 
 import io
 import json
+import os
+from tokenize import TokenError
 
 import numpy as np
 
@@ -16,49 +18,79 @@ from .errors import DataError
 MAGIC = b"waveletcf-bundle v1\n"
 
 
+def _encode(array) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.ascontiguousarray(array))
+    return buf.getvalue()
+
+
 def save_bundle(path, meta: dict, arrays: dict) -> None:
-    """Write scalar metadata and named float/int arrays to `path`."""
+    """Write scalar metadata and named float/int arrays to `path`.
+
+    The bundle is written to `path + ".tmp"`, synced, then renamed over
+    `path`, so a crash mid-write leaves any earlier bundle intact.
+    """
     names = sorted(arrays)
     header = json.dumps(
         {"meta": meta, "arrays": names}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header).to_bytes(8, "big"))
-        fh.write(header)
-        for name in names:
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]))
-            block = buf.getvalue()
-            fh.write(len(block).to_bytes(8, "big"))
-            fh.write(block)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(header).to_bytes(8, "big"))
+            fh.write(header)
+            for name in names:
+                block = _encode(arrays[name])
+                fh.write(len(block).to_bytes(8, "big"))
+                fh.write(block)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_block(fh, what: str) -> bytes:
+    raw = fh.read(8)
+    length = int.from_bytes(raw, "big")
+    if len(raw) != 8 or length > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"truncated {what}")
+    return fh.read(length)
 
 
 def load_bundle(path):
-    """Read a bundle back as (meta, arrays). Raises DataError on corruption."""
+    """Read a bundle back as (meta, arrays). Raises DataError on corruption.
+
+    A block must be exactly what `save_bundle` writes for the native-order
+    bool, int or float array it decodes to. There is no checksum, so a
+    corrupted value or name that still parses loads as read.
+    """
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
+            if fh.read(len(MAGIC)) != MAGIC:
                 raise DataError(f"{path}: not a waveletcf bundle (bad or missing magic)")
-            raw = fh.read(8)
-            if len(raw) != 8:
-                raise DataError(f"{path}: truncated header")
-            header_len = int.from_bytes(raw, "big")
-            header = fh.read(header_len)
-            if len(header) != header_len:
-                raise DataError(f"{path}: truncated header")
-            spec = json.loads(header.decode("utf-8"))
+            header = _read_block(fh, f"header in {path}")
+            try:
+                spec = json.loads(header.decode("utf-8"))
+                meta, names = spec["meta"], spec["arrays"]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise DataError(f"{path}: corrupt header ({exc})") from exc
+            if not isinstance(meta, dict) or not isinstance(names, list):
+                raise DataError(f"{path}: corrupt header")
             arrays = {}
-            for name in spec["arrays"]:
-                raw = fh.read(8)
-                if len(raw) != 8:
-                    raise DataError(f"{path}: truncated block for array '{name}'")
-                block_len = int.from_bytes(raw, "big")
-                block = fh.read(block_len)
-                if len(block) != block_len:
-                    raise DataError(f"{path}: truncated block for array '{name}'")
-                arrays[name] = np.lib.format.read_array(io.BytesIO(block))
+            for name in names:
+                block = _read_block(fh, f"block for array '{name}' in {path}")
+                try:
+                    array = np.lib.format.read_array(io.BytesIO(block))
+                except (ValueError, OverflowError, SyntaxError, TokenError) as exc:
+                    raise DataError(f"{path}: corrupt array '{name}' ({exc})") from exc
+                if array.dtype.kind not in "biuf" or not array.dtype.isnative:
+                    raise DataError(f"{path}: array '{name}' has dtype {array.dtype}")
+                if _encode(array) != block:
+                    raise DataError(f"{path}: corrupt array '{name}'")
+                arrays[name] = array
     except OSError as exc:
         raise DataError(f"cannot read bundle {path}: {exc}") from exc
-    return spec["meta"], arrays
+    return meta, arrays

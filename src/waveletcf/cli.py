@@ -422,10 +422,8 @@ def cmd_cold_start(args, cfg) -> int:
 
     def trainer(train_set, test_set, cap):
         lap = _laplacian(train_set)
-        q = min(cfg["q"] or spectral.default_q(lap.n), lap.n)
-        decomp = spectral.eigensolve(
-            lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed()
-        )
+        q = _resolved_q(cfg, lap.n)
+        decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
         bc = spectral.boxcox_fit(decomp.shifted_lambdas)
         result = train_mod.fit(
             train_set,

@@ -15,11 +15,9 @@ from .ingest import InteractionSet
 
 
 class SparseSymMatrix:
-    """Symmetric sparse matrix exposing just what the eigensolver needs.
+    """Symmetric sparse matrix in CSR form.
 
-    Values are stored in CSR form with both (i, j) and (j, i) present, so
-    symmetry is exact by construction. The only heavy operation is the
-    matrix-vector (or matrix-block) product.
+    Both (i, j) and (j, i) are stored, so symmetry is exact by construction.
     """
 
     def __init__(self, mat: sp.csr_matrix):
@@ -33,9 +31,6 @@ class SparseSymMatrix:
         return int(self.mat.nnz)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.mat @ x
-
-    def __matmul__(self, x):
         return self.mat @ x
 
     def toarray(self) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Truncated eigendecomposition, variance-stabilized filter, wavelet pair.
 
-The eigensolver is a Lanczos iteration with full reorthogonalization and
-Rayleigh-Ritz extraction, using only matrix-vector products against the
-Laplacian. Eigenvalue variance is stabilized by a power transform fitted by
-maximum likelihood; the fitted statistics parameterize an adaptive low-pass
-transfer function whose response defines the wavelet operator pair.
+The low spectrum of the bipartite Laplacian is a truncated SVD of its
+user-item block, or a dense diagonalization for large q. Eigenvalue variance
+is stabilized by a power transform fitted by maximum likelihood; the fitted
+statistics parameterize an adaptive low-pass transfer function whose
+response defines the wavelet operator pair.
 """
 
 import math
@@ -95,91 +95,65 @@ def eigensolve(
 ) -> SpectralDecomposition:
     """Compute the q smallest eigenpairs of the Laplacian.
 
-    Lanczos iteration with full reorthogonalization against the accumulated
-    basis; on breakdown (invariant subspace exhausted) the basis is extended
-    with a fresh random direction, which also handles disconnected graphs
-    and degenerate eigenspaces. Ritz pairs are extracted by projecting onto
-    the basis, and convergence requires the residual norm of each of the q
-    smallest pairs to be at most `tol`. Deterministic for a fixed seed.
+    Each singular triplet (u, sigma, v) of R~ = D_u^-1/2 R D_i^-1/2, the
+    user-item block of I - L, gives the eigenpair (1 - sigma, [u; v]/sqrt(2)).
+    When q < min(users, items), each connected component gives one exact
+    lambda = 0 pair (its normalized sqrt-degree vector) and ARPACK, started
+    from a vector drawn from `seed`, gives the top triplets of R~ with the
+    components deflated. Otherwise, or when those reach sigma ~ 0 (R of
+    rank below q), L is diagonalized densely: O(N^2) memory, O(N^3) time.
 
-    Raises NumericalError (carrying per-pair residual norms) if residuals
-    still exceed `tol` once the basis spans the whole space.
+    Raises NumericalError (with per-pair residual norms in `details`) if
+    any pair has ||L x - lambda x|| above `tol`.
     """
-    n = lap.n
+    # imported here so that commands which never solve skip its slow import
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import ArpackNoConvergence, svds, aslinearoperator as linop
+
+    n, m, k = lap.n, lap.num_users, lap.num_items
     if not 1 <= q <= n:
         raise ConfigError(f"q must lie in [1, {n}], got {q}")
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
-    op = lap.lap
-    rng = np.random.default_rng(seed)
+    mat = lap.lap.mat
 
-    Vbuf = np.empty((n, 0))
-    Ubuf = np.empty((n, 0))
-    count = 0
+    theta = None
+    if q < min(m, k):
+        c, labels = connected_components(mat, directed=False)
+        null = np.zeros((n, c))
+        null[np.arange(n), labels] = np.sqrt(lap.degree)
+        null /= np.linalg.norm(null, axis=0)
+        if c >= q:
+            theta, X = np.zeros(q), null[:, :q]
+        else:
+            # a component's users and items hold equal degree mass, so sqrt(2)
+            # times either half of its null vector is a unit singular vector
+            uc, vc = null[:m] * math.sqrt(2.0), null[m:] * math.sqrt(2.0)
+            op = linop(-mat[:m, m:]) - linop(uc) @ linop(vc.T)
+            v0 = np.random.default_rng(seed).standard_normal(min(m, k))
+            try:
+                u, sigma, vt = svds(op, k=q - c, v0=v0)
+            except ArpackNoConvergence as exc:
+                raise NumericalError(f"truncated SVD failed: {exc}") from exc
+            # sigma <= sqrt(tol) (R of rank below q): the pairs are accurate only
+            # to ~1e-16 / sigma and may be deflated directions; solve densely
+            if sigma.min() > math.sqrt(tol):
+                order = np.argsort(-sigma, kind="stable")
+                pairs = np.vstack([u[:, order], vt[order].T]) / math.sqrt(2.0)
+                theta = np.concatenate([np.zeros(c), 1.0 - sigma[order]])
+                X = np.hstack([null, pairs])
+    if theta is None:
+        theta, S = np.linalg.eigh(mat.toarray())
+        theta, X = theta[:q], S[:, :q]
 
-    def grow(capacity):
-        nonlocal Vbuf, Ubuf
-        if Vbuf.shape[1] < capacity:
-            v2 = np.empty((n, capacity))
-            v2[:, :count] = Vbuf[:, :count]
-            u2 = np.empty((n, capacity))
-            u2[:, :count] = Ubuf[:, :count]
-            Vbuf, Ubuf = v2, u2
+    residuals = np.linalg.norm(mat @ X - X * theta, axis=0)
+    if residuals.max() > tol:
+        raise NumericalError(
+            f"eigenpairs miss tol={tol} (largest residual {residuals.max():.3g})",
+            details={"residual_norms": residuals.tolist()},
+        )
 
-    def reorth(w):
-        # two passes keep the basis orthonormal to machine precision
-        basis = Vbuf[:, :count]
-        w = w - basis @ (basis.T @ w)
-        w -= basis @ (basis.T @ w)
-        return w
-
-    def fresh_direction():
-        for _ in range(50):
-            w = reorth(rng.standard_normal(n))
-            norm = np.linalg.norm(w)
-            if norm > 1e-8:
-                return w / norm
-        raise NumericalError("could not generate a new orthogonal direction")
-
-    def append(v):
-        nonlocal count
-        Vbuf[:, count] = v
-        Ubuf[:, count] = op.matvec(v)
-        count += 1
-
-    def extend_to(m_target):
-        grow(m_target)
-        if count == 0:
-            append(fresh_direction())
-        while count < m_target:
-            w = reorth(Ubuf[:, count - 1].copy())
-            norm = np.linalg.norm(w)
-            if norm < 1e-10:
-                append(fresh_direction())  # invariant subspace exhausted
-            else:
-                append(w / norm)
-
-    m = n if q > n // 2 else min(n, max(2 * q + 10, 40))
-    while True:
-        extend_to(m)
-        V = Vbuf[:, :count]
-        U = Ubuf[:, :count]
-        T = V.T @ U
-        T = (T + T.T) / 2
-        theta, S = np.linalg.eigh(T)
-        X = V @ S[:, :q]
-        AX = U @ S[:, :q]
-        residuals = np.linalg.norm(AX - X * theta[:q], axis=0)
-        if residuals.max() <= tol:
-            break
-        if m >= n:
-            raise NumericalError(
-                f"eigensolver did not reach tol={tol} with a full basis",
-                details={"residual_norms": residuals.tolist()},
-            )
-        m = min(n, int(m * 1.5) + 10)
-
-    lambdas = np.clip(theta[:q], 0.0, 2.0)
+    lambdas = np.clip(theta, 0.0, 2.0)
     # deterministic sign: largest-magnitude entry of each vector positive
     anchor = np.argmax(np.abs(X), axis=0)
     signs = np.sign(X[anchor, np.arange(q)])

@@ -404,11 +404,15 @@ def test_cold_start_rows(pipeline, tmp_path, capsys):
             "max_epochs=2",
             "--set",
             "width=8",
+            "--set",
+            "q=500",
         ]
     )
-    captured = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    lines = captured.strip().splitlines()
+    # a clamped q warns here as in `spectral`
+    assert captured.err.count("clamping to") == 2
+    lines = captured.out.strip().splitlines()
     assert lines[0].split() == ["cap", "recall@20", "ndcg@20"]
     assert len(lines) == 3
     assert lines[1].split()[0] == "3" and lines[2].split()[0] == "6"

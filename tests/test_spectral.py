@@ -70,6 +70,48 @@ def test_truncated_matches_dense_oracle():
     )
 
 
+def two_component_graph():
+    a = random_bipartite(0, max_nodes=60)
+    b = random_bipartite(100, max_nodes=60)
+    pairs = [(int(u), int(i)) for u, i in a.pairs] + [
+        (a.num_users + int(u), a.num_items + int(i)) for u, i in b.pairs
+    ]
+    return interaction_set_from_pairs(
+        a.num_users + b.num_users, a.num_items + b.num_items, pairs
+    )
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_disconnected_matches_dense_oracle(q):
+    # one exact lambda = 0 per component, like the oracle
+    lap = laplacian_for(two_component_graph())
+    oracle_vals, oracle_vecs = dense_eigh(lap)
+    dec = eigensolve(lap, q=q)
+    assert np.abs(dec.lambdas - np.clip(oracle_vals[:q], 0, 2)).max() <= 1e-8
+    assert (
+        cluster_projector_error(oracle_vals[:q], dec.phi, oracle_vecs[:, :q]) <= 1e-6
+    )
+
+
+def test_rank_deficient_matches_dense_oracle():
+    # three user types, 40 users, 30 items: R has rank 3, so q = 5 and 10
+    # reach singular value 0 (lambda = 1) while q < min(users, items)
+    pairs = [
+        (u, i)
+        for u in range(40)
+        for i in range(30)
+        if (u % 3 == 0 and i < 10)
+        or (u % 3 == 1 and 10 <= i < 20)
+        or (u % 3 == 2 and i >= 15)
+    ]
+    lap = laplacian_for(interaction_set_from_pairs(40, 30, pairs))
+    oracle_vals, _ = dense_eigh(lap)
+    for q in (3, 5, 10):
+        dec = eigensolve(lap, q=q)
+        assert np.abs(dec.lambdas - np.clip(oracle_vals[:q], 0, 2)).max() <= 1e-8
+        assert np.abs(dec.phi.T @ dec.phi - np.eye(q)).max() <= 1e-8
+
+
 def test_decomposition_invariants():
     lap = laplacian_for(random_bipartite(5, max_nodes=70))
     dec = eigensolve(lap, q=lap.n)
