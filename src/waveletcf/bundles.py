@@ -60,12 +60,27 @@ def _read_block(fh, what: str) -> bytes:
     return fh.read(length)
 
 
+class _Entries(dict):
+    """A bundle's arrays or a JSON object of its header. Looking up a key
+    the bundle lacks raises DataError naming the bundle and the key, so
+    each reader's direct indexing doubles as its check for a required key."""
+
+    def __init__(self, path, entries):
+        super().__init__(entries)
+        self.path = path
+
+    def __missing__(self, key):
+        raise DataError(f"{self.path}: missing key '{key}'")
+
+
 def load_bundle(path):
     """Read a bundle back as (meta, arrays). Raises DataError on corruption.
 
     A block must be exactly what `save_bundle` writes for the native-order
     bool, int or float array it decodes to. There is no checksum, so a
-    corrupted value or name that still parses loads as read.
+    corrupted value or name that still parses loads as read. Indexing
+    `meta` (at any depth) or `arrays` with a key the bundle lacks raises
+    DataError.
     """
     try:
         with open(path, "rb") as fh:
@@ -73,9 +88,11 @@ def load_bundle(path):
                 raise DataError(f"{path}: not a waveletcf bundle (bad or missing magic)")
             header = _read_block(fh, f"header in {path}")
             try:
-                spec = json.loads(header.decode("utf-8"))
+                spec = json.loads(
+                    header.decode("utf-8"), object_hook=lambda d: _Entries(path, d)
+                )
                 meta, names = spec["meta"], spec["arrays"]
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise DataError(f"{path}: corrupt header ({exc})") from exc
             if not isinstance(meta, dict) or not isinstance(names, list):
                 raise DataError(f"{path}: corrupt header")
@@ -93,4 +110,4 @@ def load_bundle(path):
                 arrays[name] = array
     except OSError as exc:
         raise DataError(f"cannot read bundle {path}: {exc}") from exc
-    return meta, arrays
+    return meta, _Entries(path, arrays)

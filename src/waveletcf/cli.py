@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest, spectral, train, evaluate, recommend.
 
-Numpy-backed modules are imported only after the `threads` key has been
-pinned into the BLAS environment variables, so `threads=1` caps every
-thread pool before any linear algebra library initializes; that is what
-makes single-threaded runs bitwise reproducible.
+The run config is resolved once (file < environment < `--set`), and its
+`threads` value is pinned into the BLAS environment variables before any
+numpy-backed module is imported, so `threads=1` caps every thread pool
+before any linear algebra library initializes; that is what makes
+single-threaded runs bitwise reproducible. `waveletcf.config` imports no
+numpy for this reason.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Reports go to stdout, diagnostics to stderr.
@@ -13,6 +15,7 @@ import argparse
 import os
 import sys
 
+from . import config as config_mod
 from .errors import ConfigError, DataError, NumericalError
 
 THREAD_ENV_VARS = (
@@ -24,64 +27,7 @@ THREAD_ENV_VARS = (
 )
 
 
-def _peek_threads(argv) -> int:
-    """Extract the `threads` key ahead of full config resolution.
-
-    Mirrors the normal precedence (file < environment < overrides) but
-    swallows parse problems; full resolution reports them properly later.
-    """
-    config_path = None
-    overrides = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-            i += 2
-        elif arg.startswith("--config="):
-            config_path = arg.split("=", 1)[1]
-            i += 1
-        elif arg == "--set" and i + 1 < len(argv):
-            overrides.append(argv[i + 1])
-            i += 2
-        elif arg.startswith("--set="):
-            overrides.append(arg.split("=", 1)[1])
-            i += 1
-        else:
-            i += 1
-
-    threads = 1
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    stripped = line.split("#", 1)[0].strip()
-                    if "=" in stripped:
-                        key, raw = stripped.split("=", 1)
-                        if key.strip() == "threads":
-                            threads = int(raw)
-        except (OSError, ValueError):
-            pass
-    raw = os.environ.get("WAVELETCF_THREADS")
-    if raw:
-        try:
-            threads = int(raw)
-        except ValueError:
-            pass
-    for pair in overrides:
-        if "=" in pair:
-            key, raw = pair.split("=", 1)
-            if key.strip() == "threads":
-                try:
-                    threads = int(raw)
-                except ValueError:
-                    pass
-    return threads
-
-
 def _pin_threads(threads: int) -> None:
-    if threads < 1:
-        return
     for var in THREAD_ENV_VARS:
         os.environ[var] = str(threads)
 
@@ -161,24 +107,18 @@ def _refuse_overwrite(path, force: bool) -> None:
 
 
 def _load_split(cfg):
-    """Canonical dataset -> (full, train, test, hash of the train split)."""
+    """Canonical dataset -> (train, test, hash of the train split)."""
     from . import ingest
 
     data = ingest.load_canonical(cfg.require("dataset"))
     train, test = ingest.split(data, cfg.split_spec())
-    return data, train, test, ingest.dataset_hash(train)
+    return train, test, ingest.dataset_hash(train)
 
 
-def _laplacian(train):
-    from . import graph
-
-    adj = graph.build_adjacency(train)
-    return graph.build_laplacian(adj, train.num_users, train.num_items)
-
-
-def _resolved_q(cfg, n: int) -> int:
+def _resolved_q(cfg, train) -> int:
     from . import spectral
 
+    n = train.num_users + train.num_items
     q = cfg["q"] or spectral.default_q(n)
     if q > n:
         print(
@@ -187,6 +127,20 @@ def _resolved_q(cfg, n: int) -> int:
         )
         q = n
     return q
+
+
+def _solve(cfg, train, q):
+    """Eigendecomposition and fitted power transform of a training graph."""
+    from . import graph, spectral
+
+    lap = graph.build_laplacian(
+        graph.build_adjacency(train), train.num_users, train.num_items
+    )
+    decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
+    bc = spectral.boxcox_fit(decomp.shifted_lambdas)
+    # evaluate once so a non-positive response dies here, not mid-training
+    spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
+    return decomp, bc
 
 
 def _spectral_summary(decomp, bc) -> list:
@@ -222,15 +176,19 @@ def cmd_ingest(args, cfg) -> int:
 def cmd_spectral(args, cfg) -> int:
     from . import spectral
 
-    _, train, _, train_hash = _load_split(cfg)
-    lap = _laplacian(train)
-    q = _resolved_q(cfg, lap.n)
+    train, _, train_hash = _load_split(cfg)
+    q = _resolved_q(cfg, train)
     out = cfg.require("spectral_cache")
 
     if os.path.exists(out):
         try:
             decomp, bc, meta = spectral.load_spectral_cache(
                 out, expected_hash=train_hash
+            )
+            unchanged = (
+                meta["q"] == q
+                and meta["eig_tol"] == cfg["eig_tol"]
+                and meta["eig_seed"] == cfg.eig_seed()
             )
         except DataError as exc:
             if not args.force:
@@ -239,11 +197,6 @@ def cmd_spectral(args, cfg) -> int:
                     "to recompute"
                 )
         else:
-            unchanged = (
-                meta["q"] == q
-                and meta["eig_tol"] == cfg["eig_tol"]
-                and meta["eig_seed"] == cfg.eig_seed()
-            )
             if unchanged:
                 # t is not part of the key: check this run's response too
                 spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
@@ -257,10 +210,7 @@ def cmd_spectral(args, cfg) -> int:
                     "to recompute"
                 )
 
-    decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
-    bc = spectral.boxcox_fit(decomp.shifted_lambdas)
-    # evaluate once so a non-positive response dies here, not mid-training
-    spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
+    decomp, bc = _solve(cfg, train, q)
     spectral.save_spectral_cache(
         out, decomp, bc, train_hash, cfg["eig_tol"], cfg.eig_seed()
     )
@@ -275,7 +225,7 @@ def cmd_train(args, cfg) -> int:
 
     from . import model, spectral, train as train_mod
 
-    _, train_set, _, train_hash = _load_split(cfg)
+    train_set, _, train_hash = _load_split(cfg)
     decomp, bc, _ = spectral.load_spectral_cache(
         cfg.require("spectral_cache"), expected_hash=train_hash
     )
@@ -334,6 +284,7 @@ def cmd_train(args, cfg) -> int:
             train_config,
             state_path=state_path,
             resume=args.resume,
+            dataset_hash=train_hash,
             **fit_kwargs,
         )
 
@@ -362,30 +313,38 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _score_trace(cfg, decomp, bc, ckpt_config, ckpt_meta, params):
+def _score_trace(decomp, bc, model_config, params, exponent_mode):
     from . import model
 
     oper = model.PropagationOperator(
-        decomp,
-        bc,
-        ckpt_config.t,
-        exponent_mode=ckpt_meta.get("exponent_mode", cfg["exponent_mode"]),
+        decomp, bc, model_config.t, exponent_mode=exponent_mode
     )
-    return model.forward(params, oper, ckpt_config)
+    return model.forward(params, oper, model_config)
 
 
-def cmd_evaluate(args, cfg) -> int:
-    from . import evaluate as eval_mod, model, spectral
+def _load_trained(cfg):
+    """Split, spectral cache and checkpoint of a trained run, scored.
 
-    _, train_set, test_set, train_hash = _load_split(cfg)
+    Returns (train, test, train hash, decomposition, forward trace).
+    """
+    from . import model, spectral
+
+    train_set, test_set, train_hash = _load_split(cfg)
     decomp, bc, _ = spectral.load_spectral_cache(
         cfg.require("spectral_cache"), expected_hash=train_hash
     )
     ckpt_config, params, ckpt_meta = model.load_checkpoint(
         cfg.require("checkpoint"), expected_dataset_hash=train_hash
     )
-    trace = _score_trace(cfg, decomp, bc, ckpt_config, ckpt_meta, params)
+    exponent_mode = ckpt_meta.get("exponent_mode", cfg["exponent_mode"])
+    trace = _score_trace(decomp, bc, ckpt_config, params, exponent_mode)
+    return train_set, test_set, train_hash, decomp, trace
 
+
+def cmd_evaluate(args, cfg) -> int:
+    from . import evaluate as eval_mod, model
+
+    train_set, test_set, train_hash, decomp, trace = _load_trained(cfg)
     notes = [f"per-user holdout split (train fraction {cfg['train_fraction']})"]
     if decomp.q < decomp.n:
         notes.append(f"spectrum truncated to Q={decomp.q} of N={decomp.n}")
@@ -413,31 +372,28 @@ def cmd_evaluate(args, cfg) -> int:
 
 
 def cmd_cold_start(args, cfg) -> int:
-    from . import evaluate as eval_mod, ingest, model, spectral
+    from . import evaluate as eval_mod, ingest, model
     from . import train as train_mod
 
     data = ingest.load_canonical(cfg.require("dataset"))
     k_values = cfg["k_values"]
     k = 20 if 20 in k_values else max(k_values)
+    model_config = cfg.model_config()
 
     def trainer(train_set, test_set, cap):
-        lap = _laplacian(train_set)
-        q = _resolved_q(cfg, lap.n)
-        decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
-        bc = spectral.boxcox_fit(decomp.shifted_lambdas)
+        decomp, bc = _solve(cfg, train_set, _resolved_q(cfg, train_set))
         result = train_mod.fit(
             train_set,
             decomp,
             bc,
-            cfg.model_config(),
+            model_config,
             cfg.train_config(),
             exponent_mode=cfg["exponent_mode"],
             val_fraction=cfg["val_fraction"],
         )
-        oper = model.PropagationOperator(
-            decomp, bc, cfg["t"], exponent_mode=cfg["exponent_mode"]
+        trace = _score_trace(
+            decomp, bc, model_config, result.best_params, cfg["exponent_mode"]
         )
-        trace = model.forward(result.best_params, oper, cfg.model_config())
         report = eval_mod.evaluate(
             lambda u: model.score_user(trace, u),
             train_set,
@@ -460,16 +416,9 @@ def cmd_cold_start(args, cfg) -> int:
 
 
 def cmd_recommend(args, cfg) -> int:
-    from . import evaluate as eval_mod, model, spectral
+    from . import evaluate as eval_mod, model
 
-    _, train_set, _, train_hash = _load_split(cfg)
-    decomp, bc, _ = spectral.load_spectral_cache(
-        cfg.require("spectral_cache"), expected_hash=train_hash
-    )
-    ckpt_config, params, ckpt_meta = model.load_checkpoint(
-        cfg.require("checkpoint"), expected_dataset_hash=train_hash
-    )
-    trace = _score_trace(cfg, decomp, bc, ckpt_config, ckpt_meta, params)
+    train_set, _, _, _, trace = _load_trained(cfg)
 
     k = args.k if args.k is not None else max(cfg["k_values"])
     if k < 1:
@@ -501,13 +450,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(_peek_threads(argv))
     args = build_parser().parse_args(argv)
     try:
-        from . import config as config_mod
-
         cfg = config_mod.resolve(args.config, args.overrides)
+        _pin_threads(cfg["threads"])
         return COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

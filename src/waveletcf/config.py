@@ -8,6 +8,9 @@ so a bad run dies with an actionable message instead of mid-pipeline.
 All randomness flows from the single ``seed`` key; stage seeds are derived
 from it via :mod:`waveletcf.seeds` (split, init, eig; training re-derives
 val-split and triples from its own stage seed).
+
+This module must not import numpy, directly or through another module:
+the CLI pins BLAS threads from the resolved config before numpy loads.
 """
 
 import difflib
@@ -16,10 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import seeds
-from .errors import ConfigError, DataError
-from .ingest import SplitSpec
-from .model import ModelConfig
-from .train import TrainConfig
+from .errors import ConfigError
 
 ENV_PREFIX = "WAVELETCF_"
 
@@ -164,6 +164,55 @@ def flag_overrides(pairs: List[str]) -> Dict[str, object]:
     return values
 
 
+@dataclass(frozen=True)
+class ModelConfig:
+    layers: int = 3
+    width: int = 64
+    t: float = 0.5
+    eta: float = 0.01
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.layers < 1:
+            raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        if self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
+        if self.t < 0:
+            raise ConfigError(f"t must be >= 0, got {self.t}")
+        if self.eta < 0:
+            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    batch_size: int = 1024
+    learning_rate: float = 0.05
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    eta: float = 0.01
+    max_epochs: int = 200
+    patience: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ConfigError(
+                "learning_rate must be strictly positive; a zero rate cannot "
+                f"train (got {self.learning_rate})"
+            )
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if self.eta < 0:
+            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
+            raise ConfigError("adam betas must lie in (0, 1)")
+
+
 @dataclass
 class RunConfig:
     """Fully validated configuration for one pipeline run."""
@@ -238,14 +287,10 @@ class RunConfig:
                 raise ConfigError(
                     f"grid_t_values must all be >= 0, got {v['grid_t_values']}"
                 )
-        # nested configs validate their own fields; surface theirs as config
-        # errors since they originate from config text here
-        try:
-            self.model_config()
-            self.train_config()
-            self.split_spec()
-        except (ConfigError, DataError) as exc:
-            raise ConfigError(str(exc))
+        # nested configs validate their own fields; the split checks above
+        # already cover every SplitSpec check
+        self.model_config()
+        self.train_config()
 
     # -- derived stage objects -------------------------------------------
 
@@ -259,7 +304,10 @@ class RunConfig:
             )
         return value
 
-    def split_spec(self) -> SplitSpec:
+    def split_spec(self):
+        """The per-user split parameters, as an `ingest.SplitSpec`."""
+        from .ingest import SplitSpec
+
         cap = self.values["per_user_cap"]
         return SplitSpec(
             train_fraction=self.values["train_fraction"],

@@ -10,13 +10,14 @@ score is the dot product of the concatenated vectors.
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import List
 
 import numpy as np
 
 from . import bundles
-from .errors import ConfigError, DataError
+from .config import ModelConfig
+from .errors import DataError
 from .spectral import BoxCoxResult, SpectralDecomposition, filter_response
 
 CHECKPOINT_VERSION = 1
@@ -30,25 +31,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    layers: int = 3
-    width: int = 64
-    t: float = 0.5
-    eta: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.t < 0:
-            raise ConfigError(f"t must be >= 0, got {self.t}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
 
 
 @dataclass
@@ -248,7 +230,9 @@ def load_checkpoint(path, expected_dataset_hash: str = None):
             f"{path}: checkpoint was trained on dataset "
             f"{meta['dataset_hash'][:12]}..., not {expected_dataset_hash[:12]}..."
         )
-    config = ModelConfig(**meta["config"])
+    config = ModelConfig(
+        **{f.name: meta["config"][f.name] for f in fields(ModelConfig)}
+    )
     params = ModelParams(
         x0=arrays["x0"],
         y0=arrays["y0"],

@@ -8,18 +8,18 @@ pipeline in float64 and bitwise-reproducible under a fixed seed.
 import json
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import bundles
+from . import bundles, ingest
+from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import evaluate
 from .ingest import InteractionSet, SplitSpec, split
 from .model import (
     ForwardTrace,
-    ModelConfig,
     ModelParams,
     PropagationOperator,
     forward,
@@ -29,37 +29,7 @@ from .model import (
 from .seeds import TRIPLES, VAL_SPLIT, child_seed
 from .spectral import BoxCoxResult, SpectralDecomposition
 
-TRAIN_STATE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 1024
-    learning_rate: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    eta: float = 0.01
-    max_epochs: int = 200
-    patience: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(
-                "learning_rate must be strictly positive; a zero rate cannot "
-                f"train (got {self.learning_rate})"
-            )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in (0, 1)")
+TRAIN_STATE_VERSION = 2
 
 
 @dataclass
@@ -307,6 +277,7 @@ def fit(
     log_fn: Optional[Callable[[str], None]] = None,
     state_path=None,
     resume: bool = False,
+    dataset_hash: Optional[str] = None,
 ) -> FitResult:
     """Train with early stopping on a held-out validation slice.
 
@@ -319,7 +290,11 @@ def fit(
     Randomness derives from two seeds: model_config.seed drives parameter
     init, train_config.seed (as a root) drives the validation split and
     triple sampling via labeled child seeds. `state_path` enables per-epoch
-    state saves; `resume=True` continues from such a save bit-exactly.
+    state saves; `resume=True` continues from such a save bit-exactly, and
+    refuses one saved for another dataset or config (only max_epochs and
+    patience may change). `dataset_hash` is `train_data`'s
+    `ingest.dataset_hash`, computed here if a state is saved and it is
+    not given.
     """
     if not (0 < val_fraction < 1):
         raise ConfigError(f"val_fraction must lie in (0,1), got {val_fraction}")
@@ -348,6 +323,18 @@ def fit(
     since_best = 0
     start_epoch = 0
     log_lines: List[str] = []
+    if state_path is not None:
+        # every input the saved state depends on; a resume may extend a run
+        # through max_epochs and patience only
+        run_key = {
+            "dataset_hash": dataset_hash or ingest.dataset_hash(train_data),
+            "q": int(decomp.q),
+            "exponent_mode": exponent_mode,
+            "val_fraction": val_fraction,
+            **{f"model.{k}": v for k, v in asdict(model_config).items()},
+            **{f"train.{k}": v for k, v in asdict(train_config).items()
+               if k not in ("max_epochs", "patience")},
+        }
 
     if resume:
         if state_path is None:
@@ -357,6 +344,15 @@ def fit(
             raise DataError(f"{state_path}: not a training state file")
         if meta.get("version") != TRAIN_STATE_VERSION:
             raise DataError(f"{state_path}: unsupported training state version")
+        saved = meta["run_key"]
+        for name in sorted(set(saved) | set(run_key)):
+            if saved.get(name) != run_key.get(name):
+                raise ConfigError(
+                    f"{state_path}: the saved state has {name}="
+                    f"{saved.get(name)!r}, this run has {name}="
+                    f"{run_key.get(name)!r}; a resume may change only "
+                    "max_epochs and patience"
+                )
         params = _load_params_like(arrays, "cur_", params)
         best_params = _load_params_like(arrays, "best_", params)
         adam = AdamState(
@@ -416,6 +412,7 @@ def fit(
                 {
                     "kind": "train-state",
                     "version": TRAIN_STATE_VERSION,
+                    "run_key": run_key,
                     "epoch": epoch,
                     "best_epoch": best_epoch,
                     "best_recall": best_recall,

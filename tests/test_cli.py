@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line pipeline and its exit codes."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from waveletcf import cli, model
-from waveletcf.cli import _peek_threads, main
+from waveletcf import bundles, cli, model
+from waveletcf.cli import main
 from waveletcf.datasets import synthetic_two_block
 
 pytestmark = pytest.mark.filterwarnings("ignore:embedding width")
@@ -275,6 +279,65 @@ def test_resume_without_state_key(pipeline, tmp_path, capsys):
     assert "train_state" in capsys.readouterr().err
 
 
+def test_resume_refuses_a_state_from_another_config(pipeline, tmp_path, capsys):
+    _, cfg = pipeline
+    ckpt = tmp_path / "r.ckpt"
+    state = tmp_path / "r.state"
+    args = ["train", "--config", cfg, "--set", f"checkpoint={ckpt}", "--set",
+            f"train_state={state}"]
+    assert main([*args, "--set", "max_epochs=2"]) == 0
+    before = (ckpt.read_bytes(), state.read_bytes())
+    capsys.readouterr()
+    for override, name in (
+        ("width=8", "model.width"),
+        ("learning_rate=0.01", "train.learning_rate"),
+        ("exponent_mode=boxcox", "exponent_mode"),
+        ("val_fraction=0.2", "val_fraction"),
+    ):
+        code = main(
+            [*args, "--resume", "--set", "max_epochs=4", "--set", override]
+        )
+        assert code == 2
+        assert f"this run has {name}=" in capsys.readouterr().err
+        assert (ckpt.read_bytes(), state.read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "artifact, key",
+    [
+        ("spectral_cache", "kappa"),
+        ("spectral_cache", "phi"),
+        ("checkpoint", "num_w"),
+        ("checkpoint", "width"),
+        ("checkpoint", "x0"),
+        ("train_state", "adam_step"),
+        ("train_state", "cur_x0"),
+    ],
+)
+def test_bundle_missing_a_key_is_a_data_error(
+    pipeline, tmp_path, capsys, artifact, key
+):
+    root, cfg = pipeline
+    state = tmp_path / "state.bundle"
+    resume = ["train", "--config", cfg, "--set", f"checkpoint={tmp_path / 'r.ckpt'}",
+              "--set", f"train_state={state}"]
+    if artifact == "train_state":
+        assert main([*resume, "--set", "max_epochs=1"]) == 0
+        source, command = state, [*resume, "--resume"]
+    else:
+        name = "spec.bundle" if artifact == "spectral_cache" else "model.ckpt"
+        source, command = root / name, ["evaluate", "--config", cfg]
+    meta, arrays = bundles.load_bundle(source)
+    parts = (meta, meta.get("config", {}), arrays)
+    (holder,) = [part for part in parts if key in part]
+    del holder[key]
+    damaged = tmp_path / "damaged.bundle"
+    bundles.save_bundle(damaged, meta, arrays)
+    capsys.readouterr()
+    assert main([*command, "--set", f"{artifact}={damaged}"]) == 3
+    assert f"{damaged}: missing key '{key}'" in capsys.readouterr().err
+
+
 def test_evaluate_report(pipeline, capsys):
     _, cfg = pipeline
     assert main(["evaluate", "--config", cfg]) == 0
@@ -438,23 +501,51 @@ def test_pipeline_is_bitwise_reproducible(pipeline, tmp_path, capsys):
     assert strip(reports[0]) == strip(reports[1])
 
 
-def test_peek_threads_precedence(tmp_path):
+def test_threads_pinned_from_resolved_config(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("threads=3\nseed=1\n")
-    argv = ["train", "--config", str(cfg)]
-    old = os.environ.pop("WAVELETCF_THREADS", None)
-    try:
-        assert _peek_threads(argv) == 3
-        os.environ["WAVELETCF_THREADS"] = "5"
-        assert _peek_threads(argv) == 5
-        assert _peek_threads(argv + ["--set", "threads=7"]) == 7
-        assert _peek_threads(["train"]) == 5
-    finally:
-        if old is None:
-            os.environ.pop("WAVELETCF_THREADS", None)
-        else:
-            os.environ["WAVELETCF_THREADS"] = old
-    assert _peek_threads(["train", "--config", "/missing.cfg"]) == 1
+    monkeypatch.delenv("WAVELETCF_THREADS", raising=False)
+    for var in cli.THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "9")
+
+    def pinned(*argv):
+        # train fails after resolution: no dataset is configured
+        assert main(["train", *argv]) == 2
+        assert "'dataset' is required" in capsys.readouterr().err
+        values = {os.environ[var] for var in cli.THREAD_ENV_VARS}
+        assert len(values) == 1
+        return values.pop()
+
+    argv = ["--config", str(cfg)]
+    assert pinned(*argv) == "3"
+    monkeypatch.setenv("WAVELETCF_THREADS", "5")
+    assert pinned(*argv) == "5"
+    assert pinned(*argv, "--set", "threads=7") == "7"
+    assert pinned() == "5"
+    # argparse accepts the --se prefix, and the last --set wins
+    assert pinned("--set", "threads=4", "--se", "threads=1") == "1"
+    # a config that does not resolve pins nothing
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "9")
+    assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "9"
+
+
+def test_config_resolution_imports_no_numpy():
+    # threads are pinned after resolution, so resolving must not load numpy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WAVELETCF_")}
+    env["PYTHONPATH"] = src
+    code = (
+        "import json, sys\n"
+        "import waveletcf.cli, waveletcf.config\n"
+        "waveletcf.config.resolve(None, [])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if 'numpy' in m)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_pin_threads_sets_blas_vars():

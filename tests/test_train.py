@@ -412,6 +412,13 @@ def test_fit_resume_is_bit_exact(tmp_path):
         l.split()[:4] for l in full.log_lines
     ]
 
+    # a state saved for another training split is refused and left alone
+    other, _ = split(data, SplitSpec(train_fraction=0.8, seed=99))
+    saved = state.read_bytes()
+    with pytest.raises(ConfigError, match="dataset_hash"):
+        fit(other, dec, bc, model_cfg, cfg(8), state_path=state, resume=True)
+    assert state.read_bytes() == saved
+
 
 def test_grid_search_small():
     data, train, test, dec, bc = small_problem(seed=12)
