@@ -3,7 +3,9 @@
 np.savez embeds zip timestamps, which breaks byte-identical reruns, so
 caches and checkpoints use this container instead: a magic line, a JSON
 metadata header (sorted keys), then raw .npy blocks in manifest order.
-Writing the same payload twice produces identical bytes.
+Writing the same payload twice produces identical bytes. `write_atomic`
+is the one durable write path, shared by bundles, the canonical dataset and
+the evaluation report.
 """
 
 import io
@@ -24,32 +26,44 @@ def _encode(array) -> bytes:
     return buf.getvalue()
 
 
-def save_bundle(path, meta: dict, arrays: dict) -> None:
-    """Write scalar metadata and named float/int arrays to `path`.
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings of `chunks` to `path` durably and atomically.
 
-    The bundle is written to `path + ".tmp"`, synced, then renamed over
-    `path`, so a crash mid-write leaves any earlier bundle intact.
+    They go to `path + ".tmp"`, which is synced, then renamed over `path`,
+    so a crash mid-write leaves any earlier file at `path` intact and no
+    `.tmp` behind.
     """
-    names = sorted(arrays)
-    header = json.dumps(
-        {"meta": meta, "arrays": names}, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(len(header).to_bytes(8, "big"))
-            fh.write(header)
-            for name in names:
-                block = _encode(arrays[name])
-                fh.write(len(block).to_bytes(8, "big"))
-                fh.write(block)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_bundle(path, meta: dict, arrays: dict) -> None:
+    """Write scalar metadata and named float/int arrays to `path`, atomically
+    (see `write_atomic`)."""
+    names = sorted(arrays)
+    header = json.dumps(
+        {"meta": meta, "arrays": names}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+    def chunks():
+        yield MAGIC
+        yield len(header).to_bytes(8, "big")
+        yield header
+        for name in names:
+            block = _encode(arrays[name])
+            yield len(block).to_bytes(8, "big")
+            yield block
+
+    write_atomic(path, chunks())
 
 
 def _read_block(fh, what: str) -> bytes:

@@ -342,7 +342,7 @@ def _load_trained(cfg):
 
 
 def cmd_evaluate(args, cfg) -> int:
-    from . import evaluate as eval_mod, model
+    from . import bundles, evaluate as eval_mod, model
 
     train_set, test_set, train_hash, decomp, trace = _load_trained(cfg)
     notes = [f"per-user holdout split (train fraction {cfg['train_fraction']})"]
@@ -365,8 +365,7 @@ def cmd_evaluate(args, cfg) -> int:
     report_path = cfg["report"]
     if report_path:
         _refuse_overwrite(report_path, args.force)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        bundles.write_atomic(report_path, [text.encode("utf-8")])
         print(f"wrote {report_path}")
     return 0
 

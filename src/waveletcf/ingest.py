@@ -1,33 +1,24 @@
 """Loading, filtering, splitting, and persisting implicit-feedback data.
 
 Raw logs are delimiter-separated text with columns user, item, and
-optionally rating and timestamp. Ratings are only carried through parsing;
-everything downstream is binarized interactions on a user-item bipartite
-graph with contiguous integer indices.
+optionally rating and timestamp. Ratings and timestamps are checked while
+parsing, then dropped; from the activity filter on, a dataset is integer
+(user, item) index pairs on a user-item bipartite graph, plus the tuples
+of external ids.
 """
 
 import hashlib
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .bundles import write_atomic
 from .errors import DataError
 
 CANONICAL_MAGIC = "wavelet-cf-dataset"
 CANONICAL_VERSION = "v1"
-
-
-@dataclass(frozen=True)
-class RawInteraction:
-    """One parsed log row. `weight` is discarded after binarization."""
-
-    user_id: str
-    item_id: str
-    weight: Optional[float] = None
-    timestamp: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -81,10 +72,6 @@ class InteractionSet:
     def user_index(self) -> dict:
         return {uid: u for u, uid in enumerate(self.user_ids)}
 
-    @property
-    def item_index(self) -> dict:
-        return {iid: i for i, iid in enumerate(self.item_ids)}
-
     def user_degrees(self) -> np.ndarray:
         return np.bincount(self.pairs[:, 0], minlength=self.num_users)
 
@@ -93,15 +80,8 @@ class InteractionSet:
 
     def items_by_user(self) -> list:
         """Item index array per user, ascending, empty where a user has none."""
-        out = [np.empty(0, dtype=np.int64)] * self.num_users
-        if self.num_pairs == 0:
-            return out
-        users = self.pairs[:, 0]
-        starts = np.searchsorted(users, np.arange(self.num_users))
-        ends = np.searchsorted(users, np.arange(self.num_users), side="right")
-        for u in range(self.num_users):
-            out[u] = self.pairs[starts[u]:ends[u], 1].copy()
-        return out
+        bounds = np.cumsum(self.user_degrees())[:-1]
+        return np.split(self.pairs[:, 1].copy(), bounds)
 
     def validate(self, require_coverage: bool = True) -> None:
         """Check index-range and duplicate invariants.
@@ -144,116 +124,110 @@ def _detect_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
+def _read(path, first_line: bool = False) -> str:
+    """Text of `path`, or only its first line; a file that cannot be read
+    or is not UTF-8 is a DataError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readline() if first_line else fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_interactions(path, fmt: str = "auto") -> list:
-    """Parse a delimiter-separated interaction log.
+    """Parse a delimiter-separated interaction log into (user_id, item_id)
+    string pairs in file order.
 
     fmt is "auto" (per-file detection on the first data line), "tsv", or
     "csv". Lines starting with '#' are skipped. Each data row needs
-    user and item columns; a third column is parsed as a float rating and a
-    fourth as an integer timestamp.
+    user and item columns; a third column must parse as a float rating and
+    a fourth as an integer timestamp. Both are checked, then dropped: the
+    interactions are binary.
     """
     if fmt not in ("auto", "tsv", "csv"):
         raise DataError(f"unknown format descriptor: {fmt!r}")
     delim = {"tsv": "\t", "csv": ","}.get(fmt)
     rows = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if delim is None:
-                delim = _detect_delimiter(line)
-            cols = line.split(delim)
-            if len(cols) < 2:
-                raise DataError(f"{path}: line {lineno}: expected at least 2 columns")
-            user_id, item_id = cols[0].strip(), cols[1].strip()
-            if not user_id or not item_id:
-                raise DataError(f"{path}: line {lineno}: empty user or item id")
-            weight = None
-            timestamp = None
-            if len(cols) >= 3 and cols[2].strip():
+    for lineno, line in enumerate(_read(path).split("\n"), start=1):
+        line = line.rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if delim is None:
+            delim = _detect_delimiter(line)
+        cols = line.split(delim)
+        if len(cols) < 2:
+            raise DataError(f"{path}: line {lineno}: expected at least 2 columns")
+        user_id, item_id = cols[0].strip(), cols[1].strip()
+        if not user_id or not item_id:
+            raise DataError(f"{path}: line {lineno}: empty user or item id")
+        for col, kind, parse in ((2, "rating", float), (3, "timestamp", int)):
+            if len(cols) > col and cols[col].strip():
                 try:
-                    weight = float(cols[2])
+                    parse(cols[col])
                 except ValueError:
                     raise DataError(
-                        f"{path}: line {lineno}: unparseable rating {cols[2]!r}"
+                        f"{path}: line {lineno}: unparseable {kind} {cols[col]!r}"
                     ) from None
-            if len(cols) >= 4 and cols[3].strip():
-                try:
-                    timestamp = int(cols[3])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: unparseable timestamp {cols[3]!r}"
-                    ) from None
-            rows.append(RawInteraction(user_id, item_id, weight, timestamp))
+        rows.append((user_id, item_id))
     return rows
 
 
-def filter_by_activity(raw, min_user: int, min_item: int) -> InteractionSet:
-    """Binarize and iteratively drop low-activity users/items to a fixed point.
+def _first_appearance(codes: np.ndarray):
+    """Distinct values of `codes` in order of first appearance, and each
+    entry of `codes` relabelled by that order."""
+    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse]
+
+
+def filter_by_activity(rows, min_user: int, min_item: int) -> InteractionSet:
+    """Binarize (user_id, item_id) rows and drop low-activity users/items
+    to a fixed point.
 
     Users with fewer than `min_user` distinct items and items with fewer
     than `min_item` distinct users are removed; removals can cascade, so
-    the two thresholds are re-applied until nothing changes. Surviving
+    the thresholds are re-applied until nothing changes. The surviving
+    core is unique, so both sides are peeled at once. Surviving
     users/items get contiguous indices in first-appearance order.
     """
     if min_user < 1 or min_item < 1:
         raise DataError("activity thresholds must be >= 1")
-    seen = set()
-    unique = []
-    for r in raw:
-        key = (r.user_id, r.item_id)
-        if key not in seen:
-            seen.add(key)
-            unique.append(key)
+    user_codes, item_codes = {}, {}
+    n = len(rows)
+    users = np.fromiter(
+        (user_codes.setdefault(u, len(user_codes)) for u, _ in rows), np.int64, n
+    )
+    items = np.fromiter(
+        (item_codes.setdefault(i, len(item_codes)) for _, i in rows), np.int64, n
+    )
+    # distinct pairs, kept in order of first appearance
+    _, first = np.unique(users * len(item_codes) + items, return_index=True)
+    first.sort()
+    users, items = users[first], items[first]
 
-    user_items = {}
-    item_users = {}
-    for uid, iid in unique:
-        user_items.setdefault(uid, set()).add(iid)
-        item_users.setdefault(iid, set()).add(uid)
-
-    changed = True
-    while changed:
-        changed = False
-        dead_users = [u for u, its in user_items.items() if len(its) < min_user]
-        for u in dead_users:
-            for i in user_items.pop(u):
-                item_users[i].discard(u)
-            changed = True
-        dead_items = [i for i, us in item_users.items() if len(us) < min_item]
-        for i in dead_items:
-            for u in item_users.pop(i):
-                user_items[u].discard(i)
-            changed = True
-
-    if not user_items or not item_users:
+    while True:
+        low_users = np.bincount(users, minlength=len(user_codes)) < min_user
+        low_items = np.bincount(items, minlength=len(item_codes)) < min_item
+        keep = ~(low_users[users] | low_items[items])
+        if keep.all():
+            break
+        users, items = users[keep], items[keep]
+    if len(users) == 0:
         raise DataError("dataset fully filtered")
 
-    user_ids, item_ids = [], []
-    user_idx, item_idx = {}, {}
-    pairs = []
-    for uid, iid in unique:
-        if uid not in user_items or iid not in item_users:
-            continue
-        if uid not in user_idx:
-            user_idx[uid] = len(user_ids)
-            user_ids.append(uid)
-        if iid not in item_idx:
-            item_idx[iid] = len(item_ids)
-            item_ids.append(iid)
-        pairs.append((user_idx[uid], item_idx[iid]))
-
+    user_ids, item_ids = list(user_codes), list(item_codes)
+    user_order, users = _first_appearance(users)
+    item_order, items = _first_appearance(items)
     out = InteractionSet(
-        num_users=len(user_ids),
-        num_items=len(item_ids),
-        pairs=np.array(pairs, dtype=np.int64),
-        user_ids=tuple(user_ids),
-        item_ids=tuple(item_ids),
+        num_users=len(user_order),
+        num_items=len(item_order),
+        pairs=np.column_stack((users, items)),
+        user_ids=tuple(user_ids[c] for c in user_order),
+        item_ids=tuple(item_ids[c] for c in item_order),
     )
     out.validate(require_coverage=True)
     return out
@@ -268,66 +242,50 @@ def split(data: InteractionSet, spec: SplitSpec):
     With `per_user_cap` set, each user's training items are further
     down-sampled to the cap and the capped-out pairs are discarded.
 
-    Items that would end up with no training interaction are repaired by
-    promoting one of their held-out pairs back into train (smallest user
-    index first), so the training graph never has zero-degree nodes.
+    Items that would end up with no training interaction are repaired so
+    the training graph never has zero-degree nodes: one of the item's
+    capped-out pairs is put back into train, or, when it has none, one of
+    its held-out pairs is moved from test to train; either way the pair
+    of the smallest user index is taken.
     """
     rng = np.random.default_rng(spec.seed)
-    per_user = data.items_by_user()
-    train_items = [None] * data.num_users
-    test_items = [None] * data.num_users
-    discarded = {}
-    for u in range(data.num_users):
-        items = per_user[u]
-        n = len(items)
-        if n == 0:
-            train_items[u] = items
-            test_items[u] = items
-            continue
-        perm = rng.permutation(n)
-        n_train = max(1, int(math.floor(n * spec.train_fraction)))
-        tr = items[perm[:n_train]]
-        te = items[perm[n_train:]]
-        if spec.per_user_cap is not None and len(tr) > spec.per_user_cap:
-            for i in tr[spec.per_user_cap:]:
-                discarded.setdefault(int(i), []).append(u)
-            tr = tr[: spec.per_user_cap]
-        train_items[u] = np.sort(tr)
-        test_items[u] = np.sort(te)
+    degrees = data.user_degrees()
+    starts = np.cumsum(degrees) - degrees
+    # one draw per user, in user order: this is what fixes the split
+    perms = [starts[u] + rng.permutation(n) for u, n in enumerate(degrees) if n]
+    shuffled = data.pairs[np.concatenate(perms)] if perms else data.pairs
+    rank = np.arange(data.num_pairs) - np.repeat(starts, degrees)
+    n_train = np.maximum(1, np.floor(degrees * spec.train_fraction).astype(np.int64))
+    cap = n_train if spec.per_user_cap is None else spec.per_user_cap
+    trained = rank < np.repeat(n_train, degrees)
+    kept = rank < np.repeat(np.minimum(n_train, cap), degrees)
+    train, capped, test = shuffled[kept], shuffled[trained & ~kept], shuffled[~trained]
 
-    covered = np.zeros(data.num_items, dtype=bool)
-    for t in train_items:
-        covered[t] = True
-    for i in np.flatnonzero(~covered):
-        i = int(i)
-        holders = sorted(discarded.get(i, []))
-        if not holders:
-            holders = sorted(
-                u for u in range(data.num_users) if i in set(map(int, test_items[u]))
-            )
-        if not holders:
-            continue  # item absent from this dataset altogether
-        u = holders[0]
-        train_items[u] = np.sort(np.append(train_items[u], i))
-        mask = test_items[u] != i
-        if mask.size and not mask.all():
-            test_items[u] = test_items[u][mask]
+    def promote(train, source):
+        """Rows of `source` that hold, for each item `train` lacks, the
+        pair of the smallest user."""
+        covered = np.zeros(data.num_items, dtype=bool)
+        covered[train[:, 1]] = True
+        rows = np.flatnonzero(~covered[source[:, 1]])
+        rows = rows[np.lexsort((source[rows, 0], source[rows, 1]))]
+        _, first = np.unique(source[rows, 1], return_index=True)
+        return rows[first]
 
-    def assemble(item_lists):
-        rows = []
-        for u, its in enumerate(item_lists):
-            for i in its:
-                rows.append((u, int(i)))
+    train = np.concatenate((train, capped[promote(train, capped)]))
+    moved = promote(train, test)
+    train = np.concatenate((train, test[moved]))
+    test = np.delete(test, moved, axis=0)
+
+    def assemble(pairs):
         return InteractionSet(
             num_users=data.num_users,
             num_items=data.num_items,
-            pairs=np.array(rows, dtype=np.int64).reshape(-1, 2),
+            pairs=pairs,
             user_ids=data.user_ids,
             item_ids=data.item_ids,
         )
 
-    train = assemble(train_items)
-    test = assemble(test_items)
+    train, test = assemble(train), assemble(test)
     train.validate(require_coverage=False)
     test.validate(require_coverage=False)
     return train, test
@@ -343,7 +301,7 @@ def _serialize(data: InteractionSet, seed: int) -> bytes:
         f"{CANONICAL_MAGIC} {CANONICAL_VERSION} {data.num_users} "
         f"{data.num_items} {data.num_pairs} {seed}\n"
     )
-    for u, i in data.pairs:
+    for u, i in data.pairs.tolist():
         buf.write(f"{u}\t{i}\n")
     buf.write("#users\n")
     for uid in data.user_ids:
@@ -360,47 +318,64 @@ def dataset_hash(data: InteractionSet) -> str:
 
 
 def persist(data: InteractionSet, path, seed: int = 0) -> None:
-    """Write the canonical dataset format (see README for the layout)."""
-    payload = _serialize(data, seed)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    """Write the canonical dataset format (see README for the layout).
+
+    The file is replaced atomically, so a crash mid-write leaves any
+    earlier dataset at `path` intact."""
+    write_atomic(path, [_serialize(data, seed)])
+
+
+def _header(path, line: str) -> dict:
+    head = line.rstrip("\n").split(" ")
+    if len(head) != 6 or head[0] != CANONICAL_MAGIC:
+        raise DataError(f"{path}: not a canonical dataset file")
+    try:
+        counts = [int(x) for x in head[2:]]
+    except ValueError:
+        raise DataError(f"{path}: malformed header counts") from None
+    keys = ("num_users", "num_items", "num_pairs", "seed")
+    return {"version": head[1], **dict(zip(keys, counts))}
+
+
+def _is_pair(line: str) -> bool:
+    try:
+        return np.array(line.split("\t"), dtype=np.int64).shape == (2,)
+    except (ValueError, OverflowError):
+        return False
+
+
+def _parse_pairs(path, lines: list) -> np.ndarray:
+    """The (nnz, 2) int64 pair block; the first malformed line (numbered
+    from the file's start) is a DataError."""
+    if all(line.count("\t") == 1 for line in lines):
+        try:
+            fields = "\t".join(lines).split("\t")
+            return np.array(fields, dtype=np.int64).reshape(-1, 2)
+        except (ValueError, OverflowError):
+            pass
+    lineno = next(n for n, line in enumerate(lines, start=2) if not _is_pair(line))
+    raise DataError(f"{path}: line {lineno}: malformed pair")
 
 
 def load_canonical(path) -> InteractionSet:
     """Read a canonical dataset file; exact inverse of `persist`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = text.split("\n")
-    if not lines or not lines[0]:
+    lines = _read(path).split("\n")
+    if not lines[0]:
         raise DataError(f"{path}: empty file")
-    head = lines[0].split(" ")
-    if len(head) != 6 or head[0] != CANONICAL_MAGIC:
-        raise DataError(f"{path}: not a canonical dataset file")
-    if head[1] != CANONICAL_VERSION:
+    head = _header(path, lines[0])
+    if head["version"] != CANONICAL_VERSION:
         raise DataError(
-            f"{path}: version mismatch: file has {head[1]!r}, "
+            f"{path}: version mismatch: file has {head['version']!r}, "
             f"expected {CANONICAL_VERSION!r}"
         )
-    try:
-        m, k, nnz, _seed = (int(x) for x in head[2:])
-    except ValueError:
-        raise DataError(f"{path}: malformed header counts") from None
+    m, k, nnz = head["num_users"], head["num_items"], head["num_pairs"]
     if m < 1 or k < 1 or nnz < 1:
         raise DataError("dataset fully filtered")
     expected = 1 + nnz + 1 + m + 1 + k
     body = lines[1:]
     if len(body) < expected - 1 or (len(body) >= expected and body[expected - 1] != ""):
         raise DataError(f"{path}: truncated or trailing content")
-    pairs = np.empty((nnz, 2), dtype=np.int64)
-    for r in range(nnz):
-        cols = body[r].split("\t")
-        if len(cols) != 2:
-            raise DataError(f"{path}: line {r + 2}: malformed pair")
-        pairs[r, 0] = int(cols[0])
-        pairs[r, 1] = int(cols[1])
+    pairs = _parse_pairs(path, body[:nnz])
     if body[nnz] != "#users":
         raise DataError(f"{path}: missing #users section")
     user_ids = tuple(body[nnz + 1: nnz + 1 + m])
@@ -416,17 +391,4 @@ def load_canonical(path) -> InteractionSet:
 
 def canonical_header(path) -> dict:
     """Header fields of a canonical dataset file without loading the body."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.readline().rstrip("\n").split(" ")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(head) != 6 or head[0] != CANONICAL_MAGIC:
-        raise DataError(f"{path}: not a canonical dataset file")
-    return {
-        "version": head[1],
-        "num_users": int(head[2]),
-        "num_items": int(head[3]),
-        "num_pairs": int(head[4]),
-        "seed": int(head[5]),
-    }
+    return _header(path, _read(path, first_line=True))

@@ -88,6 +88,44 @@ def test_missing_input_is_a_data_error(pipeline, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,key,name,out_key",
+    [
+        ("ingest", "input", "raw.tsv", "dataset"),
+        ("spectral", "dataset", "data.ds", "spectral_cache"),
+    ],
+)
+def test_non_utf8_input_is_a_data_error(
+    pipeline, tmp_path, capsys, command, key, name, out_key
+):
+    root, cfg = pipeline
+    bad = tmp_path / name
+    bad.write_bytes((root / name).read_bytes().replace(b"\nu1", b"\nu\xff1", 1))
+    code = main(
+        [command, "--config", cfg, "--set", f"{key}={bad}",
+         "--set", f"{out_key}={tmp_path / 'out'}"]
+    )
+    assert code == 3
+    assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["x1\t2", "1", "1\t2\t3", "99999999999999999999\t1"]
+)
+def test_malformed_pair_line_is_a_data_error(pipeline, tmp_path, capsys, line):
+    root, cfg = pipeline
+    lines = (root / "data.ds").read_text().split("\n")
+    lines[2] = line
+    bad = tmp_path / "data.ds"
+    bad.write_text("\n".join(lines))
+    code = main(
+        ["spectral", "--config", cfg, "--set", f"dataset={bad}",
+         "--set", f"spectral_cache={tmp_path / 'spec.bundle'}"]
+    )
+    assert code == 3
+    assert f"{bad}: line 3: malformed pair" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_a_config_error(pipeline, capsys):
     _, cfg = pipeline
     for key in ("bogus", "drop_threshold", "materialize_wavelets"):

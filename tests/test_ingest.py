@@ -1,5 +1,6 @@
 """Tests for parsing, activity filtering, splitting, and the canonical format."""
 
+import builtins
 import hashlib
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from waveletcf.errors import DataError
 from waveletcf.ingest import (
     InteractionSet,
-    RawInteraction,
     SplitSpec,
     canonical_header,
     dataset_hash,
@@ -20,17 +20,13 @@ from waveletcf.ingest import (
 )
 
 
-def raw(pairs):
-    return [RawInteraction(u, i) for u, i in pairs]
-
-
 def test_load_three_line_tsv(tmp_path):
     p = tmp_path / "log.tsv"
     p.write_text("u1\ti1\nu1\ti2\nu2\ti1\n")
     rows = load_interactions(p)
     assert len(rows) == 3
-    assert rows[0] == RawInteraction("u1", "i1")
-    assert rows[2].item_id == "i1"
+    assert rows[0] == ("u1", "i1")
+    assert rows[2][1] == "i1"
 
 
 def test_load_empty_file(tmp_path):
@@ -49,9 +45,7 @@ def test_load_one_column_row_errors_with_line_number(tmp_path):
 def test_load_csv_with_rating_and_timestamp(tmp_path):
     p = tmp_path / "log.csv"
     p.write_text("# comment\nu1,i1,4.0,100\nu2,i2,,200\n")
-    rows = load_interactions(p)
-    assert rows[0].weight == 4.0 and rows[0].timestamp == 100
-    assert rows[1].weight is None and rows[1].timestamp == 200
+    assert load_interactions(p) == [("u1", "i1"), ("u2", "i2")]
 
 
 def test_load_unparseable_rating(tmp_path):
@@ -61,40 +55,40 @@ def test_load_unparseable_rating(tmp_path):
         load_interactions(p)
 
 
+def test_load_unparseable_timestamp(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("u1,i1,4.0,100\nu2,i2,3.5,noon\n")
+    with pytest.raises(DataError, match="line 2: unparseable timestamp"):
+        load_interactions(p)
+
+
 def test_load_missing_file():
     with pytest.raises(DataError):
         load_interactions("/nonexistent/path.tsv")
 
 
 def test_filter_thresholds_vacuous():
-    data = filter_by_activity(raw([("a", "x"), ("a", "y"), ("b", "x")]), 1, 1)
+    data = filter_by_activity([("a", "x"), ("a", "y"), ("b", "x")], 1, 1)
     assert data.num_users == 2 and data.num_items == 2
     assert data.num_pairs == 3
 
 
 def test_filter_cascade_to_empty():
     with pytest.raises(DataError, match="fully filtered"):
-        filter_by_activity(raw([("a", "x"), ("a", "y"), ("b", "x")]), 2, 2)
+        filter_by_activity([("a", "x"), ("a", "y"), ("b", "x")], 2, 2)
 
 
 def test_filter_collapses_duplicates():
-    data = filter_by_activity(raw([("a", "x"), ("a", "x"), ("a", "y")]), 1, 1)
+    data = filter_by_activity([("a", "x"), ("a", "x"), ("a", "y")], 1, 1)
     assert data.num_pairs == 2
 
 
 def test_filter_idempotent():
     rng = np.random.default_rng(0)
-    rows = raw(
-        [(f"u{rng.integers(30)}", f"i{rng.integers(40)}") for _ in range(400)]
-    )
+    rows = [(f"u{rng.integers(30)}", f"i{rng.integers(40)}") for _ in range(400)]
     once = filter_by_activity(rows, 3, 3)
     again = filter_by_activity(
-        [
-            RawInteraction(once.user_ids[u], once.item_ids[i])
-            for u, i in once.pairs
-        ],
-        3,
-        3,
+        [(once.user_ids[u], once.item_ids[i]) for u, i in once.pairs], 3, 3
     )
     assert once.num_users == again.num_users
     assert once.num_items == again.num_items
@@ -102,7 +96,7 @@ def test_filter_idempotent():
 
 
 def test_filter_first_appearance_order():
-    data = filter_by_activity(raw([("b", "y"), ("a", "x"), ("b", "x")]), 1, 1)
+    data = filter_by_activity([("b", "y"), ("a", "x"), ("b", "x")], 1, 1)
     assert data.user_ids == ("b", "a")
     assert data.item_ids == ("y", "x")
     assert data.user_index == {"b": 0, "a": 1}
@@ -113,14 +107,14 @@ def grid_dataset(num_users=12, num_items=9, degree=4, seed=5):
     rows = []
     for u in range(num_users):
         for i in rng.choice(num_items, size=degree, replace=False):
-            rows.append(RawInteraction(f"u{u}", f"i{int(i)}"))
+            rows.append((f"u{u}", f"i{int(i)}"))
     return filter_by_activity(rows, 1, 1)
 
 
 def test_split_exact_ratio():
     # five users sharing one catalog so every item keeps train coverage
     # without repair promotions that would distort the 8/2 ratio
-    rows = raw([(f"u{u}", f"i{j}") for u in range(5) for j in range(10)])
+    rows = [(f"u{u}", f"i{j}") for u in range(5) for j in range(10)]
     data = filter_by_activity(rows, 1, 1)
     train, test = split(data, SplitSpec(train_fraction=0.8, seed=1))
     for u in range(5):
@@ -147,7 +141,7 @@ def test_split_deterministic():
 
 
 def test_split_single_interaction_user_goes_to_train():
-    rows = raw([("solo", "i0")] + [("u", f"i{j}") for j in range(5)])
+    rows = [("solo", "i0")] + [("u", f"i{j}") for j in range(5)]
     data = filter_by_activity(rows, 1, 1)
     train, test = split(data, SplitSpec(seed=0))
     solo = data.user_index["solo"]
@@ -156,7 +150,7 @@ def test_split_single_interaction_user_goes_to_train():
 
 
 def test_split_cap_retains_cap_items():
-    rows = raw([("u", f"i{j}") for j in range(10)] + [("v", f"i{j}") for j in range(10)])
+    rows = [("u", f"i{j}") for j in range(10)] + [("v", f"i{j}") for j in range(10)]
     data = filter_by_activity(rows, 1, 1)
     train, _ = split(data, SplitSpec(seed=4, per_user_cap=3))
     # both users keep >= 1 via floor rule; cap truncates 8 -> 3, repairs may
@@ -229,6 +223,97 @@ def test_empty_header_errors(tmp_path):
     p.write_text("wavelet-cf-dataset v1 0 0 0 0\n#users\n#items\n")
     with pytest.raises(DataError, match="fully filtered"):
         load_canonical(p)
+
+
+def test_malformed_header_counts_error(tmp_path):
+    p = tmp_path / "data.txt"
+    persist(grid_dataset(), p)
+    head, body = p.read_text().split("\n", 1)
+    fields = head.split(" ")
+    fields[3] = "x9"
+    p.write_text(" ".join(fields) + "\n" + body)
+    for read in (canonical_header, load_canonical):
+        with pytest.raises(DataError, match="malformed header counts"):
+            read(p)
+
+
+def test_persist_is_atomic(tmp_path, monkeypatch):
+    p = tmp_path / "data.txt"
+    persist(grid_dataset(seed=1), p)
+    before = p.read_bytes()
+    real_open = builtins.open
+
+    class TornFile:
+        """Writes half of what it is given, then fails as a crash would."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("simulated crash mid-write")
+
+    def crashing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return TornFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", crashing_open)
+    with pytest.raises(OSError):
+        persist(grid_dataset(seed=2), p)
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data.txt"]
+
+
+def pinned_log():
+    """Rows with repeats, a four-step cascade at thresholds (2, 2), and
+    users with a single interaction."""
+    rows = [
+        (f"u{u}", f"i{(3 * u + 2 * k) % 11}")
+        for u in range(14)
+        for k in range(1 + u % 6)
+    ]
+    rows += rows[::5]
+    # at (2, 2): rare2 drops, then c2, then rare1, then c1
+    rows += [("c1", "i0"), ("c1", "rare1"), ("c2", "rare1"), ("c2", "rare2")]
+    rows += [("solo1", "i3"), ("solo2", "lonely")]
+    return rows
+
+
+def test_filter_and_split_bytes_are_pinned():
+    rows = pinned_log()
+    core = filter_by_activity(rows, 2, 2)
+    full = filter_by_activity(rows, 1, 1)
+    assert full.num_pairs == len(set(rows)) < len(rows)
+    assert not {"c1", "c2"} & set(core.user_ids)
+    assert not {"rare1", "rare2"} & set(core.item_ids)
+    degrees = full.user_degrees()
+    assert np.count_nonzero(degrees == 1) == 5
+    train, test = split(full, SplitSpec(train_fraction=0.5, seed=3, per_user_cap=2))
+    # the repair promotes a held-out pair of user 15 and a capped-out pair
+    # of user 11
+    held = degrees - np.maximum(1, degrees // 2)
+    kept = np.minimum(2, degrees - held)
+    trained, tested = train.user_degrees(), test.user_degrees()
+    assert np.flatnonzero(tested < held).tolist() == [15]
+    assert np.flatnonzero((trained > kept) & (tested == held)).tolist() == [11]
+    # recorded before filter and split were vectorized: the bytes must not move
+    sets = {"core": core, "full": full, "train": train, "test": test}
+    assert {name: dataset_hash(data) for name, data in sets.items()} == {
+        "core": "da9ac03c10d003afa28c0a5f2e8cd24cafc4972b7c56cac1a2c6a4f6b9819895",
+        "full": "97ffe0ac8bbfe30a80364e0e2b65bf7eb2dd4399a4f8547312c67b42e7375c69",
+        "train": "a43e6f91e45cd74a5cb821b0e9b79af41825880d7a30b1e6fca4e6ac50f40ad0",
+        "test": "e270b28d6c03cc6753aec1274ba7c77ca078959860318a8074501ecd736d0592",
+    }
 
 
 def test_dataset_hash_matches_file_and_ignores_seed(tmp_path):
