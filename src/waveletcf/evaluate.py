@@ -185,14 +185,6 @@ def machine_lines(report: MetricReport) -> List[str]:
     return lines
 
 
-def report_csv(report: MetricReport) -> str:
-    """Per-k CSV of the aggregate metrics, for external plotting."""
-    rows = ["k,recall,ndcg"]
-    for k in report.k_values:
-        rows.append(f"{k},{report.recall[k]:.10f},{report.ndcg[k]:.10f}")
-    return "\n".join(rows) + "\n"
-
-
 def popularity_scores(train: InteractionSet) -> np.ndarray:
     """Item training-interaction counts, usable as a baseline score row."""
     return train.item_degrees().astype(np.float64)

@@ -39,14 +39,6 @@ class SparseSymMatrix:
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.mat.sum(axis=1)).ravel()
 
-    def export_coo_text(self, path) -> None:
-        """Write "i j value" lines sorted by (i, j) for external diffing."""
-        coo = self.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w", encoding="utf-8") as fh:
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{r} {c} {v:.17g}\n")
-
 
 @dataclass(frozen=True)
 class BipartiteLaplacian:

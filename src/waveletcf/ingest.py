@@ -337,24 +337,27 @@ def _header(path, line: str) -> dict:
     return {"version": head[1], **dict(zip(keys, counts))}
 
 
-def _is_pair(line: str) -> bool:
+def _pair_rows(lines: list):
+    """`lines` as an int64 array of shape (len(lines), 2), or None."""
+    if not all(lines):  # loadtxt would skip a blank line
+        return None
     try:
-        return np.array(line.split("\t"), dtype=np.int64).shape == (2,)
-    except (ValueError, OverflowError):
-        return False
+        rows = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(lines), 2) else None
 
 
 def _parse_pairs(path, lines: list) -> np.ndarray:
     """The (nnz, 2) int64 pair block; the first malformed line (numbered
     from the file's start) is a DataError."""
-    if all(line.count("\t") == 1 for line in lines):
-        try:
-            fields = "\t".join(lines).split("\t")
-            return np.array(fields, dtype=np.int64).reshape(-1, 2)
-        except (ValueError, OverflowError):
-            pass
-    lineno = next(n for n, line in enumerate(lines, start=2) if not _is_pair(line))
-    raise DataError(f"{path}: line {lineno}: malformed pair")
+    rows = _pair_rows(lines)
+    if rows is None:
+        lineno = next(
+            n for n, line in enumerate(lines, start=2) if _pair_rows([line]) is None
+        )
+        raise DataError(f"{path}: line {lineno}: malformed pair")
+    return rows
 
 
 def load_canonical(path) -> InteractionSet:

@@ -3,9 +3,10 @@
 Embeddings for all users and items are stacked into one (M+K) x P block
 and pushed through L propagation layers. Each layer filters the block in
 the retained eigenbasis with a learnable per-frequency gate, mixes
-channels with a dense weight matrix, and applies a logistic nonlinearity.
-The final representation concatenates every layer's output; a user-item
-score is the dot product of the concatenated vectors.
+channels there with a dense weight matrix, and applies a logistic
+nonlinearity back in node space. The final representation concatenates
+every layer's output; a user-item score is the dot product of the
+concatenated vectors.
 """
 
 import math
@@ -35,7 +36,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModelParams:
-    """Learnable tensors: initial embeddings, mixing weights, spectral gates."""
+    """Learnable tensors (initial embeddings, mixing weights, spectral
+    gates), or the gradients of a loss with respect to them."""
 
     x0: np.ndarray  # M x P
     y0: np.ndarray  # K x P
@@ -55,6 +57,17 @@ class ModelParams:
             y0=self.y0.copy(),
             w=[wi.copy() for wi in self.w],
             theta=[th.copy() for th in self.theta],
+        )
+
+    @classmethod
+    def from_arrays(cls, arrays, layers: int, prefix: str = "") -> "ModelParams":
+        """Tensors of an L-layer model stored under their `tensors()` names,
+        each behind `prefix`."""
+        return cls(
+            x0=arrays[f"{prefix}x0"],
+            y0=arrays[f"{prefix}y0"],
+            w=[arrays[f"{prefix}w{i}"] for i in range(layers)],
+            theta=[arrays[f"{prefix}theta{i}"] for i in range(layers)],
         )
 
 
@@ -119,8 +132,6 @@ class LayerCache:
 
     h: np.ndarray  # Q gate values
     coeff: np.ndarray  # Q x P eigenbasis coefficients of the layer input
-    mixed: np.ndarray  # N x P block after the spectral operator
-    pre: np.ndarray  # N x P pre-activation (mixed @ W)
 
 
 @dataclass
@@ -133,15 +144,14 @@ class ForwardTrace:
     concat_items: np.ndarray  # K x (L+1)P
     num_users: int = field(default=0)
 
-    @property
-    def width(self) -> int:
-        return self.concat_users.shape[1]
-
 
 def propagate_layer(
     z: np.ndarray, layer: int, params: ModelParams, oper: PropagationOperator
 ):
-    """One propagation step; returns (activation, cache)."""
+    """One propagation step; returns (activation, cache).
+
+    sigmoid(Phi diag(d) Phi^T z W), d = lam * h, is computed as
+    sigmoid(Phi ((d * c) W)) with c = Phi^T z: channels mix on Q rows."""
     if z.shape[0] != oper.n:
         raise DataError(f"input block has {z.shape[0]} rows, expected {oper.n}")
     w = params.w[layer]
@@ -151,10 +161,8 @@ def propagate_layer(
         )
     h = oper.gate(params.theta[layer])
     coeff = oper.phi.T @ z
-    mixed = oper.phi @ (oper.diag_factor(h)[:, None] * coeff)
-    pre = mixed @ w
-    out = sigmoid(pre)
-    return out, LayerCache(h=h, coeff=coeff, mixed=mixed, pre=pre)
+    out = sigmoid(oper.phi @ ((oper.diag_factor(h)[:, None] * coeff) @ w))
+    return out, LayerCache(h=h, coeff=coeff)
 
 
 def forward(
@@ -233,10 +241,4 @@ def load_checkpoint(path, expected_dataset_hash: str = None):
     config = ModelConfig(
         **{f.name: meta["config"][f.name] for f in fields(ModelConfig)}
     )
-    params = ModelParams(
-        x0=arrays["x0"],
-        y0=arrays["y0"],
-        w=[arrays[f"w{i}"] for i in range(meta["num_w"])],
-        theta=[arrays[f"theta{i}"] for i in range(meta["num_theta"])],
-    )
-    return config, params, meta
+    return config, ModelParams.from_arrays(arrays, meta["num_w"]), meta

@@ -2,7 +2,9 @@
 
 Gradients are computed by hand-written reverse-mode differentiation through
 the layered propagation (no autodiff dependency), which keeps the whole
-pipeline in float64 and bitwise-reproducible under a fixed seed.
+pipeline in float64 and bitwise-reproducible under a fixed seed. Like the
+forward pass, each layer's backward pass works on the Q eigenbasis
+coefficients and touches N rows only to project in and out.
 """
 
 import json
@@ -25,27 +27,12 @@ from .model import (
     forward,
     init_params,
     score_user,
+    sigmoid,
 )
 from .seeds import TRIPLES, VAL_SPLIT, child_seed
 from .spectral import BoxCoxResult, SpectralDecomposition
 
 TRAIN_STATE_VERSION = 2
-
-
-@dataclass
-class Gradients:
-    """Gradient tensors mirroring ModelParams."""
-
-    x0: np.ndarray
-    y0: np.ndarray
-    w: List[np.ndarray]
-    theta: List[np.ndarray]
-
-    def tensors(self):
-        out = [("x0", self.x0), ("y0", self.y0)]
-        out += [(f"w{i}", wi) for i, wi in enumerate(self.w)]
-        out += [(f"theta{i}", th) for i, th in enumerate(self.theta)]
-        return out
 
 
 def sample_triples(
@@ -126,12 +113,13 @@ def backward(
     params: ModelParams,
     oper: PropagationOperator,
     eta: float,
-) -> Gradients:
+) -> ModelParams:
     """Reverse-mode gradients of the batch loss for every parameter.
 
     Differentiates through the concatenation, each layer's logistic
     activation, the mixing weights, the (self-adjoint) spectral operator,
-    and the per-frequency gates.
+    and the per-frequency gates. With e = Phi^T d_pre, a layer's weight
+    gradient is (d * c)^T e and its input gradient Phi (d * (e W^T)).
     """
     if len(batch) == 0:
         raise DataError("batch must be non-empty")
@@ -140,54 +128,37 @@ def backward(
     ci = trace.concat_items
     us, iis, js = batch[:, 0], batch[:, 1], batch[:, 2]
 
-    z = _margins(trace, batch)
-    dz = -(1.0 - 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))))
+    dz = -sigmoid(-_margins(trace, batch))
 
-    d_cu = np.zeros_like(cu)
-    d_ci = np.zeros_like(ci)
-    diff = ci[iis] - ci[js]
-    np.add.at(d_cu, us, dz[:, None] * diff)
-    np.add.at(d_ci, iis, dz[:, None] * cu[us])
-    np.add.at(d_ci, js, -dz[:, None] * cu[us])
+    # users at rows u, items at rows m + i, as in the stacked block
+    d_concat = np.zeros((m + len(ci), cu.shape[1]))
+    np.add.at(d_concat, us, dz[:, None] * (ci[iis] - ci[js]))
+    np.add.at(d_concat, m + iis, dz[:, None] * cu[us])
+    np.add.at(d_concat, m + js, -dz[:, None] * cu[us])
     if eta != 0.0:
         du = np.unique(us)
         di = np.unique(iis)
-        d_cu[du] += eta * cu[du]
-        d_ci[di] += eta * ci[di]
+        d_concat[du] += eta * cu[du]
+        d_concat[m + di] += eta * ci[di]
 
-    d_concat = np.vstack([d_cu, d_ci])
     width = params.x0.shape[1]
     layers = len(params.w)
-    d_slices = [
-        d_concat[:, layer * width: (layer + 1) * width]
-        for layer in range(layers + 1)
-    ]
-
-    grads = Gradients(
-        x0=np.zeros_like(params.x0),
-        y0=np.zeros_like(params.y0),
-        w=[np.zeros_like(wi) for wi in params.w],
-        theta=[np.zeros_like(th) for th in params.theta],
-    )
-
-    d_next = d_slices[layers]
+    grad_w = [None] * layers
+    grad_theta = [None] * layers
+    d_next = d_concat[:, layers * width:]
     for layer in range(layers - 1, -1, -1):
-        cache = trace.caches[layer]
+        h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
         act = trace.zs[layer + 1]
-        d_pre = d_next * act * (1.0 - act)
-        grads.w[layer] = cache.mixed.T @ d_pre
-        d_mixed = d_pre @ params.w[layer].T
-        h = cache.h
-        d_fc = oper.phi.T @ d_mixed
-        d_f = np.sum(d_fc * cache.coeff, axis=1)
-        grads.theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
-        d_c = oper.diag_factor(h)[:, None] * d_fc
-        d_z = oper.phi @ d_c
-        d_next = d_slices[layer] + d_z
+        e = oper.phi.T @ (d_next * act * (1.0 - act))
+        d = oper.diag_factor(h)[:, None]
+        grad_w[layer] = (d * coeff).T @ e
+        d_scaled = e @ params.w[layer].T  # gradient of d * coeff
+        d_f = np.sum(d_scaled * coeff, axis=1)
+        grad_theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
+        d_z = oper.phi @ (d * d_scaled)
+        d_next = d_concat[:, layer * width: (layer + 1) * width] + d_z
 
-    grads.x0 = d_next[:m]
-    grads.y0 = d_next[m:]
-
+    grads = ModelParams(x0=d_next[:m], y0=d_next[m:], w=grad_w, theta=grad_theta)
     for name, g in grads.tensors():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient in {name}")
@@ -212,7 +183,7 @@ class AdamState:
 
 
 def adam_step(
-    params: ModelParams, grads: Gradients, state: AdamState, config: TrainConfig
+    params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
 ):
     """Standard bias-corrected Adam update, in place."""
     state.step += 1
@@ -254,15 +225,6 @@ def _save_train_state(path, params, best_params, adam, meta):
         arrays[f"adam_m_{name}"] = adam.m[name]
         arrays[f"adam_v_{name}"] = adam.v[name]
     bundles.save_bundle(path, meta, arrays)
-
-
-def _load_params_like(arrays, prefix, template: ModelParams) -> ModelParams:
-    return ModelParams(
-        x0=arrays[f"{prefix}x0"],
-        y0=arrays[f"{prefix}y0"],
-        w=[arrays[f"{prefix}w{i}"] for i in range(len(template.w))],
-        theta=[arrays[f"{prefix}theta{i}"] for i in range(len(template.theta))],
-    )
 
 
 def fit(
@@ -353,8 +315,8 @@ def fit(
                     f"{run_key.get(name)!r}; a resume may change only "
                     "max_epochs and patience"
                 )
-        params = _load_params_like(arrays, "cur_", params)
-        best_params = _load_params_like(arrays, "best_", params)
+        params = ModelParams.from_arrays(arrays, model_config.layers, "cur_")
+        best_params = ModelParams.from_arrays(arrays, model_config.layers, "best_")
         adam = AdamState(
             step=meta["adam_step"],
             m={name: arrays[f"adam_m_{name}"] for name, _ in params.tensors()},

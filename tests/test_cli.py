@@ -110,14 +110,15 @@ def test_non_utf8_input_is_a_data_error(
 
 
 @pytest.mark.parametrize(
-    "line", ["x1\t2", "1", "1\t2\t3", "99999999999999999999\t1"]
+    "line",
+    ["x1\t2", "1", "1\t2\t3", "99999999999999999999\t1", "", "1_0\t2", "\uff11\t2"],
 )
 def test_malformed_pair_line_is_a_data_error(pipeline, tmp_path, capsys, line):
     root, cfg = pipeline
-    lines = (root / "data.ds").read_text().split("\n")
+    lines = (root / "data.ds").read_text(encoding="utf-8").split("\n")
     lines[2] = line
     bad = tmp_path / "data.ds"
-    bad.write_text("\n".join(lines))
+    bad.write_text("\n".join(lines), encoding="utf-8")
     code = main(
         ["spectral", "--config", cfg, "--set", f"dataset={bad}",
          "--set", f"spectral_cache={tmp_path / 'spec.bundle'}"]

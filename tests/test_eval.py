@@ -19,7 +19,6 @@ from waveletcf.evaluate import (
     recall_at_k,
     render_cold_start,
     render_report,
-    report_csv,
     topk,
 )
 from waveletcf.ingest import SplitSpec, split
@@ -180,14 +179,11 @@ def test_machine_lines_format():
         int(k), float(value), int(count)
 
 
-def test_render_and_csv():
+def test_render_report():
     report = report_fixture()
     text = render_report(report)
     assert "# per-user split" in text
     assert "eligible test users: " in text
-    csv = report_csv(report)
-    assert csv.splitlines()[0] == "k,recall,ndcg"
-    assert len(csv.splitlines()) == 3
 
 
 # ---------------------------------------------------------------- cold start

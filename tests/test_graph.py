@@ -92,13 +92,3 @@ def test_bipartite_spectrum_symmetric_about_one():
     lap = laplacian_for(random_bipartite(23, max_nodes=80))
     vals, _ = dense_eigh(lap)
     np.testing.assert_allclose(vals + vals[::-1], 2.0, atol=1e-8)
-
-
-def test_export_coo_text(tmp_path):
-    lap = laplacian_for(interaction_set_from_pairs(1, 1, [(0, 0)]))
-    p = tmp_path / "lap.txt"
-    lap.lap.export_coo_text(p)
-    lines = p.read_text().splitlines()
-    assert lines[0].split() == ["0", "0", "1"]
-    assert lines[1].split() == ["0", "1", "-1"]
-    assert len(lines) == 4

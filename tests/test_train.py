@@ -1,6 +1,7 @@
 """Tests for triple sampling, loss, gradients, Adam, and the fit loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,17 +242,23 @@ def test_gradients_match_finite_differences_fused():
 
 
 def test_zero_gradient_at_saturation():
-    x = np.array([[1000.0, 0.0]])
     y = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    grads = backward(
-        make_trace(x, y),
-        np.array([[0, 0, 1]]),
-        empty_params(x, y),
-        dummy_operator(),
-        eta=0.0,
-    )
-    assert np.abs(grads.x0).max() == 0.0
-    assert np.abs(grads.y0).max() == 0.0
+    oper = dummy_operator()
+    # margin x . (y0 - y1) = 2 x[0, 0]: +2000 saturates to dz = 0, -1000 to dz = -1
+    for x, dz in (([[1000.0, 0.0]], 0.0), ([[-500.0, 0.0]], -1.0)):
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = backward(
+                make_trace(x, y),
+                np.array([[0, 0, 1]]),
+                empty_params(x, y),
+                oper,
+                eta=0.0,
+            )
+        assert all(np.isfinite(g).all() for _, g in grads.tensors())
+        np.testing.assert_array_equal(grads.x0, dz * (y[[0]] - y[[1]]))
+        np.testing.assert_array_equal(grads.y0, np.vstack([dz * x, -dz * x]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
