@@ -423,17 +423,17 @@ def cmd_recommend(args, cfg) -> int:
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     user_index = train_set.user_index
-    seen = train_set.items_by_user()
-    for raw_id in args.users.split(","):
-        uid = raw_id.strip()
-        if not uid:
-            continue
-        u = user_index.get(uid)
-        if u is None:
+    asked = [uid for uid in (raw.strip() for raw in args.users.split(",")) if uid]
+    known = [uid for uid in asked if uid in user_index]
+    users = [user_index[uid] for uid in known]
+    seen = eval_mod.interactions(train_set, users)
+    ranked, lengths = eval_mod.topk(model.score_user(trace, users), seen, k)
+    lists = {uid: ranked[r, : lengths[r]] for r, uid in enumerate(known)}
+    for uid in asked:
+        if uid not in lists:
             print(f"{uid}\terror\tunknown user id")
             continue
-        ranked = eval_mod.topk(model.score_user(trace, u), seen[u], k)
-        ext = " ".join(str(train_set.item_ids[i]) for i in ranked)
+        ext = " ".join(str(train_set.item_ids[i]) for i in lists[uid])
         print(f"{uid}\tok\t{ext}")
     return 0
 

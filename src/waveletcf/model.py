@@ -112,9 +112,7 @@ class PropagationOperator:
     ):
         self.phi = decomp.phi
         self.lam = decomp.shifted_lambdas
-        self.q = decomp.q
         self.n = decomp.n
-        self.t = float(t)
         self.g = filter_response(decomp, bc, t, exponent_mode).response
 
     def gate(self, theta: np.ndarray) -> np.ndarray:
@@ -187,14 +185,10 @@ def forward(
     )
 
 
-def score_pairs(trace: ForwardTrace, users: np.ndarray, items: np.ndarray):
-    """Scores for aligned (user, item) index arrays."""
-    return np.sum(trace.concat_users[users] * trace.concat_items[items], axis=1)
-
-
-def score_user(trace: ForwardTrace, user: int) -> np.ndarray:
-    """All item scores for one user; never builds the full score matrix."""
-    return trace.concat_items @ trace.concat_users[user]
+def score_user(trace: ForwardTrace, user) -> np.ndarray:
+    """Item scores of one user index (K,) or of an index array (B, K);
+    never builds the full score matrix."""
+    return trace.concat_users[user] @ trace.concat_items.T
 
 
 def save_checkpoint(
@@ -241,4 +235,9 @@ def load_checkpoint(path, expected_dataset_hash: str = None):
     config = ModelConfig(
         **{f.name: meta["config"][f.name] for f in fields(ModelConfig)}
     )
-    return config, ModelParams.from_arrays(arrays, meta["num_w"]), meta
+    if meta["num_w"] != config.layers:
+        raise DataError(
+            f"{path}: checkpoint holds {meta['num_w']} layer(s) of weights "
+            f"but its config says layers={config.layers}"
+        )
+    return config, ModelParams.from_arrays(arrays, config.layers), meta

@@ -211,7 +211,6 @@ class FitResult:
     best_recall: float
     best_ndcg: float
     epochs_run: int
-    log_lines: List[str]
     stopped_early: bool
 
 
@@ -284,7 +283,6 @@ def fit(
     best_ndcg = 0.0
     since_best = 0
     start_epoch = 0
-    log_lines: List[str] = []
     if state_path is not None:
         # every input the saved state depends on; a resume may extend a run
         # through max_epochs and patience only
@@ -328,7 +326,6 @@ def fit(
         best_recall = meta["best_recall"]
         best_ndcg = meta["best_ndcg"]
         since_best = meta["since_best"]
-        log_lines = list(meta["log_lines"])
 
     count = inner_train.num_pairs
     stopped_early = False
@@ -353,7 +350,6 @@ def fit(
         recall, ndcg = report.recall[20], report.ndcg[20]
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
         line = f"{epoch} {loss:.6f} {recall:.6f} {ndcg:.6f} {elapsed_ms}"
-        log_lines.append(line)
         log(line)
 
         if recall > best_recall:
@@ -382,7 +378,6 @@ def fit(
                     "since_best": since_best,
                     "adam_step": adam.step,
                     "rng_state": json.dumps(rng.bit_generator.state),
-                    "log_lines": log_lines,
                 },
             )
 
@@ -397,7 +392,6 @@ def fit(
         best_recall=float(best_recall),
         best_ndcg=float(best_ndcg),
         epochs_run=epoch,
-        log_lines=log_lines,
         stopped_early=stopped_early,
     )
 

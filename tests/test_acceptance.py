@@ -19,20 +19,19 @@ import pytest
 from helpers import (
     cluster_projector_error,
     dense_eigh,
+    expected_uniform_recall,
     interaction_set_from_pairs,
     laplacian_for,
     random_bipartite,
+    synthetic_two_block,
 )
 
-from waveletcf import seeds
-from waveletcf.datasets import synthetic_two_block
+from waveletcf import evaluate as evaluate_mod, seeds
 from waveletcf.evaluate import (
     cold_start_suite,
     evaluate,
-    expected_uniform_recall,
-    ndcg_at_k,
+    interactions,
     popularity_scores,
-    recall_at_k,
     topk,
 )
 from waveletcf.ingest import SplitSpec, split
@@ -297,6 +296,21 @@ def _brute_ndcg(ranked, test_items, k):
     return dcg / ideal
 
 
+def _one_user_metrics(scores, banned, test_items, k):
+    """Ranked list, Recall@k and NDCG@k of one user through `topk` and
+    `evaluate`."""
+    n = len(scores)
+    train = interaction_set_from_pairs(1, n, [(0, i) for i in banned])
+    test = interaction_set_from_pairs(1, n, [(0, i) for i in test_items])
+    ranked, lengths = topk(scores[None, :], interactions(train, [0]), k)
+    rep = evaluate(lambda users: scores, train, test, k_values=(k,))
+    return (
+        ranked[0, : lengths[0]].tolist(),
+        rep.per_user_recall[k][0],
+        rep.per_user_ndcg[k][0],
+    )
+
+
 def test_ranking_metrics_match_brute_force():
     rng = np.random.default_rng(61)
     worst = 0.0
@@ -317,25 +331,83 @@ def test_ranking_metrics_match_brute_force():
             ).tolist()
         )
         k = int(rng.integers(1, n + 2))
-        ranked = topk(scores, sorted(banned), k)
+        ranked, recall, ndcg = _one_user_metrics(scores, banned, test_items, k)
         expected = _brute_topk(scores, banned, k)
-        assert ranked.tolist() == expected, f"case {case}: top-k order differs"
+        assert ranked == expected, f"case {case}: top-k order differs"
         worst = max(
             worst,
-            abs(recall_at_k(ranked, test_items) - _brute_recall(expected, test_items)),
-            abs(
-                ndcg_at_k(ranked, test_items, k)
-                - _brute_ndcg(expected, test_items, k)
-            ),
+            abs(recall - _brute_recall(expected, test_items)),
+            abs(ndcg - _brute_ndcg(expected, test_items, k)),
         )
 
-    worked = ndcg_at_k(np.array([21, 22, 23]), {21, 23}, k=3)
+    worked_scores = np.zeros(24)
+    worked_scores[[21, 22, 23]] = [3.0, 2.0, 1.0]
+    worked = _one_user_metrics(worked_scores, set(), {21, 23}, 3)[2]
     worked_target = 1.5 / 1.63093
     report(
         "ranking metrics vs brute force",
         worst <= 1e-12 and abs(worked - worked_target) <= 1e-4,
         f"1000 random instances: max |delta| {worst:.2e} <= 1e-12; "
         f"worked example {worked:.6f} vs {worked_target:.6f} within 1e-4",
+    )
+
+
+def test_evaluate_matches_brute_force(monkeypatch):
+    # tie-heavy integer scores over 600 users: 1 in 5 has no held-out items,
+    # most have fewer candidates than the largest cutoff, and the block
+    # size is the module's own (several blocks) or 7 (many, a ragged last)
+    rng = np.random.default_rng(67)
+    num_users, num_items = 600, 30
+    k_values = (1, 5, 20, 40)
+    train_pairs, test_pairs = [], []
+    for u in range(num_users):
+        items = rng.permutation(num_items)
+        cut = int(rng.integers(0, num_items))
+        held = 0 if u % 5 == 0 else int(rng.integers(1, num_items - cut + 1))
+        train_pairs += [(u, int(i)) for i in items[:cut]]
+        test_pairs += [(u, int(i)) for i in items[cut: cut + held]]
+    train = interaction_set_from_pairs(num_users, num_items, train_pairs)
+    test = interaction_set_from_pairs(num_users, num_items, test_pairs)
+    banned = [set(items.tolist()) for items in train.items_by_user()]
+    held = [set(items.tolist()) for items in test.items_by_user()]
+    eligible = [u for u in range(num_users) if held[u]]
+    rows = rng.integers(0, 4, (num_users, num_items)).astype(np.float64)
+    shared = rng.integers(0, 3, num_items).astype(np.float64)
+
+    recall_delta = ndcg_delta = 0.0
+    cases = 0
+    for block in (evaluate_mod.BLOCK_USERS, 7):
+        monkeypatch.setattr(evaluate_mod, "BLOCK_USERS", block)
+        for score_fn, row_of in (
+            (lambda users: rows[users], lambda u: rows[u]),
+            (lambda users: shared, lambda u: shared),
+        ):
+            rep = evaluate(score_fn, train, test, k_values=k_values)
+            assert rep.eligible_users.tolist() == eligible
+            for k in k_values:
+                ranked = [_brute_topk(row_of(u), banned[u], k) for u in eligible]
+                recall = np.array(
+                    [_brute_recall(r, held[u]) for r, u in zip(ranked, eligible)]
+                )
+                ndcg = np.array(
+                    [_brute_ndcg(r, held[u], k) for r, u in zip(ranked, eligible)]
+                )
+                recall_delta = max(
+                    recall_delta, np.abs(rep.per_user_recall[k] - recall).max()
+                )
+                ndcg_delta = max(
+                    ndcg_delta, np.abs(rep.per_user_ndcg[k] - ndcg).max()
+                )
+                recall_delta = max(recall_delta, abs(rep.recall[k] - recall.mean()))
+                ndcg_delta = max(ndcg_delta, abs(rep.ndcg[k] - ndcg.mean()))
+                cases += 1
+    short = sum(1 for u in eligible if num_items - len(banned[u]) < 20)
+    report(
+        "evaluate vs brute force",
+        recall_delta == 0.0 and ndcg_delta <= 1e-12,
+        f"{cases} (block, scorer, k) cases over {len(eligible)} eligible users, "
+        f"{short} with a pool below k=20: recall |delta| "
+        f"{recall_delta:.1e} == 0, ndcg |delta| {ndcg_delta:.2e} <= 1e-12",
     )
 
 

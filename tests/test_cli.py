@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import synthetic_two_block
+
 from waveletcf import bundles, cli, model
 from waveletcf.cli import main
-from waveletcf.datasets import synthetic_two_block
 
 pytestmark = pytest.mark.filterwarnings("ignore:embedding width")
 
@@ -421,6 +422,20 @@ def test_evaluate_checkpoint_for_other_dataset(pipeline, tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_checkpoint_layer_count_mismatch_is_a_data_error(
+    pipeline, tmp_path, capsys, shift
+):
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "model.ckpt")
+    meta["config"]["layers"] = meta["num_w"] + shift
+    bad = tmp_path / "layers.ckpt"
+    bundles.save_bundle(bad, meta, arrays)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={bad}"]) == 3
+    assert f"layers={meta['num_w'] + shift}" in capsys.readouterr().err
+
+
 def test_recommend_forced_choice(tmp_path, capsys):
     # u0 interacted only with item a; with a 2-item catalog and k=1 the
     # answer is forced to be item b, whatever the model weights say
@@ -491,6 +506,38 @@ def test_recommend_excludes_train_positives(pipeline, capsys):
     ) == 0
     items = capsys.readouterr().out.strip().split("\t")[2].split()
     assert not (set(items) & seen)
+
+
+def test_recommend_matches_brute_force_top_k(pipeline, capsys):
+    # k above most users' candidate pools; a repeated and an unknown id
+    _, cfg = pipeline
+    from waveletcf.config import resolve
+
+    train, _, _, _, trace = cli._load_trained(resolve(cfg, []))
+    seen = train.items_by_user()
+    asked = ["u0", "u7", "nobody", "u7", "u59", "u31"]
+    k = 25
+    assert main(
+        ["recommend", "--config", cfg, "--users", ",".join(asked), "--k", str(k)]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(asked)
+    short = 0
+    for uid, line in zip(asked, lines):
+        if uid == "nobody":
+            assert line == "nobody\terror\tunknown user id"
+            continue
+        u = train.user_index[uid]
+        scores = model.score_user(trace, u)
+        banned = set(seen[u].tolist())
+        expected = sorted(
+            (i for i in range(train.num_items) if i not in banned),
+            key=lambda i: (-scores[i], i),
+        )[:k]
+        short += len(expected) < k
+        items = " ".join(train.item_ids[i] for i in expected)
+        assert line == f"{uid}\tok\t{items}"
+    assert short > 0
 
 
 def test_cold_start_rows(pipeline, tmp_path, capsys):

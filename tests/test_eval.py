@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import interaction_set_from_pairs
+from helpers import (
+    expected_uniform_recall,
+    interaction_set_from_pairs,
+    synthetic_two_block,
+)
 
-from waveletcf.datasets import synthetic_two_block
 from waveletcf.errors import DataError
 from waveletcf.evaluate import (
     cold_start_suite,
     evaluate,
-    expected_uniform_recall,
+    interactions,
     machine_lines,
-    ndcg_at_k,
     popularity_scores,
-    recall_at_k,
     render_cold_start,
     render_report,
     topk,
@@ -27,67 +28,113 @@ from waveletcf.ingest import SplitSpec, split
 # ---------------------------------------------------------------------- topk
 
 
+def rank(scores, seen, k):
+    """One row through the block ranking: ranked items, `seen` excluded."""
+    scores = np.asarray(scores, dtype=np.float64)
+    mask = np.zeros((1, len(scores)), dtype=bool)
+    mask[0, list(seen)] = True
+    ranked, lengths = topk(scores[None, :], mask, k)
+    return ranked[0, : lengths[0]]
+
+
 def test_topk_tie_break_ascending():
-    ranked = topk(np.zeros(10), [], 4)
+    ranked = rank(np.zeros(10), [], 4)
     assert ranked.tolist() == [0, 1, 2, 3]
 
 
 def test_topk_dominant_first():
     scores = np.array([0.1, 0.9, 0.2, 0.3])
-    assert topk(scores, [], 2).tolist() == [1, 3]
+    assert rank(scores, [], 2).tolist() == [1, 3]
 
 
 def test_topk_masks_train_positives():
     scores = np.array([5.0, 4.0, 3.0, 2.0])
-    ranked = topk(scores, [0, 2], 3)
+    ranked = rank(scores, [0, 2], 3)
     assert 0 not in ranked and 2 not in ranked
     assert ranked.tolist() == [1, 3]
 
 
 def test_topk_pool_smaller_than_k():
-    ranked = topk(np.arange(4.0), [1, 2], 10)
+    ranked = rank(np.arange(4.0), [1, 2], 10)
     assert len(ranked) == 2
+
+
+def test_topk_ranks_each_row_of_a_block():
+    scores = np.array([[1.0, 3.0, 2.0], [0.0, 0.0, 0.0], [2.0, 1.0, 3.0]])
+    seen = np.array([[False, True, False], [False, False, False], [True, True, True]])
+    ranked, lengths = topk(scores, seen, 2)
+    assert ranked.shape == (3, 2)
+    assert lengths.tolist() == [2, 2, 0]
+    assert ranked[:2].tolist() == [[2, 0], [0, 1]]
+    with pytest.raises(DataError):
+        topk(scores, seen, 0)
+
+
+def test_interaction_rows_follow_the_asked_users():
+    data = interaction_set_from_pairs(4, 3, [(0, 0), (1, 2), (3, 0), (3, 1)])
+    mask = interactions(data, [3, 2, 1, 3])
+    assert mask.tolist() == [
+        [True, True, False],
+        [False, False, False],
+        [False, False, True],
+        [True, True, False],
+    ]
 
 
 # ------------------------------------------------------------------- metrics
 
 
+def one_user(ranked, held):
+    """Recall@k and NDCG@k, k = len(ranked), of one user whose top k items
+    are `ranked`, in order, against held-out items `held`."""
+    n = max([*ranked, *held]) + 1
+    scores = np.zeros(n)
+    scores[list(ranked)] = np.arange(len(ranked), 0, -1)
+    train = interaction_set_from_pairs(1, n, [])
+    test = interaction_set_from_pairs(1, n, [(0, i) for i in held])
+    k = len(ranked)
+    rep = evaluate(lambda users: scores, train, test, k_values=(k,))
+    return rep.recall[k], rep.ndcg[k]
+
+
 def test_recall_values():
-    assert recall_at_k(np.array([1, 2, 3]), {1, 2, 3}) == 1.0
-    assert recall_at_k(np.array([1, 2, 3]), {7, 8}) == 0.0
-    assert recall_at_k(np.array([1, 2, 3]), {1, 7, 8, 9}) == 0.25
+    assert one_user([1, 2, 3], {1, 2, 3})[0] == 1.0
+    assert one_user([1, 2, 3], {7, 8})[0] == 0.0
+    assert one_user([1, 2, 3], {1, 7, 8, 9})[0] == 0.25
     with pytest.raises(DataError):
-        recall_at_k(np.array([1]), set())
+        one_user([1], set())
 
 
 def test_ndcg_perfect_and_empty():
-    assert ndcg_at_k(np.array([4, 5]), {4, 5}, k=2) == pytest.approx(1.0)
-    assert ndcg_at_k(np.array([1, 2, 3]), {9}, k=3) == 0.0
+    assert one_user([4, 5], {4, 5})[1] == pytest.approx(1.0)
+    assert one_user([1, 2, 3], {9})[1] == 0.0
 
 
 def test_ndcg_worked_example():
     # hits at ranks 1 and 3 with two held-out items, k=3
-    value = ndcg_at_k(np.array([10, 11, 12]), {10, 12}, k=3)
+    value = one_user([10, 11, 12], {10, 12})[1]
     exact = (1.0 + 1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
     assert value == pytest.approx(exact, abs=1e-12)
     assert value == pytest.approx(0.9197, abs=1e-4)
 
 
 def test_ndcg_permutation_below_last_hit():
-    base = ndcg_at_k(np.array([3, 7, 1, 2, 9]), {3, 1}, k=5)
-    swap = ndcg_at_k(np.array([3, 7, 1, 9, 2]), {3, 1}, k=5)
+    base = one_user([3, 7, 1, 2, 9], {3, 1})[1]
+    swap = one_user([3, 7, 1, 9, 2], {3, 1})[1]
     assert base == pytest.approx(swap, abs=1e-15)
 
 
 def test_metrics_nondecreasing_in_k():
     rng = np.random.default_rng(5)
     scores = rng.normal(size=30)
-    test_set = set(rng.choice(30, 6, replace=False).tolist())
+    held = rng.choice(30, 6, replace=False).tolist()
+    train = interaction_set_from_pairs(1, 30, [])
+    test = interaction_set_from_pairs(1, 30, [(0, i) for i in held])
+    k_values = (1, 3, 5, 10, 20, 30)
+    rep = evaluate(lambda users: scores, train, test, k_values=k_values)
     prev_r, prev_n = 0.0, 0.0
-    for k in (1, 3, 5, 10, 20, 30):
-        ranked = topk(scores, [], k)
-        r = recall_at_k(ranked, test_set)
-        n = ndcg_at_k(ranked, test_set, k)
+    for k in k_values:
+        r, n = rep.recall[k], rep.ndcg[k]
         assert r >= prev_r - 1e-15
         assert n >= prev_n - 1e-15
         prev_r, prev_n = r, n

@@ -9,6 +9,7 @@ from helpers import (
     interaction_set_from_pairs,
     laplacian_for,
     random_bipartite,
+    score_pairs,
     wavelet_pair_forward,
 )
 
@@ -23,7 +24,6 @@ from waveletcf.model import (
     load_checkpoint,
     propagate_layer,
     save_checkpoint,
-    score_pairs,
     score_user,
     sigmoid,
 )

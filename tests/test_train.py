@@ -1,16 +1,22 @@
 """Tests for triple sampling, loss, gradients, Adam, and the fit loop."""
 
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import interaction_set_from_pairs, laplacian_for, random_bipartite
+from helpers import (
+    interaction_set_from_pairs,
+    laplacian_for,
+    random_bipartite,
+    synthetic_two_block,
+)
 
-from waveletcf.datasets import synthetic_two_block
+from waveletcf import train as train_mod
 from waveletcf.errors import ConfigError, DataError, NumericalError
-from waveletcf.evaluate import evaluate, popularity_scores, topk
+from waveletcf.evaluate import evaluate, popularity_scores
 from waveletcf.ingest import SplitSpec, split
 from waveletcf.model import (
     ForwardTrace,
@@ -344,8 +350,8 @@ def test_fit_beats_popularity_and_logs(capsys):
     lines = []
     result = fit(train, dec, bc, model_cfg, train_cfg, log_fn=lines.append)
     assert result.epochs_run <= 30
-    assert len(result.log_lines) == result.epochs_run
-    for n, line in enumerate(result.log_lines, start=1):
+    assert len(lines) == result.epochs_run
+    for n, line in enumerate(lines, start=1):
         cols = line.split()
         assert len(cols) == 5
         assert int(cols[0]) == n
@@ -359,7 +365,11 @@ def test_fit_beats_popularity_and_logs(capsys):
     for u in range(test.num_users):
         if len(test_items[u]) == 0:
             continue
-        ranked = topk(pop, tset[u], 20)
+        seen = set(tset[u].tolist())
+        ranked = sorted(
+            (i for i in range(train.num_items) if i not in seen),
+            key=lambda i: (-pop[i], i),
+        )[:20]
         s = set(map(int, test_items[u]))
         hits.append(sum(1 for i in ranked if int(i) in s) / len(s))
     pop_recall = float(np.mean(hits))
@@ -373,8 +383,9 @@ def test_fit_loss_mostly_decreasing():
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.02, eta=0.1, max_epochs=5, patience=10, seed=5
     )
-    result = fit(train, dec, bc, model_cfg, train_cfg)
-    losses = [float(line.split()[1]) for line in result.log_lines]
+    lines = []
+    fit(train, dec, bc, model_cfg, train_cfg, log_fn=lines.append)
+    losses = [float(line.split()[1]) for line in lines]
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
     assert drops >= 3  # documented flakiness budget: 4 of 5 steps, one spare
 
@@ -404,19 +415,22 @@ def test_fit_resume_is_bit_exact(tmp_path):
             seed=11,
         )
 
-    full = fit(train, dec, bc, model_cfg, cfg(6))
+    full_lines, resumed_lines = [], []
+    full = fit(train, dec, bc, model_cfg, cfg(6), log_fn=full_lines.append)
 
     state = tmp_path / "state.bundle"
-    fit(train, dec, bc, model_cfg, cfg(3), state_path=state)
+    fit(train, dec, bc, model_cfg, cfg(3), state_path=state,
+        log_fn=resumed_lines.append)
     resumed = fit(
-        train, dec, bc, model_cfg, cfg(6), state_path=state, resume=True
+        train, dec, bc, model_cfg, cfg(6), state_path=state, resume=True,
+        log_fn=resumed_lines.append,
     )
     for (_, ta), (_, tb) in zip(
         full.final_params.tensors(), resumed.final_params.tensors()
     ):
         assert np.array_equal(ta, tb)
-    assert [l.split()[:4] for l in resumed.log_lines] == [
-        l.split()[:4] for l in full.log_lines
+    assert [l.split()[:4] for l in resumed_lines] == [
+        l.split()[:4] for l in full_lines
     ]
 
     # a state saved for another training split is refused and left alone
@@ -425,6 +439,28 @@ def test_fit_resume_is_bit_exact(tmp_path):
     with pytest.raises(ConfigError, match="dataset_hash"):
         fit(other, dec, bc, model_cfg, cfg(8), state_path=state, resume=True)
     assert state.read_bytes() == saved
+
+
+def test_train_state_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    # two identical runs whose epochs take different wall-clock times
+    data, train, test, dec, bc = small_problem(seed=15)
+    model_cfg = ModelConfig(layers=1, width=4, t=0.5, eta=0.1, seed=16)
+    train_cfg = TrainConfig(
+        batch_size=128, learning_rate=0.05, eta=0.1, max_epochs=2, patience=5, seed=17
+    )
+    states = []
+    for tick in (0.001, 0.5):
+        clock = iter(np.arange(1000) * tick)
+        monkeypatch.setattr(
+            train_mod, "time", types.SimpleNamespace(perf_counter=lambda: next(clock))
+        )
+        lines = []
+        state = tmp_path / f"state{len(states)}.bundle"
+        fit(train, dec, bc, model_cfg, train_cfg, state_path=state,
+            log_fn=lines.append)
+        states.append(state.read_bytes())
+        assert int(lines[0].split()[4]) == round(1000 * tick)
+    assert states[0] == states[1]
 
 
 def test_grid_search_small():
