@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bundles, ingest
 from .config import ModelConfig, TrainConfig
@@ -81,21 +82,21 @@ def sample_triples(
 
 
 def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
-    cu = trace.concat_users
-    ci = trace.concat_items
+    cu, ci = trace.concat_users, trace.concat_items
     return np.sum(cu[batch[:, 0]] * (ci[batch[:, 1]] - ci[batch[:, 2]]), axis=1)
 
 
-def bpr_loss(trace: ForwardTrace, batch: np.ndarray, eta: float) -> float:
+def bpr_loss(trace: ForwardTrace, batch: np.ndarray, eta: float, margins=None) -> float:
     """Pairwise ranking loss with batch-restricted L2 regularization.
 
     Sum of softplus(-margin) over triples plus (eta/2) times the squared
     norms of the distinct batch users' and distinct positive items'
-    concatenated embeddings. Overflow-safe via logaddexp.
+    concatenated embeddings. Overflow-safe via logaddexp. `margins` are
+    the batch's score margins when already computed.
     """
     if len(batch) == 0:
         raise DataError("batch must be non-empty")
-    z = _margins(trace, batch)
+    z = _margins(trace, batch) if margins is None else margins
     loss = float(np.logaddexp(0.0, -z).sum())
     if eta != 0.0:
         users = np.unique(batch[:, 0])
@@ -113,6 +114,7 @@ def backward(
     params: ModelParams,
     oper: PropagationOperator,
     eta: float,
+    margins=None,
 ) -> ModelParams:
     """Reverse-mode gradients of the batch loss for every parameter.
 
@@ -120,43 +122,51 @@ def backward(
     activation, the mixing weights, the (self-adjoint) spectral operator,
     and the per-frequency gates. With e = Phi^T d_pre, a layer's weight
     gradient is (d * c)^T e and its input gradient Phi (d * (e W^T)).
+    `margins` as in `bpr_loss`.
     """
     if len(batch) == 0:
         raise DataError("batch must be non-empty")
-    m = trace.num_users
-    cu = trace.concat_users
-    ci = trace.concat_items
-    us, iis, js = batch[:, 0], batch[:, 1], batch[:, 2]
+    z = _margins(trace, batch) if margins is None else margins
+    dz = -sigmoid(-z)
 
-    dz = -sigmoid(-_margins(trace, batch))
-
-    # users at rows u, items at rows m + i, as in the stacked block
-    d_concat = np.zeros((m + len(ci), cu.shape[1]))
-    np.add.at(d_concat, us, dz[:, None] * (ci[iis] - ci[js]))
-    np.add.at(d_concat, m + iis, dz[:, None] * cu[us])
-    np.add.at(d_concat, m + js, -dz[:, None] * cu[us])
+    # The loss reads the concatenation only on the batch's distinct users
+    # and items. S[u, i] sums dz over the triples (u, i, .) and -dz over
+    # (u, ., i), so the gradient there is S ci on users and S^T cu on items.
+    # i_at places the positives, then the negatives, among the items.
+    users, u_at = np.unique(batch[:, 0], return_inverse=True)
+    items, i_at = np.unique(batch[:, 1:].T.ravel(), return_inverse=True)
+    s = sp.csr_matrix((np.concatenate([dz, -dz]), (np.tile(u_at, 2), i_at)),
+                      shape=(len(users), len(items)))
+    cu = trace.concat_users[users]
+    ci = trace.concat_items[items]
+    d_rows = np.vstack([s @ ci, s.T @ cu])
     if eta != 0.0:
-        du = np.unique(us)
-        di = np.unique(iis)
-        d_concat[du] += eta * cu[du]
-        d_concat[m + di] += eta * ci[di]
+        d_rows[: len(users)] += eta * cu
+        pos = np.unique(i_at[: len(batch)])
+        d_rows[len(users) + pos] += eta * ci[pos]
+    # users at rows u, items at rows m + i, as in the stacked block
+    m = trace.num_users
+    rows = np.concatenate([users, m + items])
 
     width = params.x0.shape[1]
     layers = len(params.w)
     grad_w = [None] * layers
     grad_theta = [None] * layers
-    d_next = d_concat[:, layers * width:]
+    d_next = np.zeros((m + len(trace.concat_items), width))
+    d_next[rows] = d_rows[:, layers * width:]
     for layer in range(layers - 1, -1, -1):
         h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
         act = trace.zs[layer + 1]
-        e = oper.phi.T @ (d_next * act * (1.0 - act))
+        d_next *= act
+        d_next *= 1.0 - act
+        e = oper.phi.T @ d_next
         d = oper.diag_factor(h)[:, None]
         grad_w[layer] = (d * coeff).T @ e
         d_scaled = e @ params.w[layer].T  # gradient of d * coeff
         d_f = np.sum(d_scaled * coeff, axis=1)
         grad_theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
-        d_z = oper.phi @ (d * d_scaled)
-        d_next = d_concat[:, layer * width: (layer + 1) * width] + d_z
+        d_next = oper.phi @ (d * d_scaled)
+        d_next[rows] += d_rows[:, layer * width: (layer + 1) * width]
 
     grads = ModelParams(x0=d_next[:m], y0=d_next[m:], w=grad_w, theta=grad_theta)
     for name, g in grads.tensors():
@@ -215,14 +225,10 @@ class FitResult:
 
 
 def _save_train_state(path, params, best_params, adam, meta):
-    arrays = {}
-    for name, t in params.tensors():
-        arrays[f"cur_{name}"] = t
-    for name, t in best_params.tensors():
-        arrays[f"best_{name}"] = t
-    for name in adam.m:
-        arrays[f"adam_m_{name}"] = adam.m[name]
-        arrays[f"adam_v_{name}"] = adam.v[name]
+    arrays = {f"cur_{name}": t for name, t in params.tensors()}
+    arrays.update((f"best_{name}", t) for name, t in best_params.tensors())
+    arrays.update((f"adam_m_{name}", t) for name, t in adam.m.items())
+    arrays.update((f"adam_v_{name}", t) for name, t in adam.v.items())
     bundles.save_bundle(path, meta, arrays)
 
 
@@ -338,8 +344,9 @@ def fit(
         for lo in range(0, count, train_config.batch_size):
             batch = triples[lo: lo + train_config.batch_size]
             trace = forward(params, oper, model_config)
-            total += bpr_loss(trace, batch, train_config.eta)
-            grads = backward(trace, batch, params, oper, train_config.eta)
+            z = _margins(trace, batch)
+            total += bpr_loss(trace, batch, train_config.eta, z)
+            grads = backward(trace, batch, params, oper, train_config.eta, z)
             adam_step(params, grads, adam, train_config)
         loss = total / count
 

@@ -7,7 +7,7 @@ import scipy.sparse.csgraph as csgraph
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.graph import build_adjacency, build_laplacian
 from waveletcf.ingest import InteractionSet
-from waveletcf.model import ForwardTrace, sigmoid
+from waveletcf.model import ForwardTrace, ModelParams, sigmoid
 from waveletcf.spectral import build_wavelet_pair
 
 
@@ -177,3 +177,54 @@ def expected_uniform_recall(
 def score_pairs(trace: ForwardTrace, users: np.ndarray, items: np.ndarray):
     """Scores for aligned (user, item) index arrays."""
     return np.sum(trace.concat_users[users] * trace.concat_items[items], axis=1)
+
+
+def masked_sigmoid(x):
+    """The logistic function evaluated branch by branch: 1 / (1 + e^-x) on
+    x >= 0 and e^x / (1 + e^x) elsewhere, each on its own masked subset."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_backward(trace, batch, params, oper, eta):
+    """Gradient oracle: the batch loss gradient scattered triple by triple
+    with `np.add.at` into an N x (L+1)P zero buffer, then pushed down
+    through every layer on all N rows."""
+    m = len(trace.concat_users)
+    cu = trace.concat_users
+    ci = trace.concat_items
+    us, iis, js = batch[:, 0], batch[:, 1], batch[:, 2]
+    margins = np.sum(cu[us] * (ci[iis] - ci[js]), axis=1)
+    dz = -masked_sigmoid(-margins)
+
+    d_concat = np.zeros((m + len(ci), cu.shape[1]))
+    np.add.at(d_concat, us, dz[:, None] * (ci[iis] - ci[js]))
+    np.add.at(d_concat, m + iis, dz[:, None] * cu[us])
+    np.add.at(d_concat, m + js, -dz[:, None] * cu[us])
+    if eta != 0.0:
+        du = np.unique(us)
+        di = np.unique(iis)
+        d_concat[du] += eta * cu[du]
+        d_concat[m + di] += eta * ci[di]
+
+    width = params.x0.shape[1]
+    layers = len(params.w)
+    grad_w = [None] * layers
+    grad_theta = [None] * layers
+    d_next = d_concat[:, layers * width:]
+    for layer in range(layers - 1, -1, -1):
+        h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
+        act = trace.zs[layer + 1]
+        e = oper.phi.T @ (d_next * act * (1.0 - act))
+        d = oper.diag_factor(h)[:, None]
+        grad_w[layer] = (d * coeff).T @ e
+        d_scaled = e @ params.w[layer].T
+        d_f = np.sum(d_scaled * coeff, axis=1)
+        grad_theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
+        d_z = oper.phi @ (d * d_scaled)
+        d_next = d_concat[:, layer * width: (layer + 1) * width] + d_z
+    return ModelParams(x0=d_next[:m], y0=d_next[m:], w=grad_w, theta=grad_theta)

@@ -1,6 +1,7 @@
 """Tests for parameter init, propagation layers, forward pass, and scoring."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ import pytest
 from helpers import (
     interaction_set_from_pairs,
     laplacian_for,
+    masked_sigmoid,
     random_bipartite,
     score_pairs,
     wavelet_pair_forward,
 )
 
+from waveletcf.bundles import load_bundle
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.model import (
     ForwardTrace,
@@ -82,6 +85,30 @@ def test_init_warns_on_oversized_width():
     cfg = ModelConfig(layers=1, width=64, seed=0)
     with pytest.warns(UserWarning, match="width"):
         init_params(cfg, 10, 10, q=4)
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, np.inf, np.nan, 709.8, 745.0, 1000.0, 5e-324, tiny / 3, tiny]
+    x = np.concatenate(
+        [edges, np.negative(edges), np.random.default_rng(37).normal(0, 30, 10**6)]
+    )
+    # exp underflows in both forms; nothing may overflow or turn invalid
+    with warnings.catch_warnings(), np.errstate(
+        over="raise", invalid="raise", divide="raise"
+    ):
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+        want = masked_sigmoid(x)
+        into = sigmoid(x, out=np.empty_like(x))
+        aliased = x.copy()
+        sigmoid(aliased, out=aliased)
+    assert got.dtype == np.float64
+    nan = np.isnan(x)
+    assert nan.sum() == 2 and np.isnan(got[nan]).all()
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    assert np.array_equal(got, into, equal_nan=True)
+    assert np.array_equal(got, aliased, equal_nan=True)
 
 
 def test_gate_saturation_gives_half_output():
@@ -223,6 +250,23 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg2, params2, meta = load_checkpoint(p, expected_dataset_hash="d" * 64)
     assert cfg2 == cfg
     assert meta["epoch"] == 4
+    for (_, ta), (_, tb) in zip(params.tensors(), params2.tensors()):
+        assert np.array_equal(ta, tb)
+
+
+def test_checkpoint_with_num_theta_still_loads(tmp_path):
+    cfg = ModelConfig(layers=2, width=3, seed=11)
+    params = init_params(cfg, 12, 9, q=5)
+    fresh, old = tmp_path / "fresh.ckpt", tmp_path / "old.ckpt"
+    save_checkpoint(fresh, cfg, params, dataset_hash="d" * 64)
+    assert "num_theta" not in load_bundle(fresh)[0]
+    # checkpoints of older builds also record the gate count
+    save_checkpoint(
+        old, cfg, params, dataset_hash="d" * 64, extra_meta={"num_theta": 2}
+    )
+    assert load_bundle(old)[0]["num_theta"] == 2
+    cfg2, params2, _ = load_checkpoint(old, expected_dataset_hash="d" * 64)
+    assert cfg2 == cfg
     for (_, ta), (_, tb) in zip(params.tensors(), params2.tensors()):
         assert np.array_equal(ta, tb)
 

@@ -11,6 +11,7 @@ from helpers import (
     interaction_set_from_pairs,
     laplacian_for,
     random_bipartite,
+    reference_backward,
     synthetic_two_block,
 )
 
@@ -279,6 +280,51 @@ def test_nonfinite_gradient_raises():
             dummy_operator(),
             eta=0.0,
         )
+
+
+def oracle_case(layers, one_triple, seed=43):
+    """(trace, batch, params, oper) for a depth-0 model on a hand-built
+    trace, or a 3-layer model on a random graph. The longer batch repeats
+    users and holds an item that is one triple's positive and another's
+    negative."""
+    rng = np.random.default_rng(seed)
+    if layers == 0:
+        m, k = 6, 9
+        params = empty_params(rng.normal(size=(m, 4)), rng.normal(size=(k, 4)))
+        trace = make_trace(params.x0, params.y0)
+        oper = dummy_operator()
+    else:
+        data = random_bipartite(seed, max_nodes=40)
+        lap = laplacian_for(data)
+        dec = eigensolve(lap, q=lap.n // 2)
+        oper = PropagationOperator(dec, boxcox_fit(dec.shifted_lambdas), t=0.7)
+        cfg = ModelConfig(layers=layers, width=4, t=0.7, seed=seed)
+        m, k = data.num_users, data.num_items
+        params = init_params(cfg, m, k, q=dec.q)
+        for th in params.theta:
+            th += rng.normal(0, 0.5, th.shape)
+        trace = forward(params, oper, cfg)
+    if one_triple:
+        return trace, np.array([[1, 2, 4]]), params, oper
+    batch = np.column_stack(
+        [rng.integers(0, 3, 40), rng.integers(0, k, 40), rng.integers(0, k, 40)]
+    )
+    batch = np.vstack([batch, [[0, 5, 7], [1, 7, 3]]])
+    return trace, batch, params, oper
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37])
+@pytest.mark.parametrize("one_triple", [True, False])
+@pytest.mark.parametrize("layers", [0, 3])
+def test_backward_matches_add_at_oracle(layers, one_triple, eta):
+    trace, batch, params, oper = oracle_case(layers, one_triple)
+    if not one_triple:
+        assert len(np.unique(batch[:, 0])) < len(batch)
+        assert np.intersect1d(batch[:, 1], batch[:, 2]).size
+    grads = dict(backward(trace, batch, params, oper, eta).tensors())
+    for name, want in reference_backward(trace, batch, params, oper, eta).tensors():
+        err = np.abs(grads[name] - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), f"{name}: {err:.2e}"
 
 
 # ---------------------------------------------------------------------- adam
