@@ -8,7 +8,6 @@ of external ids.
 """
 
 import hashlib
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,8 +58,11 @@ class InteractionSet:
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
+        du, di = np.diff(pairs[:, 0]), np.diff(pairs[:, 1])
+        if np.all((du > 0) | ((du == 0) & (di >= 0))):  # already sorted
+            pairs = pairs.copy()
+        else:
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         pairs.setflags(write=False)
         self.pairs = pairs
 
@@ -291,25 +293,40 @@ def split(data: InteractionSet, spec: SplitSpec):
     return train, test
 
 
+def _pair_block(pairs: np.ndarray) -> bytes:
+    """The `u<TAB>i<LF>` lines of `pairs` as ASCII, built per column: exact
+    `// 10` digits, leading zeros (never the last digit) blanked to NUL,
+    then the tab or newline; NUL cells drop out of the row-major interleave."""
+    if pairs.size and pairs.min() < 0:
+        raise DataError("negative index in pairs")
+    rows = []
+    for col, end in ((pairs[:, 0], "\t"), (pairs[:, 1], "\n")):
+        width = len(str(col.max())) if col.size else 1
+        digits = np.full((width + 1, len(col)), ord(end), dtype=np.uint8)
+        q = col
+        for k in range(width - 1, -1, -1):
+            tens = q // 10
+            digits[k] = q - 10 * tens + ord("0")
+            q = tens
+        digits[: width - 1] *= col >= 10 ** np.arange(width - 1, 0, -1)[:, None]
+        rows.append(digits)
+    block = np.vstack(rows).T.ravel()
+    return block[block != 0].tobytes()
+
+
 def _serialize(data: InteractionSet, seed: int) -> bytes:
     for ids, kind in ((data.user_ids, "user"), (data.item_ids, "item")):
         for ident in ids:
-            if "\n" in ident or "\t" in ident:
-                raise DataError(f"{kind} id {ident!r} contains a tab or newline")
-    buf = io.StringIO()
-    buf.write(
+            if "\n" in ident or "\t" in ident or "\r" in ident:
+                raise DataError(
+                    f"{kind} id {ident!r} contains a tab, newline or carriage return"
+                )
+    head = (
         f"{CANONICAL_MAGIC} {CANONICAL_VERSION} {data.num_users} "
         f"{data.num_items} {data.num_pairs} {seed}\n"
     )
-    for u, i in data.pairs.tolist():
-        buf.write(f"{u}\t{i}\n")
-    buf.write("#users\n")
-    for uid in data.user_ids:
-        buf.write(uid + "\n")
-    buf.write("#items\n")
-    for iid in data.item_ids:
-        buf.write(iid + "\n")
-    return buf.getvalue().encode("utf-8")
+    ids = "\n".join(["#users", *data.user_ids, "#items", *data.item_ids, ""])
+    return head.encode("utf-8") + _pair_block(data.pairs) + ids.encode("utf-8")
 
 
 def dataset_hash(data: InteractionSet) -> str:

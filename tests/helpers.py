@@ -6,7 +6,7 @@ import scipy.sparse.csgraph as csgraph
 
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.graph import build_adjacency, build_laplacian
-from waveletcf.ingest import InteractionSet
+from waveletcf.ingest import CANONICAL_MAGIC, CANONICAL_VERSION, InteractionSet
 from waveletcf.model import ForwardTrace, ModelParams, sigmoid
 from waveletcf.spectral import build_wavelet_pair
 
@@ -19,6 +19,22 @@ def interaction_set_from_pairs(num_users, num_items, pairs):
         user_ids=tuple(f"u{u}" for u in range(num_users)),
         item_ids=tuple(f"i{i}" for i in range(num_items)),
     )
+
+
+def reference_serialize(data: InteractionSet, seed: int) -> bytes:
+    """Writer oracle: the canonical dataset text written one f-string per
+    pair line and per id, then encoded as UTF-8."""
+    lines = [
+        f"{CANONICAL_MAGIC} {CANONICAL_VERSION} {data.num_users} "
+        f"{data.num_items} {data.num_pairs} {seed}\n"
+    ]
+    for u, i in data.pairs.tolist():
+        lines.append(f"{u}\t{i}\n")
+    lines.append("#users\n")
+    lines += [uid + "\n" for uid in data.user_ids]
+    lines.append("#items\n")
+    lines += [iid + "\n" for iid in data.item_ids]
+    return "".join(lines).encode("utf-8")
 
 
 def synthetic_two_block(

@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from helpers import reference_serialize
 
 from waveletcf.errors import DataError
 from waveletcf.ingest import (
@@ -15,6 +16,7 @@ from waveletcf.ingest import (
     filter_by_activity,
     load_canonical,
     load_interactions,
+    _serialize,
     persist,
     split,
 )
@@ -272,6 +274,112 @@ def test_persist_is_atomic(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert p.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["data.txt"]
+
+
+@pytest.mark.parametrize(
+    "pairs, user_id, message",
+    [
+        # universal newlines would read the \r back as a line break
+        ([[0, 0]], "a\rb", "'a\\\\rb'"),
+        ([[-1, 0]], "a", "negative index"),
+    ],
+    ids=["carriage-return-id", "negative-index"],
+)
+def test_persist_refuses_what_it_cannot_read_back(tmp_path, pairs, user_id, message):
+    p = tmp_path / "data.txt"
+    persist(grid_dataset(), p)
+    before = p.read_bytes()
+    data = InteractionSet(
+        num_users=1, num_items=1, pairs=pairs, user_ids=(user_id,), item_ids=("x",)
+    )
+    with pytest.raises(DataError, match=message):
+        persist(data, p)
+    assert p.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data.txt"]
+
+
+def writer_case(pairs, num_users=0, num_items=0, user_ids=("a",), item_ids=("b",)):
+    """An InteractionSet for the writer alone: the header counts and id
+    maps need not agree, since only the text is compared."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    top = int(pairs.max()) + 1 if len(pairs) else 1
+    return InteractionSet(
+        num_users=num_users or top,
+        num_items=num_items or top,
+        pairs=pairs,
+        user_ids=user_ids,
+        item_ids=item_ids,
+    )
+
+
+BOUNDARIES = sorted(
+    {0, 2**31 - 1, 2**40} | {v for k in range(1, 12) for v in (10**k - 1, 10**k)}
+)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(u, i) for u in BOUNDARIES for i in BOUNDARIES],
+        [(0, 0)],
+        [(2**40, 7)],
+        [(9, 1_000_000)],
+        np.zeros((0, 2)),
+    ],
+    ids=["digit-boundaries", "zero-row", "wide-user", "wide-item", "empty"],
+)
+def test_writer_matches_per_pair_oracle(pairs):
+    data = writer_case(pairs)
+    for seed in (0, 42):
+        assert _serialize(data, seed) == reference_serialize(data, seed)
+
+
+def test_writer_hash_and_persist_match_oracle_on_random_set(tmp_path):
+    rng = np.random.default_rng(11)
+    users = rng.integers(0, 6_000, 50_000)
+    items = (rng.pareto(1.2, 50_000) * 50).astype(np.int64) % 200_000
+    data = writer_case(
+        np.unique(np.column_stack((users, items)), axis=0),
+        num_users=6_000,
+        num_items=200_000,
+        user_ids=tuple(f"user {u} é" for u in range(6_000)),
+        item_ids=tuple(f"#{i}" for i in range(1_000)),
+    )
+    assert data.num_pairs > 40_000
+    expected = reference_serialize(data, seed=3)
+    assert _serialize(data, 3) == expected
+    oracle_hash = hashlib.sha256(reference_serialize(data, 0)).hexdigest()
+    assert dataset_hash(data) == oracle_hash
+    p = tmp_path / "data.txt"
+    persist(data, p, seed=3)
+    assert p.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "order", ["sorted", "reversed", "shuffled", "duplicates", "single", "empty"]
+)
+def test_interaction_set_sorts_only_a_copy(order):
+    rng = np.random.default_rng(4)
+    pairs = np.unique(rng.integers(0, 9, (60, 2)), axis=0)
+    given = {
+        "sorted": pairs,
+        "reversed": pairs[::-1],
+        "shuffled": rng.permutation(pairs),
+        "duplicates": rng.permutation(np.vstack((pairs, pairs[::3]))),
+        "single": pairs[:1],
+        "empty": pairs[:0],
+    }[order].copy()
+    snapshot = given.copy()
+    data = InteractionSet(
+        num_users=9, num_items=9, pairs=given, user_ids=(), item_ids=()
+    )
+    expected = snapshot[np.lexsort((snapshot[:, 1], snapshot[:, 0]))]
+    np.testing.assert_array_equal(data.pairs, expected)
+    assert data.pairs.dtype == np.int64 and data.pairs.shape == expected.shape
+    assert not data.pairs.flags.writeable
+    assert given.flags.writeable
+    assert not np.shares_memory(data.pairs, given)
+    np.testing.assert_array_equal(given, snapshot)
 
 
 def pinned_log():
