@@ -3,7 +3,9 @@
 np.savez embeds zip timestamps, which breaks byte-identical reruns, so
 caches and checkpoints use this container instead: a magic line, a JSON
 metadata header (sorted keys), then raw .npy blocks in manifest order.
-Writing the same payload twice produces identical bytes. `write_atomic`
+Writing the same payload twice produces identical bytes. An artifact's
+header names its kind and format version (`save_artifact`), and
+`load_artifact` is the one place that checks them. `write_atomic`
 is the one durable write path, shared by bundles, the canonical dataset and
 the evaluation report.
 """
@@ -125,3 +127,31 @@ def load_bundle(path):
     except OSError as exc:
         raise DataError(f"cannot read bundle {path}: {exc}") from exc
     return meta, _Entries(path, arrays)
+
+
+def save_artifact(path, kind: str, version: int, meta: dict, arrays: dict) -> None:
+    """`save_bundle` with `kind` and `version` added to the metadata."""
+    save_bundle(path, {**meta, "kind": kind, "version": version}, arrays)
+
+
+def load_artifact(path, kind: str, version: int, dataset_hash: str = None):
+    """Load a bundle written by `save_artifact` as (meta, arrays).
+
+    Raises DataError unless the header names `kind` and `version` and, when
+    `dataset_hash` is given, records that dataset hash.
+    """
+    meta, arrays = load_bundle(path)
+    if meta.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} (kind {meta.get('kind')!r})")
+    if meta.get("version") != version:
+        raise DataError(
+            f"{path}: {kind} version {meta.get('version')} unsupported "
+            f"(expected {version})"
+        )
+    if dataset_hash is not None and meta["dataset_hash"] != dataset_hash:
+        built_for = str(meta["dataset_hash"])[:12]
+        raise DataError(
+            f"{path}: {kind} was built for dataset {built_for}..., "
+            f"not {dataset_hash[:12]}..."
+        )
+    return meta, arrays

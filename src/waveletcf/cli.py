@@ -235,11 +235,6 @@ def cmd_train(args, cfg) -> int:
 
     model_config = cfg.model_config()
     train_config = cfg.train_config()
-    fit_kwargs = dict(
-        exponent_mode=cfg["exponent_mode"],
-        val_fraction=cfg["val_fraction"],
-        log_fn=print,
-    )
     print(
         f"train batch_size={train_config.batch_size} "
         f"layers={model_config.layers} width={model_config.width} "
@@ -260,7 +255,7 @@ def cmd_train(args, cfg) -> int:
             train_config,
             list(grid_lrs),
             list(cfg["grid_t_values"]),
-            **fit_kwargs,
+            log_fn=print,
         )
         best_lr, best_t = best_row[0], best_row[1]
         print(
@@ -282,10 +277,10 @@ def cmd_train(args, cfg) -> int:
             bc,
             model_config,
             train_config,
+            log_fn=print,
             state_path=state_path,
             resume=args.resume,
             dataset_hash=train_hash,
-            **fit_kwargs,
         )
 
     model.save_checkpoint(
@@ -300,7 +295,6 @@ def cmd_train(args, cfg) -> int:
             "epochs_run": result.epochs_run,
             "stopped_early": result.stopped_early,
             "learning_rate": train_config.learning_rate,
-            "exponent_mode": cfg["exponent_mode"],
             "root_seed": cfg["seed"],
         },
     )
@@ -313,11 +307,11 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _score_trace(decomp, bc, model_config, params, exponent_mode):
+def _score_trace(decomp, bc, model_config, params):
     from . import model
 
     oper = model.PropagationOperator(
-        decomp, bc, model_config.t, exponent_mode=exponent_mode
+        decomp, bc, model_config.t, exponent_mode=model_config.exponent_mode
     )
     return model.forward(params, oper, model_config)
 
@@ -333,17 +327,18 @@ def _load_trained(cfg):
     decomp, bc, _ = spectral.load_spectral_cache(
         cfg.require("spectral_cache"), expected_hash=train_hash
     )
-    ckpt_config, params, ckpt_meta = model.load_checkpoint(
+    ckpt_config, params, _ = model.load_checkpoint(
         cfg.require("checkpoint"), expected_dataset_hash=train_hash
     )
-    exponent_mode = ckpt_meta.get("exponent_mode", cfg["exponent_mode"])
-    trace = _score_trace(decomp, bc, ckpt_config, params, exponent_mode)
+    trace = _score_trace(decomp, bc, ckpt_config, params)
     return train_set, test_set, train_hash, decomp, trace
 
 
 def cmd_evaluate(args, cfg) -> int:
     from . import bundles, evaluate as eval_mod, model
 
+    report_path = cfg["report"]
+    _refuse_overwrite(report_path, args.force)
     train_set, test_set, train_hash, decomp, trace = _load_trained(cfg)
     notes = [f"per-user holdout split (train fraction {cfg['train_fraction']})"]
     if decomp.q < decomp.n:
@@ -362,9 +357,7 @@ def cmd_evaluate(args, cfg) -> int:
     text = "\n".join(lines) + "\n" + eval_mod.render_report(report)
     sys.stdout.write(text)
 
-    report_path = cfg["report"]
     if report_path:
-        _refuse_overwrite(report_path, args.force)
         bundles.write_atomic(report_path, [text.encode("utf-8")])
         print(f"wrote {report_path}")
     return 0
@@ -382,17 +375,9 @@ def cmd_cold_start(args, cfg) -> int:
     def trainer(train_set, test_set, cap):
         decomp, bc = _solve(cfg, train_set, _resolved_q(cfg, train_set))
         result = train_mod.fit(
-            train_set,
-            decomp,
-            bc,
-            model_config,
-            cfg.train_config(),
-            exponent_mode=cfg["exponent_mode"],
-            val_fraction=cfg["val_fraction"],
+            train_set, decomp, bc, model_config, cfg.train_config()
         )
-        trace = _score_trace(
-            decomp, bc, model_config, result.best_params, cfg["exponent_mode"]
-        )
+        trace = _score_trace(decomp, bc, model_config, result.best_params)
         report = eval_mod.evaluate(
             lambda u: model.score_user(trace, u),
             train_set,
@@ -410,18 +395,17 @@ def cmd_cold_start(args, cfg) -> int:
     rows = eval_mod.cold_start_suite(
         data, list(cfg["cold_start_caps"]), cfg.split_spec(), trainer
     )
-    print(eval_mod.render_cold_start(rows))
+    print(eval_mod.render_cold_start(rows, k))
     return 0
 
 
 def cmd_recommend(args, cfg) -> int:
     from . import evaluate as eval_mod, model
 
-    train_set, _, _, _, trace = _load_trained(cfg)
-
     k = args.k if args.k is not None else max(cfg["k_values"])
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    train_set, _, _, _, trace = _load_trained(cfg)
     user_index = train_set.user_index
     asked = [uid for uid in (raw.strip() for raw in args.users.split(",")) if uid]
     known = [uid for uid in asked if uid in user_index]

@@ -23,6 +23,8 @@ from .errors import ConfigError
 
 ENV_PREFIX = "WAVELETCF_"
 
+EXPONENT_MODES = ("power", "boxcox")
+
 
 def _parse_int(raw: str) -> int:
     return int(raw.strip())
@@ -70,13 +72,13 @@ KEY_SPECS = {
     # spectral
     "q": (_parse_int, 0),  # 0 means auto (default_q of the graph size)
     "eig_tol": (_parse_float, 1e-9),
-    "exponent_mode": (_parse_str, "power"),
     # model
     "layers": (_parse_int, 3),
     "width": (_parse_int, 64),
     "t": (_parse_float, 0.5),
-    "eta": (_parse_float, 0.01),
+    "exponent_mode": (_parse_str, "power"),
     # training
+    "eta": (_parse_float, 0.01),
     "batch_size": (_parse_int, 1024),
     "learning_rate": (_parse_float, 0.05),
     "adam_beta1": (_parse_float, 0.9),
@@ -169,7 +171,7 @@ class ModelConfig:
     layers: int = 3
     width: int = 64
     t: float = 0.5
-    eta: float = 0.01
+    exponent_mode: str = "power"
     seed: int = 0
 
     def __post_init__(self):
@@ -179,8 +181,11 @@ class ModelConfig:
             raise ConfigError(f"width must be >= 1, got {self.width}")
         if self.t < 0:
             raise ConfigError(f"t must be >= 0, got {self.t}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        if self.exponent_mode not in EXPONENT_MODES:
+            raise ConfigError(
+                "exponent_mode must be 'power' or 'boxcox', got "
+                f"'{self.exponent_mode}'"
+            )
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,7 @@ class TrainConfig:
     eta: float = 0.01
     max_epochs: int = 200
     patience: int = 10
+    val_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -211,6 +217,10 @@ class TrainConfig:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ConfigError("adam betas must lie in (0, 1)")
+        if not (0.0 < self.val_fraction < 1.0):
+            raise ConfigError(
+                f"val_fraction must lie strictly in (0,1), got {self.val_fraction}"
+            )
 
 
 @dataclass
@@ -238,19 +248,10 @@ class RunConfig:
                 "input_format must be one of auto/tsv/csv, got "
                 f"'{v['input_format']}'"
             )
-        if v["exponent_mode"] not in ("power", "boxcox"):
-            raise ConfigError(
-                "exponent_mode must be 'power' or 'boxcox', got "
-                f"'{v['exponent_mode']}'"
-            )
         if not (0.0 < v["train_fraction"] < 1.0):
             raise ConfigError(
                 "train_fraction must lie strictly in (0,1), got "
                 f"{v['train_fraction']}"
-            )
-        if not (0.0 < v["val_fraction"] < 1.0):
-            raise ConfigError(
-                f"val_fraction must lie strictly in (0,1), got {v['val_fraction']}"
             )
         if v["per_user_cap"] < 0:
             raise ConfigError(
@@ -320,7 +321,7 @@ class RunConfig:
             layers=self.values["layers"],
             width=self.values["width"],
             t=self.values["t"],
-            eta=self.values["eta"],
+            exponent_mode=self.values["exponent_mode"],
             seed=seeds.child_seed(self.values["seed"], seeds.INIT),
         )
 
@@ -334,6 +335,7 @@ class RunConfig:
             eta=self.values["eta"],
             max_epochs=self.values["max_epochs"],
             patience=self.values["patience"],
+            val_fraction=self.values["val_fraction"],
             seed=self.values["seed"],
         )
 

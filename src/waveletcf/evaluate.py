@@ -207,7 +207,8 @@ def cold_start_suite(
     """Re-split with each training cap, retrain, and collect metrics.
 
     `trainer(train, test, cap)` runs a full training + evaluation cycle and
-    returns (recall@20, ndcg@20). Rows come back in the order of `caps`.
+    returns (recall@k, ndcg@k) at the one cutoff k it evaluates. Rows come
+    back in the order of `caps`.
     """
     if not caps or min(caps) < 1:
         raise DataError("caps must be positive integers")
@@ -219,8 +220,9 @@ def cold_start_suite(
     return rows
 
 
-def render_cold_start(rows: List[Tuple[int, float, float]]) -> str:
-    out = [f"{'cap':>4}  {'recall@20':>10}  {'ndcg@20':>10}"]
+def render_cold_start(rows: List[Tuple[int, float, float]], k: int) -> str:
+    """The cold-start table; `k` is the cutoff the rows were measured at."""
+    out = [f"{'cap':>4}  {f'recall@{k}':>10}  {f'ndcg@{k}':>10}"]
     for cap, r, n in rows:
         out.append(f"{cap:>4}  {r:>10.6f}  {n:>10.6f}")
     return "\n".join(out) + "\n"

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import bundles
 from .config import ModelConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .spectral import BoxCoxResult, SpectralDecomposition, filter_response
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -194,40 +194,31 @@ def save_checkpoint(
 ) -> None:
     """Persist config + parameters keyed by the dataset content hash."""
     meta = {
-        "kind": "model-checkpoint",
-        "version": CHECKPOINT_VERSION,
         "dataset_hash": dataset_hash,
         "config": asdict(config),
         "num_w": len(params.w),
+        **(extra_meta or {}),
     }
-    if extra_meta:
-        meta.update(extra_meta)
-    bundles.save_bundle(path, meta, dict(params.tensors()))
+    bundles.save_artifact(
+        path, "model-checkpoint", CHECKPOINT_VERSION, meta, dict(params.tensors())
+    )
 
 
 def load_checkpoint(path, expected_dataset_hash: str = None):
-    """Load a checkpoint; refuses one built for a different dataset.
+    """Load a checkpoint; refuses one built for a different dataset or
+    holding a config that fails validation.
 
     Returns (config, params, meta).
     """
-    meta, arrays = bundles.load_bundle(path)
-    if meta.get("kind") != "model-checkpoint":
-        raise DataError(f"{path}: not a model checkpoint")
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise DataError(
-            f"{path}: checkpoint version {meta.get('version')} unsupported"
-        )
-    if (
-        expected_dataset_hash is not None
-        and meta["dataset_hash"] != expected_dataset_hash
-    ):
-        raise DataError(
-            f"{path}: checkpoint was trained on dataset "
-            f"{meta['dataset_hash'][:12]}..., not {expected_dataset_hash[:12]}..."
-        )
-    config = ModelConfig(
-        **{f.name: meta["config"][f.name] for f in fields(ModelConfig)}
+    meta, arrays = bundles.load_artifact(
+        path, "model-checkpoint", CHECKPOINT_VERSION, expected_dataset_hash
     )
+    try:
+        config = ModelConfig(
+            **{f.name: meta["config"][f.name] for f in fields(ModelConfig)}
+        )
+    except (ConfigError, TypeError) as exc:
+        raise DataError(f"{path}: invalid stored config ({exc})") from exc
     if meta["num_w"] != config.layers:
         raise DataError(
             f"{path}: checkpoint holds {meta['num_w']} layer(s) of weights "

@@ -14,10 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import bundles
-from .errors import ConfigError, DataError, NumericalError
+from .config import EXPONENT_MODES
+from .errors import ConfigError, NumericalError
 from .graph import BipartiteLaplacian, SparseSymMatrix
-
-EXPONENT_MODES = ("power", "boxcox")
 
 SPECTRAL_CACHE_VERSION = 2
 
@@ -352,8 +351,6 @@ def save_spectral_cache(
     hash, q, and the eigensolver's tolerance and seed.
     """
     meta = {
-        "kind": "spectral-cache",
-        "version": SPECTRAL_CACHE_VERSION,
         "dataset_hash": dataset_hash,
         "q": int(decomp.q),
         "eig_tol": float(eig_tol),
@@ -369,7 +366,7 @@ def save_spectral_cache(
         "phi": decomp.phi,
         "transformed": bc.transformed,
     }
-    bundles.save_bundle(path, meta, arrays)
+    bundles.save_artifact(path, "spectral-cache", SPECTRAL_CACHE_VERSION, meta, arrays)
 
 
 def load_spectral_cache(path, expected_hash: str = None):
@@ -377,19 +374,9 @@ def load_spectral_cache(path, expected_hash: str = None):
 
     Returns (decomp, bc, meta).
     """
-    meta, arrays = bundles.load_bundle(path)
-    if meta.get("kind") != "spectral-cache":
-        raise DataError(f"{path}: not a spectral cache")
-    if meta.get("version") != SPECTRAL_CACHE_VERSION:
-        raise DataError(
-            f"{path}: cache version {meta.get('version')} unsupported "
-            f"(expected {SPECTRAL_CACHE_VERSION})"
-        )
-    if expected_hash is not None and meta["dataset_hash"] != expected_hash:
-        raise DataError(
-            f"{path}: cache was built for dataset {meta['dataset_hash'][:12]}..., "
-            f"not {expected_hash[:12]}..."
-        )
+    meta, arrays = bundles.load_artifact(
+        path, "spectral-cache", SPECTRAL_CACHE_VERSION, expected_hash
+    )
     lambdas = arrays["lambdas"]
     decomp = SpectralDecomposition(
         q=meta["q"],

@@ -33,7 +33,7 @@ from .model import (
 from .seeds import TRIPLES, VAL_SPLIT, child_seed
 from .spectral import BoxCoxResult, SpectralDecomposition
 
-TRAIN_STATE_VERSION = 2
+TRAIN_STATE_VERSION = 3
 
 
 def sample_triples(
@@ -229,7 +229,7 @@ def _save_train_state(path, params, best_params, adam, meta):
     arrays.update((f"best_{name}", t) for name, t in best_params.tensors())
     arrays.update((f"adam_m_{name}", t) for name, t in adam.m.items())
     arrays.update((f"adam_v_{name}", t) for name, t in adam.v.items())
-    bundles.save_bundle(path, meta, arrays)
+    bundles.save_artifact(path, "train-state", TRAIN_STATE_VERSION, meta, arrays)
 
 
 def fit(
@@ -239,8 +239,6 @@ def fit(
     model_config: ModelConfig,
     train_config: TrainConfig,
     *,
-    exponent_mode: str = "power",
-    val_fraction: float = 0.1,
     log_fn: Optional[Callable[[str], None]] = None,
     state_path=None,
     resume: bool = False,
@@ -263,19 +261,17 @@ def fit(
     `ingest.dataset_hash`, computed here if a state is saved and it is
     not given.
     """
-    if not (0 < val_fraction < 1):
-        raise ConfigError(f"val_fraction must lie in (0,1), got {val_fraction}")
     log = log_fn or (lambda line: None)
 
     inner_train, val = split(
         train_data,
         SplitSpec(
-            train_fraction=1.0 - val_fraction,
+            train_fraction=1.0 - train_config.val_fraction,
             seed=child_seed(train_config.seed, VAL_SPLIT),
         ),
     )
     oper = PropagationOperator(
-        decomp, bc, model_config.t, exponent_mode=exponent_mode
+        decomp, bc, model_config.t, exponent_mode=model_config.exponent_mode
     )
     rng = np.random.default_rng(child_seed(train_config.seed, TRIPLES))
 
@@ -295,8 +291,6 @@ def fit(
         run_key = {
             "dataset_hash": dataset_hash or ingest.dataset_hash(train_data),
             "q": int(decomp.q),
-            "exponent_mode": exponent_mode,
-            "val_fraction": val_fraction,
             **{f"model.{k}": v for k, v in asdict(model_config).items()},
             **{f"train.{k}": v for k, v in asdict(train_config).items()
                if k not in ("max_epochs", "patience")},
@@ -305,11 +299,9 @@ def fit(
     if resume:
         if state_path is None:
             raise ConfigError("resume requires a state_path")
-        meta, arrays = bundles.load_bundle(state_path)
-        if meta.get("kind") != "train-state":
-            raise DataError(f"{state_path}: not a training state file")
-        if meta.get("version") != TRAIN_STATE_VERSION:
-            raise DataError(f"{state_path}: unsupported training state version")
+        meta, arrays = bundles.load_artifact(
+            state_path, "train-state", TRAIN_STATE_VERSION
+        )
         saved = meta["run_key"]
         for name in sorted(set(saved) | set(run_key)):
             if saved.get(name) != run_key.get(name):
@@ -375,8 +367,6 @@ def fit(
                 best_params,
                 adam,
                 {
-                    "kind": "train-state",
-                    "version": TRAIN_STATE_VERSION,
                     "run_key": run_key,
                     "epoch": epoch,
                     "best_epoch": best_epoch,
@@ -412,7 +402,6 @@ def grid_search(
     learning_rates: List[float],
     t_values: List[float],
     log_fn: Optional[Callable[[str], None]] = None,
-    **fit_kwargs,
 ):
     """Exhaustive search over (learning_rate, t) by validation Recall@20.
 
@@ -433,7 +422,6 @@ def grid_search(
                 bc,
                 replace(model_config, t=float(t)),
                 replace(train_config, learning_rate=float(lr)),
-                **fit_kwargs,
             )
             row = (
                 float(lr),

@@ -442,7 +442,7 @@ def test_synthetic_learning_beats_baselines():
     uniform = expected_uniform_recall(train_set, test_set, 20)
 
     model_cfg = ModelConfig(
-        layers=3, width=64, t=0.5, eta=1.0,
+        layers=3, width=64, t=0.5,
         seed=seeds.child_seed(ROOT_SEED, seeds.INIT),
     )
     train_cfg = TrainConfig(
@@ -470,7 +470,7 @@ def test_cold_start_metrics_trend_with_cap():
         num_users=300, num_items=200, per_user=105, noise=0.05, seed=7
     )
     model_cfg = ModelConfig(
-        layers=3, width=64, t=0.5, eta=0.1,
+        layers=3, width=64, t=0.5,
         seed=seeds.child_seed(ROOT_SEED, seeds.INIT),
     )
     train_cfg = TrainConfig(
@@ -593,7 +593,7 @@ def test_movielens_beats_popularity(tmp_path):
     pop_report = evaluate(lambda u: pop, train_set, test_set, k_values=(20,))
 
     model_cfg = ModelConfig(
-        layers=3, width=64, t=0.5, eta=0.1,
+        layers=3, width=64, t=0.5,
         seed=seeds.child_seed(ROOT_SEED, seeds.INIT),
     )
     train_cfg = TrainConfig(

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from waveletcf.bundles import MAGIC, load_bundle, save_bundle
+from waveletcf.bundles import (
+    MAGIC,
+    load_artifact,
+    load_bundle,
+    save_artifact,
+    save_bundle,
+)
 from waveletcf.errors import DataError
 
 META = {"kind": "x", "q": 3, "tol": 1e-9}
@@ -86,3 +92,19 @@ def test_save_is_atomic(tmp_path, monkeypatch):
         save_bundle(p, {"kind": "y"}, arrays())
     assert p.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["x.bundle"]
+
+
+def test_artifact_header_is_checked(tmp_path):
+    p = tmp_path / "a.bundle"
+    save_artifact(p, "thing", 2, {"dataset_hash": "d" * 64, "q": 3}, arrays())
+    meta, loaded = load_artifact(p, "thing", 2, "d" * 64)
+    assert (meta["kind"], meta["version"], meta["q"]) == ("thing", 2, 3)
+    assert np.array_equal(loaded["b"], arrays()["b"])
+    assert load_artifact(p, "thing", 2)[0]["q"] == 3
+    for args, message in (
+        (("other", 2), "not a other"),
+        (("thing", 3), "thing version 2 unsupported"),
+        (("thing", 2, "e" * 64), "thing was built for dataset dddddddddddd"),
+    ):
+        with pytest.raises(DataError, match=message):
+            load_artifact(p, *args)

@@ -331,8 +331,8 @@ def test_resume_refuses_a_state_from_another_config(pipeline, tmp_path, capsys):
     for override, name in (
         ("width=8", "model.width"),
         ("learning_rate=0.01", "train.learning_rate"),
-        ("exponent_mode=boxcox", "exponent_mode"),
-        ("val_fraction=0.2", "val_fraction"),
+        ("exponent_mode=boxcox", "model.exponent_mode"),
+        ("val_fraction=0.2", "train.val_fraction"),
     ):
         code = main(
             [*args, "--resume", "--set", "max_epochs=4", "--set", override]
@@ -405,8 +405,13 @@ def test_evaluate_writes_report_file_with_overwrite_guard(
     stdout = capsys.readouterr().out
     body = report.read_text()
     assert body in stdout  # file holds exactly the printed report
+    before = report.read_bytes()
     assert main(args) == 2
-    capsys.readouterr()
+    # refused before any scoring: nothing printed, the file left as it was
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pass --force" in captured.err
+    assert report.read_bytes() == before
     assert main(args + ["--force"]) == 0
 
 
@@ -434,6 +439,81 @@ def test_checkpoint_layer_count_mismatch_is_a_data_error(
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={bad}"]) == 3
     assert f"layers={meta['num_w'] + shift}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("width", 0), ("layers", "3"), ("exponent_mode", "weird")]
+)
+def test_checkpoint_with_invalid_stored_config_is_a_data_error(
+    pipeline, tmp_path, capsys, key, value
+):
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "model.ckpt")
+    meta["config"][key] = value
+    bad = tmp_path / "config.ckpt"
+    bundles.save_bundle(bad, meta, arrays)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={bad}"]) == 3
+    assert f"{bad}: invalid stored config" in capsys.readouterr().err
+
+
+def test_old_artifact_versions_are_data_errors(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "model.ckpt")
+    meta["version"] = 1
+    old_ckpt = tmp_path / "v1.ckpt"
+    bundles.save_bundle(old_ckpt, meta, arrays)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={old_ckpt}"]) == 3
+    assert f"{old_ckpt}: model-checkpoint version 1 unsupported" in (
+        capsys.readouterr().err
+    )
+
+    state = tmp_path / "v2.state"
+    args = ["train", "--config", cfg, "--set", f"checkpoint={tmp_path / 'r.ckpt'}",
+            "--set", f"train_state={state}"]
+    assert main([*args, "--set", "max_epochs=1"]) == 0
+    meta, arrays = bundles.load_bundle(state)
+    meta["version"] = 2
+    bundles.save_bundle(state, meta, arrays)
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 3
+    assert f"{state}: train-state version 2 unsupported" in capsys.readouterr().err
+
+
+def test_scoring_uses_the_checkpoint_filter(pipeline, tmp_path, capsys):
+    # a model trained with boxcox at t=0.5 scores the same whatever
+    # exponent_mode and t the evaluating run config holds
+    _, cfg = pipeline
+    base = ["--config", cfg, "--set", "exponent_mode=boxcox",
+            "--set", f"checkpoint={tmp_path / 'boxcox.ckpt'}"]
+    assert main(["train", *base, "--set", "max_epochs=2"]) == 0
+    outputs = []
+    for override in (["exponent_mode=boxcox"], ["exponent_mode=power", "t=20"]):
+        sets = [arg for pair in override for arg in ("--set", pair)]
+        capsys.readouterr()
+        assert main(["evaluate", *base, *sets]) == 0
+        report = capsys.readouterr().out.splitlines()
+        metrics = [line for line in report if line.startswith(("recall ", "ndcg "))]
+        assert main(
+            ["recommend", *base, *sets, "--users", "u0,u7,u31", "--k", "10"]
+        ) == 0
+        outputs.append((metrics, capsys.readouterr().out))
+    assert outputs[0][0]
+    assert outputs[0] == outputs[1]
+
+
+def test_recommend_refuses_k_zero_before_loading(pipeline, tmp_path, capsys):
+    _, cfg = pipeline
+    missing = tmp_path / "absent.ckpt"
+    code = main(
+        ["recommend", "--config", cfg, "--set", f"checkpoint={missing}",
+         "--users", "u0", "--k", "0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k must be >= 1" in captured.err
 
 
 def test_recommend_forced_choice(tmp_path, capsys):
@@ -565,6 +645,23 @@ def test_cold_start_rows(pipeline, tmp_path, capsys):
     assert lines[0].split() == ["cap", "recall@20", "ndcg@20"]
     assert len(lines) == 3
     assert lines[1].split()[0] == "3" and lines[2].split()[0] == "6"
+
+
+def test_cold_start_table_names_its_cutoff(pipeline, capsys):
+    # without 20 among k_values the rows hold the largest k, and so does
+    # the header
+    _, cfg = pipeline
+    code = main(
+        ["cold-start", "--config", cfg, "--set", "k_values=10",
+         "--set", "cold_start_caps=3", "--set", "max_epochs=1",
+         "--set", "width=8"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    header, row = captured.out.strip().splitlines()
+    assert header.split() == ["cap", "recall@10", "ndcg@10"]
+    recall = captured.err.split("recall@10 ")[1].split()[0]
+    assert row.split()[1] == recall
 
 
 def test_pipeline_is_bitwise_reproducible(pipeline, tmp_path, capsys):

@@ -133,16 +133,20 @@ def test_nested_validation_surfaces_as_config_error():
 
 
 def test_derived_stage_objects():
-    cfg = RunConfig({"seed": 7, "per_user_cap": 0, "eta": 0.25})
+    cfg = RunConfig(
+        {"seed": 7, "per_user_cap": 0, "eta": 0.25, "exponent_mode": "boxcox",
+         "val_fraction": 0.3}
+    )
     spec = cfg.split_spec()
     assert spec.per_user_cap is None
     assert spec.seed == seeds.child_seed(7, seeds.SPLIT)
     model = cfg.model_config()
     assert model.seed == seeds.child_seed(7, seeds.INIT)
-    assert model.eta == 0.25
+    assert model.exponent_mode == "boxcox"
     train = cfg.train_config()
     assert train.seed == 7
     assert train.eta == 0.25
+    assert train.val_fraction == 0.3
     assert cfg.eig_seed() == seeds.child_seed(7, seeds.EIG)
     cap = RunConfig({"per_user_cap": 4}).split_spec()
     assert cap.per_user_cap == 4

@@ -274,7 +274,9 @@ def test_cold_start_single_cap_row_and_render():
         data, [3], SplitSpec(seed=17), lambda tr, te, cap: (0.5, 0.25)
     )
     assert len(rows) == 1
-    text = render_cold_start(rows)
+    text = render_cold_start(rows, 20)
     assert "cap" in text and "0.5" in text
+    assert text.split()[:3] == ["cap", "recall@20", "ndcg@20"]
+    assert render_cold_start(rows, 10).split()[:3] == ["cap", "recall@10", "ndcg@10"]
     with pytest.raises(DataError):
         cold_start_suite(data, [], SplitSpec(seed=1), lambda *a: (0, 0))

@@ -51,8 +51,8 @@ def test_config_validation():
         ModelConfig(width=0)
     with pytest.raises(ConfigError):
         ModelConfig(t=-0.5)
-    with pytest.raises(ConfigError):
-        ModelConfig(eta=-1)
+    with pytest.raises(ConfigError, match="exponent_mode"):
+        ModelConfig(exponent_mode="weird")
 
 
 def test_init_deterministic():

@@ -389,7 +389,7 @@ def small_problem(seed=0):
 
 def test_fit_beats_popularity_and_logs(capsys):
     data, train, test, dec, bc = small_problem()
-    model_cfg = ModelConfig(layers=2, width=8, t=0.5, eta=0.5, seed=1)
+    model_cfg = ModelConfig(layers=2, width=8, t=0.5, seed=1)
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.05, eta=0.5, max_epochs=30, patience=5, seed=2
     )
@@ -425,7 +425,7 @@ def test_fit_beats_popularity_and_logs(capsys):
 
 def test_fit_loss_mostly_decreasing():
     data, train, test, dec, bc = small_problem(seed=3)
-    model_cfg = ModelConfig(layers=1, width=8, t=0.5, eta=0.1, seed=4)
+    model_cfg = ModelConfig(layers=1, width=8, t=0.5, seed=4)
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.02, eta=0.1, max_epochs=5, patience=10, seed=5
     )
@@ -438,7 +438,7 @@ def test_fit_loss_mostly_decreasing():
 
 def test_fit_patience_zero_stops_after_first_non_improvement():
     data, train, test, dec, bc = small_problem(seed=6)
-    model_cfg = ModelConfig(layers=1, width=4, t=0.5, eta=0.0, seed=7)
+    model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=7)
     train_cfg = TrainConfig(
         batch_size=128, learning_rate=0.3, eta=0.0, max_epochs=40, patience=0, seed=8
     )
@@ -449,7 +449,7 @@ def test_fit_patience_zero_stops_after_first_non_improvement():
 
 def test_fit_resume_is_bit_exact(tmp_path):
     data, train, test, dec, bc = small_problem(seed=9)
-    model_cfg = ModelConfig(layers=1, width=4, t=0.5, eta=0.1, seed=10)
+    model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=10)
 
     def cfg(max_epochs):
         return TrainConfig(
@@ -490,7 +490,7 @@ def test_fit_resume_is_bit_exact(tmp_path):
 def test_train_state_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
     # two identical runs whose epochs take different wall-clock times
     data, train, test, dec, bc = small_problem(seed=15)
-    model_cfg = ModelConfig(layers=1, width=4, t=0.5, eta=0.1, seed=16)
+    model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=16)
     train_cfg = TrainConfig(
         batch_size=128, learning_rate=0.05, eta=0.1, max_epochs=2, patience=5, seed=17
     )
@@ -511,7 +511,7 @@ def test_train_state_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
 
 def test_grid_search_small():
     data, train, test, dec, bc = small_problem(seed=12)
-    model_cfg = ModelConfig(layers=1, width=4, t=0.5, eta=0.1, seed=13)
+    model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=13)
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.05, eta=0.1, max_epochs=2, patience=10, seed=14
     )
