@@ -15,8 +15,9 @@ the CLI pins BLAS threads from the resolved config before numpy loads.
 
 import difflib
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Dict, List, Optional
 
 from . import seeds
 from .errors import ConfigError
@@ -38,18 +39,86 @@ def _parse_str(raw: str) -> str:
     return raw.strip()
 
 
-def _parse_int_list(raw: str) -> Tuple[int, ...]:
+def _parse_list(item, noun, raw: str) -> tuple:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(p) for p in parts)
+        raise ValueError(f"expected a comma-separated list of {noun}")
+    return tuple(item(p) for p in parts)
 
 
-def _parse_float_list(raw: str) -> Tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+# a stage-config field's declared type -> (parser of its raw string, the
+# types its value may hold; bool, though an int, is never accepted)
+_FIELD_TYPES = {
+    int: (_parse_int, int),
+    float: (_parse_float, (int, float)),
+    str: (_parse_str, str),
+}
+
+
+def _check_field_types(config) -> None:
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type][1]):
+            raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    layers: int = 3
+    width: int = 64
+    t: float = 0.5
+    exponent_mode: str = "power"
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_field_types(self)
+        if self.layers < 1:
+            raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        if self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
+        if self.t < 0:
+            raise ConfigError(f"t must be >= 0, got {self.t}")
+        if self.exponent_mode not in EXPONENT_MODES:
+            raise ConfigError(
+                "exponent_mode must be 'power' or 'boxcox', got "
+                f"'{self.exponent_mode}'"
+            )
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    batch_size: int = 1024
+    learning_rate: float = 0.05
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    eta: float = 0.01
+    max_epochs: int = 200
+    patience: int = 10
+    val_fraction: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_field_types(self)
+        if self.learning_rate <= 0:
+            raise ConfigError(
+                "learning_rate must be strictly positive; a zero rate cannot "
+                f"train (got {self.learning_rate})"
+            )
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if self.eta < 0:
+            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
+            raise ConfigError("adam betas must lie in (0, 1)")
+        if not (0.0 < self.val_fraction < 1.0):
+            raise ConfigError(
+                f"val_fraction must lie strictly in (0,1), got {self.val_fraction}"
+            )
 
 
 # key -> (parser, default). Defaults are already-parsed values; None means
@@ -72,28 +141,19 @@ KEY_SPECS = {
     # spectral
     "q": (_parse_int, 0),  # 0 means auto (default_q of the graph size)
     "eig_tol": (_parse_float, 1e-9),
-    # model
-    "layers": (_parse_int, 3),
-    "width": (_parse_int, 64),
-    "t": (_parse_float, 0.5),
-    "exponent_mode": (_parse_str, "power"),
-    # training
-    "eta": (_parse_float, 0.01),
-    "batch_size": (_parse_int, 1024),
-    "learning_rate": (_parse_float, 0.05),
-    "adam_beta1": (_parse_float, 0.9),
-    "adam_beta2": (_parse_float, 0.999),
-    "adam_eps": (_parse_float, 1e-8),
-    "max_epochs": (_parse_int, 200),
-    "patience": (_parse_int, 10),
-    "val_fraction": (_parse_float, 0.1),
+    # model and training: every ModelConfig and TrainConfig field but seed
+    **{
+        f.name: (_FIELD_TYPES[f.type][0], f.default)
+        for f in fields(ModelConfig) + fields(TrainConfig)
+        if f.name != "seed"
+    },
     # grid search (unset = plain single fit)
-    "grid_learning_rates": (_parse_float_list, None),
-    "grid_t_values": (_parse_float_list, None),
+    "grid_learning_rates": (partial(_parse_list, float, "numbers"), None),
+    "grid_t_values": (partial(_parse_list, float, "numbers"), None),
     # evaluation
-    "k_values": (_parse_int_list, (20,)),
-    "cohort_boundaries": (_parse_int_list, (25, 50, 100)),
-    "cold_start_caps": (_parse_int_list, (3, 5, 7, 9, 12)),
+    "k_values": (partial(_parse_list, int, "integers"), (20,)),
+    "cohort_boundaries": (partial(_parse_list, int, "integers"), (25, 50, 100)),
+    "cold_start_caps": (partial(_parse_list, int, "integers"), (3, 5, 7, 9, 12)),
     # run control
     "seed": (_parse_int, 0),
     "threads": (_parse_int, 1),
@@ -164,63 +224,6 @@ def flag_overrides(pairs: List[str]) -> Dict[str, object]:
         key, raw = pair.split("=", 1)
         values[key.strip()] = parse_value(key.strip(), raw)
     return values
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    layers: int = 3
-    width: int = 64
-    t: float = 0.5
-    exponent_mode: str = "power"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.t < 0:
-            raise ConfigError(f"t must be >= 0, got {self.t}")
-        if self.exponent_mode not in EXPONENT_MODES:
-            raise ConfigError(
-                "exponent_mode must be 'power' or 'boxcox', got "
-                f"'{self.exponent_mode}'"
-            )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 1024
-    learning_rate: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    eta: float = 0.01
-    max_epochs: int = 200
-    patience: int = 10
-    val_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(
-                "learning_rate must be strictly positive; a zero rate cannot "
-                f"train (got {self.learning_rate})"
-            )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in (0, 1)")
-        if not (0.0 < self.val_fraction < 1.0):
-            raise ConfigError(
-                f"val_fraction must lie strictly in (0,1), got {self.val_fraction}"
-            )
 
 
 @dataclass
@@ -316,28 +319,19 @@ class RunConfig:
             per_user_cap=None if cap == 0 else cap,
         )
 
+    def _stage_config(self, cls, seed: int):
+        return cls(
+            seed=seed,
+            **{f.name: self.values[f.name] for f in fields(cls) if f.name != "seed"},
+        )
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            layers=self.values["layers"],
-            width=self.values["width"],
-            t=self.values["t"],
-            exponent_mode=self.values["exponent_mode"],
-            seed=seeds.child_seed(self.values["seed"], seeds.INIT),
+        return self._stage_config(
+            ModelConfig, seeds.child_seed(self.values["seed"], seeds.INIT)
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.values["batch_size"],
-            learning_rate=self.values["learning_rate"],
-            adam_beta1=self.values["adam_beta1"],
-            adam_beta2=self.values["adam_beta2"],
-            adam_eps=self.values["adam_eps"],
-            eta=self.values["eta"],
-            max_epochs=self.values["max_epochs"],
-            patience=self.values["patience"],
-            val_fraction=self.values["val_fraction"],
-            seed=self.values["seed"],
-        )
+        return self._stage_config(TrainConfig, self.values["seed"])
 
     def eig_seed(self) -> int:
         return seeds.child_seed(self.values["seed"], seeds.EIG)

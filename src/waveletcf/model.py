@@ -112,15 +112,11 @@ class PropagationOperator:
         self.phi = decomp.phi
         self.lam = decomp.shifted_lambdas
         self.n = decomp.n
-        self.g = filter_response(decomp, bc, t, exponent_mode).response
+        self.g = filter_response(decomp, bc, t, exponent_mode)
 
     def gate(self, theta: np.ndarray) -> np.ndarray:
         """Per-frequency gate h = sigma(g * theta)."""
         return sigmoid(self.g * theta)
-
-    def diag_factor(self, h: np.ndarray) -> np.ndarray:
-        """Diagonal of the layer operator in the eigenbasis."""
-        return self.lam * h
 
 
 @dataclass
@@ -159,7 +155,7 @@ def propagate_layer(
         )
     h = oper.gate(params.theta[layer])
     coeff = oper.phi.T @ z
-    pre = oper.phi @ ((oper.diag_factor(h)[:, None] * coeff) @ w)
+    pre = oper.phi @ (((oper.lam * h)[:, None] * coeff) @ w)
     return sigmoid(pre, out=out), LayerCache(h=h, coeff=coeff)
 
 

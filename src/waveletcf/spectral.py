@@ -64,14 +64,6 @@ class BoxCoxResult:
 
 
 @dataclass(frozen=True)
-class AdaptiveFilter:
-    """Evaluated frequency response g_t at the retained eigenvalues."""
-
-    t: float
-    response: np.ndarray
-
-
-@dataclass(frozen=True)
 class WaveletPair:
     """Sparsified wavelet operator and its inverse-response partner.
 
@@ -238,7 +230,24 @@ def boxcox_fit(
     return finish((a + b) / 2)
 
 
-def _case_multiplier(bc: BoxCoxResult, transformed_value: float, t: float) -> float:
+def filter_response(
+    decomp: SpectralDecomposition,
+    bc: BoxCoxResult,
+    t: float,
+    exponent_mode: str = "power",
+) -> np.ndarray:
+    """Adaptive low-pass response g_t at every retained eigenvalue.
+
+    g = exp(-arg * mult), as the README's "Filter" section states: the
+    case of each transformed eigenvalue against the sample mean and one or
+    two standard deviations picks `mult`; `arg` is lam^kappa ("power") or
+    the transformed value ("boxcox").
+
+    Raises NumericalError if any response underflows to zero: the gates
+    and the inverse wavelet response both need g > 0.
+    """
+    if exponent_mode not in EXPONENT_MODES:
+        raise ConfigError(f"exponent_mode must be one of {EXPONENT_MODES}")
     if bc.total <= 0:
         raise NumericalError(
             "transfer function undefined: transformed eigenvalue sum is not positive"
@@ -246,61 +255,15 @@ def _case_multiplier(bc: BoxCoxResult, transformed_value: float, t: float) -> fl
     if t < 0:
         raise ConfigError(f"scale t must be non-negative, got {t}")
     mu, sigma, c = bc.mean, bc.std, bc.total
+    y = bc.transformed
     # boundary points belong to the higher (more attenuating) case
-    if transformed_value < mu:
-        return 1.0 + 2.0 * t / c
-    if transformed_value < mu + sigma:
-        return 1.0 + 3.0 * t / c + sigma
-    if transformed_value < mu + 2.0 * sigma:
-        return 1.0 + 4.0 * t / c + sigma
-    return 1.0 + 5.0 * t / c + sigma
-
-
-def transfer(
-    bc: BoxCoxResult,
-    shifted_lambda: float,
-    transformed_value: float,
-    t: float,
-    exponent_mode: str = "power",
-) -> float:
-    """Adaptive low-pass response at one eigenvalue.
-
-    The response is exp(-arg * mult): `mult` depends on where the
-    transformed eigenvalue falls relative to the sample mean and one or two
-    standard deviations, `arg` is the plain power shifted_lambda^kappa in
-    "power" mode or the transformed (variance-stabilized) value in "boxcox"
-    mode.
-    """
-    if exponent_mode not in EXPONENT_MODES:
-        raise ConfigError(f"exponent_mode must be one of {EXPONENT_MODES}")
-    mult = _case_multiplier(bc, transformed_value, t)
-    if exponent_mode == "power":
-        arg = shifted_lambda**bc.kappa
-    else:
-        arg = transformed_value
-    return float(math.exp(-arg * mult))
-
-
-def filter_response(
-    decomp: SpectralDecomposition,
-    bc: BoxCoxResult,
-    t: float,
-    exponent_mode: str = "power",
-) -> AdaptiveFilter:
-    """Evaluate the transfer function at every retained eigenvalue.
-
-    Raises NumericalError if any response underflows to zero: the gates
-    and the inverse wavelet response both need g > 0.
-    """
-    resp = np.array(
-        [
-            transfer(bc, lam, y, t, exponent_mode)
-            for lam, y in zip(decomp.shifted_lambdas, bc.transformed)
-        ]
-    )
+    case = sum(y >= mu + k * sigma for k in (0.0, 1.0, 2.0))
+    mult = 1.0 + (2.0 + case) * t / c + sigma * (case > 0)
+    arg = decomp.shifted_lambdas**bc.kappa if exponent_mode == "power" else y
+    resp = np.exp(-arg * mult)
     if (resp <= 0).any():
         raise NumericalError("filter response must be strictly positive")
-    return AdaptiveFilter(t=float(t), response=resp)
+    return resp
 
 
 def _materialize(phi: np.ndarray, diag: np.ndarray, drop_threshold: float):
@@ -327,7 +290,7 @@ def build_wavelet_pair(
     """
     if drop_threshold < 0:
         raise ConfigError(f"drop_threshold must be >= 0, got {drop_threshold}")
-    g = filter_response(decomp, bc, t, exponent_mode).response
+    g = filter_response(decomp, bc, t, exponent_mode)
     return WaveletPair(
         psi=_materialize(decomp.phi, g, drop_threshold),
         psi_inv=_materialize(decomp.phi, 1.0 / g, drop_threshold),

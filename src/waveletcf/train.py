@@ -160,7 +160,7 @@ def backward(
         d_next *= act
         d_next *= 1.0 - act
         e = oper.phi.T @ d_next
-        d = oper.diag_factor(h)[:, None]
+        d = (oper.lam * h)[:, None]
         grad_w[layer] = (d * coeff).T @ e
         d_scaled = e @ params.w[layer].T  # gradient of d * coeff
         d_f = np.sum(d_scaled * coeff, axis=1)

@@ -236,7 +236,7 @@ def reference_backward(trace, batch, params, oper, eta):
         h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
         act = trace.zs[layer + 1]
         e = oper.phi.T @ (d_next * act * (1.0 - act))
-        d = oper.diag_factor(h)[:, None]
+        d = (oper.lam * h)[:, None]
         grad_w[layer] = (d * coeff).T @ e
         d_scaled = e @ params.w[layer].T
         d_f = np.sum(d_scaled * coeff, axis=1)

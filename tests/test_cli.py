@@ -442,7 +442,14 @@ def test_checkpoint_layer_count_mismatch_is_a_data_error(
 
 
 @pytest.mark.parametrize(
-    "key, value", [("width", 0), ("layers", "3"), ("exponent_mode", "weird")]
+    "key, value",
+    [
+        ("width", 0),
+        ("layers", "3"),
+        ("exponent_mode", "weird"),
+        ("t", True),
+        ("width", 2.5),
+    ],
 )
 def test_checkpoint_with_invalid_stored_config_is_a_data_error(
     pipeline, tmp_path, capsys, key, value
@@ -454,7 +461,7 @@ def test_checkpoint_with_invalid_stored_config_is_a_data_error(
     bundles.save_bundle(bad, meta, arrays)
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={bad}"]) == 3
-    assert f"{bad}: invalid stored config" in capsys.readouterr().err
+    assert f"{bad}: invalid stored config ({key} " in capsys.readouterr().err
 
 
 def test_old_artifact_versions_are_data_errors(pipeline, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the eigensolver, power-transform fit, filter, and wavelets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from helpers import (
 from waveletcf.errors import ConfigError, DataError, NumericalError
 from waveletcf.ingest import dataset_hash
 from waveletcf.spectral import (
-    AdaptiveFilter,
     BoxCoxResult,
+    SpectralDecomposition,
     boxcox_fit,
     boxcox_transform,
     build_wavelet_pair,
@@ -26,7 +27,6 @@ from waveletcf.spectral import (
     filter_response,
     load_spectral_cache,
     save_spectral_cache,
-    transfer,
 )
 
 # ---------------------------------------------------------------- eigensolve
@@ -232,28 +232,43 @@ def test_fit_rejects_bad_input():
         boxcox_fit(np.array([1.0, -0.5]))
 
 
-# ------------------------------------------------------------------ transfer
+# ------------------------------------------------------------------ filter
 
 
-def make_bc(kappa=1.0, mean=0.5, std=0.2, total=1.7):
+def make_bc(kappa=1.0, mean=0.5, std=0.2, total=1.7, transformed=(0.0,)):
     return BoxCoxResult(
         kappa=kappa,
-        transformed=np.array([0.0]),
+        transformed=np.array(transformed, dtype=float),
         mean=mean,
         std=std,
         total=total,
     )
 
 
+def decomposition(shifted_lambdas):
+    """A decomposition holding only the given shifted eigenvalues."""
+    lam = np.array(shifted_lambdas, dtype=float)
+    return SpectralDecomposition(
+        q=len(lam), lambdas=lam - 1.0, shifted_lambdas=lam, phi=np.eye(len(lam))
+    )
+
+
+def response_at(bc, shifted_lambda, value, t, exponent_mode="power"):
+    """filter_response of one eigenvalue whose transformed value is `value`."""
+    bc = replace(bc, transformed=np.array([value]))
+    (g,) = filter_response(decomposition([shifted_lambda]), bc, t, exponent_mode)
+    return g
+
+
 def test_transfer_base_case():
     # arg = 1^kappa = 1, value below the mean, t=0 -> e^{-1}
     bc = make_bc()
-    assert transfer(bc, 1.0, 0.0, 0.0) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert response_at(bc, 1.0, 0.0, 0.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
 
 def test_transfer_half_c_scale():
     bc = make_bc(total=1.7)
-    g = transfer(bc, 1.0, 0.0, t=1.7 / 2)
+    g = response_at(bc, 1.0, 0.0, t=1.7 / 2)
     assert g == pytest.approx(math.exp(-2), rel=1e-12)
 
 
@@ -261,7 +276,7 @@ def test_transfer_band_ordering():
     bc = make_bc(mean=1.0, std=0.2, total=2.0)
     t = 0.3
     vals = [0.5, 1.0, 1.25, 1.5]  # one per case
-    gs = [transfer(bc, 1.3, v, t) for v in vals]
+    gs = [response_at(bc, 1.3, v, t) for v in vals]
     assert gs[0] > gs[1] > gs[2] > gs[3]
 
 
@@ -275,13 +290,13 @@ def test_transfer_boundaries_go_to_higher_case():
     def expected(mult):
         return math.exp(-arg * mult)
 
-    assert transfer(bc, lam, mu, t) == pytest.approx(
+    assert response_at(bc, lam, mu, t) == pytest.approx(
         expected(1 + 3 * t / c + sigma), rel=1e-12
     )
-    assert transfer(bc, lam, mu + sigma, t) == pytest.approx(
+    assert response_at(bc, lam, mu + sigma, t) == pytest.approx(
         expected(1 + 4 * t / c + sigma), rel=1e-12
     )
-    assert transfer(bc, lam, mu + 2 * sigma, t) == pytest.approx(
+    assert response_at(bc, lam, mu + 2 * sigma, t) == pytest.approx(
         expected(1 + 5 * t / c + sigma), rel=1e-12
     )
 
@@ -290,20 +305,35 @@ def test_transfer_exponent_modes():
     bc = make_bc(kappa=2.0, mean=10.0)
     lam = 1.5
     value = 0.3
-    power = transfer(bc, lam, value, 0.0, exponent_mode="power")
-    alt = transfer(bc, lam, value, 0.0, exponent_mode="boxcox")
+    power = response_at(bc, lam, value, 0.0, exponent_mode="power")
+    alt = response_at(bc, lam, value, 0.0, exponent_mode="boxcox")
     assert power == pytest.approx(math.exp(-(lam**2.0)), rel=1e-12)
     assert alt == pytest.approx(math.exp(-value), rel=1e-12)
     with pytest.raises(ConfigError):
-        transfer(bc, lam, value, 0.0, exponent_mode="weird")
+        response_at(bc, lam, value, 0.0, exponent_mode="weird")
 
 
 def test_transfer_requires_positive_total():
     bc = make_bc(total=0.0)
     with pytest.raises(NumericalError):
-        transfer(bc, 1.0, 0.0, 0.0)
+        response_at(bc, 1.0, 0.0, 0.0)
     with pytest.raises(ConfigError):
-        transfer(make_bc(), 1.0, 0.0, -1.0)
+        response_at(make_bc(), 1.0, 0.0, -1.0)
+
+
+def test_filter_response_matches_closed_form_in_one_call():
+    mu, sigma, c, kappa, t = 1.0, 0.2, 2.0, 1.5, 0.3
+    # two values per case; mu, mu + sigma and mu + 2 sigma open the higher one
+    y = np.array([0.5, 0.9, mu, 1.1, mu + sigma, 1.3, mu + 2 * sigma, 1.7])
+    case = [0, 0, 1, 1, 2, 2, 3, 3]
+    lam = np.linspace(1.05, 1.95, len(y))
+    mult = [1 + 2 * t / c, 1 + 3 * t / c + sigma, 1 + 4 * t / c + sigma,
+            1 + 5 * t / c + sigma]
+    bc = make_bc(kappa=kappa, mean=mu, std=sigma, total=c, transformed=y)
+    for mode, arg in (("power", lam**kappa), ("boxcox", y)):
+        g = filter_response(decomposition(lam), bc, t, mode)
+        expected = [math.exp(-a * mult[k]) for a, k in zip(arg, case)]
+        np.testing.assert_allclose(g, expected, rtol=1e-12, atol=0)
 
 
 def fitted_filter(seed=13, t=0.5, max_nodes=60, exponent_mode="power"):
@@ -316,14 +346,14 @@ def fitted_filter(seed=13, t=0.5, max_nodes=60, exponent_mode="power"):
 def test_response_positive_and_monotone():
     for t in (0.0, 0.5, 2.0):
         dec, bc, filt = fitted_filter(t=t)
-        assert (filt.response > 0).all()
-        assert (np.diff(filt.response) <= 1e-15).all()  # attenuation grows with freq
+        assert (filt > 0).all()
+        assert (np.diff(filt) <= 1e-15).all()  # attenuation grows with freq
 
 
 def test_response_decreases_with_scale():
     dec, bc, f1 = fitted_filter(t=0.5)
     _, _, f2 = fitted_filter(t=1.0)
-    assert (f2.response < f1.response).all()
+    assert (f2 < f1).all()
 
 
 def test_underflowed_response_raises():
@@ -340,7 +370,7 @@ def test_wavelet_t0_two_node_oracle():
     dec = eigensolve(lap, q=2)
     bc = boxcox_fit(dec.shifted_lambdas)
     pair = build_wavelet_pair(dec, bc, t=0.0, drop_threshold=0.0)
-    g = filter_response(dec, bc, 0.0).response
+    g = filter_response(dec, bc, 0.0)
     oracle = (dec.phi * g) @ dec.phi.T
     np.testing.assert_allclose(pair.psi.toarray(), oracle, atol=1e-12)
     assert np.array_equal(pair.psi.toarray(), pair.psi.toarray().T)

@@ -52,6 +52,11 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ConfigError):
         TrainConfig(adam_beta1=1.0)
+    with pytest.raises(ConfigError, match="batch_size must be int, got True"):
+        TrainConfig(batch_size=True)
+    with pytest.raises(ConfigError, match="eta must be float, got '0.1'"):
+        TrainConfig(eta="0.1")
+    assert TrainConfig(eta=0).eta == 0  # an int is a valid float
 
 
 # ------------------------------------------------------------------ sampling
