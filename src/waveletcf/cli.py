@@ -139,7 +139,11 @@ def _solve(cfg, train, q):
     decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
     bc = spectral.boxcox_fit(decomp.shifted_lambdas)
     # evaluate once so a non-positive response dies here, not mid-training
-    spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
+    g = spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
+    if bc.at_bound:
+        print(f"note: the power-transform fit stopped at its bound (kappa {bc.kappa:.6f}); "
+              f"filter response g in [{g.min():.3g}, {g.max():.3g}], "
+              f"{(g < 1e-6).sum()} of {len(g)} below 1e-6", file=sys.stderr)
     return decomp, bc
 
 

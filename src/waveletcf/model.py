@@ -9,6 +9,7 @@ every layer's output; a user-item score is the dot product of the
 concatenated vectors.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -22,6 +23,13 @@ from .errors import ConfigError, DataError
 from .spectral import BoxCoxResult, SpectralDecomposition, filter_response
 
 CHECKPOINT_VERSION = 2
+BLOCK = 1 << 15  # elements per pass of a blockwise elementwise loop
+
+
+def row_blocks(rows: int, row_size: int) -> List[slice]:
+    """Slices of about BLOCK elements' worth of `rows` rows of `row_size`."""
+    step = max(1, BLOCK // max(1, row_size))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -29,12 +37,17 @@ def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
 
     With e = exp(-|x|) <= 1 nothing overflows; max(e, x >= 0) / (1 + e) is
     1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with no branch and
-    at a fraction of the cost of picking the numerator with np.where."""
-    pos = x >= 0
-    e = np.abs(x)
-    np.exp(np.negative(e, out=e), out=e)
-    out = np.add(e, 1.0, out=out)
-    return np.divide(np.maximum(e, pos, out=e), out, out=out)
+    at a fraction of the cost of picking the numerator with np.where. Its
+    scratch stays in cache: it runs over `row_blocks`."""
+    out = np.empty(np.shape(x)) if out is None else out
+    for rows in row_blocks(len(x), math.prod(np.shape(x)[1:])):
+        xs, o = x[rows], out[rows]
+        pos = xs >= 0
+        e = np.abs(xs)
+        np.exp(np.negative(e, out=e), out=e)
+        np.add(e, 1.0, out=o)
+        np.divide(np.maximum(e, pos, out=e), o, out=o)
+    return out
 
 
 @dataclass
@@ -129,13 +142,26 @@ class LayerCache:
 
 @dataclass
 class ForwardTrace:
-    """Layer activations plus the concatenated final embeddings."""
+    """Layer activations, layer-major: zs[l] is layer l's N x P block
+    (zs[0] = initial embeddings, users in the first M rows). A row's final
+    embedding concatenates its rows of every layer, in layer order."""
 
-    zs: List[np.ndarray]  # L+1 blocks of N x P (zs[0] = initial embeddings)
+    zs: np.ndarray  # (L+1) x N x P
     caches: List[LayerCache]
-    concat_users: np.ndarray  # M x (L+1)P
-    concat_items: np.ndarray  # K x (L+1)P
-    num_users: int  # M: users occupy the first M rows of each block
+    num_users: int  # M
+    grad: np.ndarray  # N x P scratch of `train.backward`, filled only there
+
+    def concat(self, rows) -> np.ndarray:
+        """Concatenated embeddings of stacked row `rows` ((L+1)P) or of an
+        index array (len x (L+1)P): row n of layer l is zs row l N + n."""
+        layers, n, p = self.zs.shape
+        at = (np.asarray(rows)[..., None] + n * np.arange(layers)).ravel()
+        return self.zs.reshape(-1, p)[at].reshape(*np.shape(rows), -1)
+
+    @functools.cached_property
+    def concat_items(self) -> np.ndarray:
+        """Every item's concatenated embedding, built once per forward."""
+        return self.concat(np.arange(self.num_users, self.zs.shape[1]))
 
 
 def propagate_layer(
@@ -155,30 +181,30 @@ def propagate_layer(
         )
     h = oper.gate(params.theta[layer])
     coeff = oper.phi.T @ z
-    pre = oper.phi @ (((oper.lam * h)[:, None] * coeff) @ w)
-    return sigmoid(pre, out=out), LayerCache(h=h, coeff=coeff)
+    pre = np.matmul(oper.phi, ((oper.lam * h)[:, None] * coeff) @ w, out=out)
+    return sigmoid(pre, out=pre), LayerCache(h=h, coeff=coeff)
 
 
 def forward(
-    params: ModelParams, oper: PropagationOperator, config: ModelConfig
+    params: ModelParams, oper: PropagationOperator, config: ModelConfig, out=None
 ) -> ForwardTrace:
-    """Run all layers from the initial embeddings, each layer writing its
-    output into its own column block of one N x (L+1)P array."""
+    """Run all layers from the initial embeddings into one (L+1) x N x P
+    array; `out`, a trace of the same model, is overwritten when given."""
     m, p = params.x0.shape
-    concat = np.empty((m + len(params.y0), (config.layers + 1) * p))
-    zs = [concat[:, i * p: (i + 1) * p] for i in range(config.layers + 1)]
-    np.concatenate([params.x0, params.y0], out=zs[0])
-    caches = [
-        propagate_layer(zs[i], i, params, oper, out=zs[i + 1])[1]
-        for i in range(config.layers)
-    ]
-    return ForwardTrace(zs, caches, concat[:m], concat[m:], num_users=m)
+    if out is None:
+        zs = np.empty((config.layers + 1, m + len(params.y0), p))
+        out = ForwardTrace(zs, [None] * config.layers, m, np.empty(zs.shape[1:]))
+    vars(out).pop("concat_items", None)
+    np.concatenate([params.x0, params.y0], out=out.zs[0])
+    for i in range(config.layers):
+        out.caches[i] = propagate_layer(out.zs[i], i, params, oper, out=out.zs[i + 1])[1]
+    return out
 
 
 def score_user(trace: ForwardTrace, user) -> np.ndarray:
     """Item scores of one user index (K,) or of an index array (B, K);
     never builds the full score matrix."""
-    return trace.concat_users[user] @ trace.concat_items.T
+    return trace.concat(user) @ trace.concat_items.T
 
 
 def save_checkpoint(

@@ -52,7 +52,8 @@ class BoxCoxResult:
     `transformed` holds (lam^kappa - 1)/kappa (log at kappa = 0) for each
     shifted eigenvalue; `std` uses divisor Q-1; `total` is the sum c used in
     the transfer function's scale normalization. `degenerate` flags an
-    all-equal input sample, where kappa is defined as 1.
+    all-equal input sample, where kappa is defined as 1. `at_bound` flags a
+    kappa within `tol` of a search bound (not stored in the spectral cache).
     """
 
     kappa: float
@@ -61,6 +62,7 @@ class BoxCoxResult:
     std: float
     total: float
     degenerate: bool = False
+    at_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,8 @@ def boxcox_fit(
     if (values <= 0).any():
         raise NumericalError("power-transform fit requires positive inputs")
 
+    lo, hi = bounds
+
     def finish(kappa, degenerate=False):
         y = boxcox_transform(values, kappa)
         return BoxCoxResult(
@@ -200,13 +204,13 @@ def boxcox_fit(
             std=0.0 if degenerate else float(y.std(ddof=1)),
             total=float(y.sum()),
             degenerate=degenerate,
+            at_bound=not degenerate and min(kappa - lo, hi - kappa) <= tol,
         )
 
     if np.all(values == values[0]):
         return finish(1.0, degenerate=True)
 
     logs = np.log(values)
-    lo, hi = bounds
     grid = np.linspace(lo, hi, 1001)
     lls = np.array([_boxcox_loglik(values, logs, k) for k in grid])
     best = int(np.argmax(lls))

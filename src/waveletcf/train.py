@@ -10,7 +10,7 @@ coefficients and touches N rows only to project in and out.
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from .model import (
     PropagationOperator,
     forward,
     init_params,
+    row_blocks,
     score_user,
     sigmoid,
 )
@@ -81,29 +82,42 @@ def sample_triples(
     return out
 
 
-def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
-    cu, ci = trace.concat_users, trace.concat_items
-    return np.sum(cu[batch[:, 0]] * (ci[batch[:, 1]] - ci[batch[:, 2]]), axis=1)
+class BatchRows:
+    """A batch's distinct users and items, found once per step for the loss
+    and the gradients, and the triples' margins cu[u] . (ci[i] - ci[j]) on
+    the concatenated embeddings, each summed along its row."""
+
+    def __init__(self, trace: ForwardTrace, batch: np.ndarray):
+        if len(batch) == 0:
+            raise DataError("batch must be non-empty")
+        self.users, self.u_at = np.unique(batch[:, 0], return_inverse=True)
+        # i_at places the positives, then the negatives, among the items
+        self.items, self.i_at = np.unique(batch[:, 1:].T.ravel(), return_inverse=True)
+        self.pos = np.unique(self.i_at[: len(batch)])
+        at = batch + [0, trace.num_users, trace.num_users]  # stacked rows
+        self.margins = np.empty(len(batch))
+        for part in row_blocks(len(batch), trace.zs.shape[0] * trace.zs.shape[2]):
+            prod = trace.concat(at[part, 1])
+            prod -= trace.concat(at[part, 2])
+            prod *= trace.concat(at[part, 0])
+            np.sum(prod, axis=1, out=self.margins[part])
 
 
-def bpr_loss(trace: ForwardTrace, batch: np.ndarray, eta: float, margins=None) -> float:
+def bpr_loss(trace: ForwardTrace, batch: np.ndarray, eta: float, rows=None) -> float:
     """Pairwise ranking loss with batch-restricted L2 regularization.
 
     Sum of softplus(-margin) over triples plus (eta/2) times the squared
     norms of the distinct batch users' and distinct positive items'
-    concatenated embeddings. Overflow-safe via logaddexp. `margins` are
-    the batch's score margins when already computed.
+    concatenated embeddings. Overflow-safe via logaddexp. `rows` is the
+    batch's `BatchRows` when already built.
     """
-    if len(batch) == 0:
-        raise DataError("batch must be non-empty")
-    z = _margins(trace, batch) if margins is None else margins
-    loss = float(np.logaddexp(0.0, -z).sum())
+    rows = BatchRows(trace, batch) if rows is None else rows
+    loss = float(np.logaddexp(0.0, -rows.margins).sum())
     if eta != 0.0:
-        users = np.unique(batch[:, 0])
-        items = np.unique(batch[:, 1])
+        cu = trace.concat(rows.users)
+        ci = trace.concat(trace.num_users + rows.items[rows.pos])
         loss += 0.5 * eta * float(
-            np.sum(trace.concat_users[users] ** 2)
-            + np.sum(trace.concat_items[items] ** 2)
+            np.sum(np.square(cu, out=cu)) + np.sum(np.square(ci, out=ci))
         )
     return loss
 
@@ -114,7 +128,7 @@ def backward(
     params: ModelParams,
     oper: PropagationOperator,
     eta: float,
-    margins=None,
+    rows=None,
 ) -> ModelParams:
     """Reverse-mode gradients of the batch loss for every parameter.
 
@@ -122,52 +136,48 @@ def backward(
     activation, the mixing weights, the (self-adjoint) spectral operator,
     and the per-frequency gates. With e = Phi^T d_pre, a layer's weight
     gradient is (d * c)^T e and its input gradient Phi (d * (e W^T)).
-    `margins` as in `bpr_loss`.
+    `rows` as in `bpr_loss`. The x0 and y0 gradients are views of
+    `trace.grad`, which the next call on the same trace overwrites.
     """
-    if len(batch) == 0:
-        raise DataError("batch must be non-empty")
-    z = _margins(trace, batch) if margins is None else margins
-    dz = -sigmoid(-z)
+    rows = BatchRows(trace, batch) if rows is None else rows
+    dz = -sigmoid(-rows.margins)
 
     # The loss reads the concatenation only on the batch's distinct users
     # and items. S[u, i] sums dz over the triples (u, i, .) and -dz over
-    # (u, ., i), so the gradient there is S ci on users and S^T cu on items.
-    # i_at places the positives, then the negatives, among the items.
-    users, u_at = np.unique(batch[:, 0], return_inverse=True)
-    items, i_at = np.unique(batch[:, 1:].T.ravel(), return_inverse=True)
-    s = sp.csr_matrix((np.concatenate([dz, -dz]), (np.tile(u_at, 2), i_at)),
-                      shape=(len(users), len(items)))
-    cu = trace.concat_users[users]
-    ci = trace.concat_items[items]
-    d_rows = np.vstack([s @ ci, s.T @ cu])
-    if eta != 0.0:
-        d_rows[: len(users)] += eta * cu
-        pos = np.unique(i_at[: len(batch)])
-        d_rows[len(users) + pos] += eta * ci[pos]
-    # users at rows u, items at rows m + i, as in the stacked block
-    m = trace.num_users
-    rows = np.concatenate([users, m + items])
-
-    width = params.x0.shape[1]
+    # (u, ., i), so the gradient there is S ci on users and S^T cu on
+    # items, taken one layer's columns at a time.
+    s = sp.csr_matrix((np.concatenate([dz, -dz]), (np.tile(rows.u_at, 2), rows.i_at)),
+                      shape=(len(rows.users), len(rows.items)))
+    item_rows = trace.num_users + rows.items
     layers = len(params.w)
     grad_w = [None] * layers
     grad_theta = [None] * layers
-    d_next = np.zeros((m + len(trace.concat_items), width))
-    d_next[rows] = d_rows[:, layers * width:]
-    for layer in range(layers - 1, -1, -1):
-        h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
-        act = trace.zs[layer + 1]
-        d_next *= act
-        d_next *= 1.0 - act
-        e = oper.phi.T @ d_next
-        d = (oper.lam * h)[:, None]
-        grad_w[layer] = (d * coeff).T @ e
-        d_scaled = e @ params.w[layer].T  # gradient of d * coeff
-        d_f = np.sum(d_scaled * coeff, axis=1)
-        grad_theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
-        d_next = oper.phi @ (d * d_scaled)
-        d_next[rows] += d_rows[:, layer * width: (layer + 1) * width]
+    d_next = trace.grad
+    d_next.fill(0.0)
+    for layer in range(layers, -1, -1):
+        if layer < layers:
+            h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
+            act = trace.zs[layer + 1]
+            for part in row_blocks(*d_next.shape):
+                d_next[part] *= act[part]
+                d_next[part] *= 1.0 - act[part]
+            e = oper.phi.T @ d_next
+            d = (oper.lam * h)[:, None]
+            grad_w[layer] = (d * coeff).T @ e
+            d_scaled = e @ params.w[layer].T  # gradient of d * coeff
+            d_f = np.sum(d_scaled * coeff, axis=1)
+            grad_theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
+            np.matmul(oper.phi, d * d_scaled, out=d_next)
+        # the loss's gradient on the batch rows of this layer's columns
+        cu, ci = trace.zs[layer][rows.users], trace.zs[layer][item_rows]
+        d_users, d_items = s @ ci, s.T @ cu
+        if eta != 0.0:
+            d_users += eta * cu
+            d_items[rows.pos] += eta * ci[rows.pos]
+        for at, grad in ((rows.users, d_users), (item_rows, d_items)):
+            d_next[at] = grad if layer == layers else d_next[at] + grad
 
+    m = trace.num_users
     grads = ModelParams(x0=d_next[:m], y0=d_next[m:], w=grad_w, theta=grad_theta)
     for name, g in grads.tensors():
         if not np.isfinite(g).all():
@@ -177,11 +187,13 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators plus the step counter, and the
+    update's scratch pair, which is never saved."""
 
     step: int
     m: dict
     v: dict
+    scratch: np.ndarray = field(default=None, repr=False)
 
     @classmethod
     def init(cls, params: ModelParams) -> "AdamState":
@@ -195,21 +207,27 @@ class AdamState:
 def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
 ):
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place, through a scratch
+    pair sized to the largest tensor."""
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
+    if state.scratch is None:
+        state.scratch = np.empty((2, max(t.size for _, t in params.tensors())))
     grad_map = dict(grads.tensors())
     for name, tensor in params.tensors():
         g = grad_map[name]
         m = state.m[name]
         v = state.v[name]
+        s, t = (a[: g.size].reshape(g.shape) for a in state.scratch)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=s)
         v *= b2
-        v += (1 - b2) * g * g
-        tensor -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
+        np.multiply(np.divide(m, c1, out=s), config.learning_rate, out=s)
+        np.sqrt(np.divide(v, c2, out=t), out=t)
+        tensor -= np.divide(s, np.add(t, config.adam_eps, out=t), out=s)
     return params, state
 
 
@@ -328,6 +346,7 @@ def fit(
     count = inner_train.num_pairs
     stopped_early = False
     epoch = start_epoch
+    trace = None  # every step overwrites the same buffers
     while epoch < train_config.max_epochs:
         epoch += 1
         t0 = time.perf_counter()
@@ -335,14 +354,14 @@ def fit(
         total = 0.0
         for lo in range(0, count, train_config.batch_size):
             batch = triples[lo: lo + train_config.batch_size]
-            trace = forward(params, oper, model_config)
-            z = _margins(trace, batch)
-            total += bpr_loss(trace, batch, train_config.eta, z)
-            grads = backward(trace, batch, params, oper, train_config.eta, z)
+            trace = forward(params, oper, model_config, out=trace)
+            rows = BatchRows(trace, batch)
+            total += bpr_loss(trace, batch, train_config.eta, rows)
+            grads = backward(trace, batch, params, oper, train_config.eta, rows)
             adam_step(params, grads, adam, train_config)
         loss = total / count
 
-        trace = forward(params, oper, model_config)
+        trace = forward(params, oper, model_config, out=trace)
         report = evaluate(
             lambda u: score_user(trace, u), inner_train, val, k_values=(20,)
         )

@@ -1,7 +1,10 @@
 """Shared test fixtures: random connected bipartite graphs, a planted
 two-block dataset, and dense or analytic oracles."""
 
+import types
+
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from waveletcf.errors import ConfigError, DataError
@@ -190,9 +193,23 @@ def expected_uniform_recall(
     return float(np.mean(vals))
 
 
+def make_trace(cu, ci):
+    """A depth-0 trace whose concatenated user and item embeddings are
+    `cu` and `ci`."""
+    cu = np.asarray(cu, dtype=np.float64)
+    ci = np.asarray(ci, dtype=np.float64)
+    zs = np.vstack([cu, ci])[None]
+    return ForwardTrace(zs=zs, caches=[], num_users=len(cu), grad=np.empty(zs.shape[1:]))
+
+
+def concat_users(trace: ForwardTrace):
+    """Every user's concatenated embedding, M x (L+1)P."""
+    return trace.concat(np.arange(trace.num_users))
+
+
 def score_pairs(trace: ForwardTrace, users: np.ndarray, items: np.ndarray):
     """Scores for aligned (user, item) index arrays."""
-    return np.sum(trace.concat_users[users] * trace.concat_items[items], axis=1)
+    return np.sum(concat_users(trace)[users] * trace.concat_items[items], axis=1)
 
 
 def masked_sigmoid(x):
@@ -210,8 +227,8 @@ def reference_backward(trace, batch, params, oper, eta):
     """Gradient oracle: the batch loss gradient scattered triple by triple
     with `np.add.at` into an N x (L+1)P zero buffer, then pushed down
     through every layer on all N rows."""
-    m = len(trace.concat_users)
-    cu = trace.concat_users
+    m = trace.num_users
+    cu = concat_users(trace)
     ci = trace.concat_items
     us, iis, js = batch[:, 0], batch[:, 1], batch[:, 2]
     margins = np.sum(cu[us] * (ci[iis] - ci[js]), axis=1)
@@ -244,3 +261,91 @@ def reference_backward(trace, batch, params, oper, eta):
         d_z = oper.phi @ (d * d_scaled)
         d_next = d_concat[:, layer * width: (layer + 1) * width] + d_z
     return ModelParams(x0=d_next[:m], y0=d_next[m:], w=grad_w, theta=grad_theta)
+
+
+def reference_step(params, oper, layers, batch, adam, config):
+    """Training-step oracle, as the step ran before it reused one
+    workspace: `forward` into column blocks of one N x (L+1)P array, three
+    fresh B x (L+1)P gathers for the margins, `bpr_loss`, `backward` with
+    fresh N x P temporaries, and Adam with fresh temporaries. Updates
+    `params` and `adam` in place; returns the batch loss."""
+
+    def sigmoid1(x, out=None):
+        pos = x >= 0
+        e = np.abs(x)
+        np.exp(np.negative(e, out=e), out=e)
+        out = np.add(e, 1.0, out=out)
+        return np.divide(np.maximum(e, pos, out=e), out, out=out)
+
+    # forward
+    m, p = params.x0.shape
+    concat = np.empty((m + len(params.y0), (layers + 1) * p))
+    zs = [concat[:, i * p: (i + 1) * p] for i in range(layers + 1)]
+    np.concatenate([params.x0, params.y0], out=zs[0])
+    caches = []
+    for i in range(layers):
+        h = sigmoid1(oper.g * params.theta[i])
+        coeff = oper.phi.T @ zs[i]
+        pre = oper.phi @ (((oper.lam * h)[:, None] * coeff) @ params.w[i])
+        sigmoid1(pre, out=zs[i + 1])
+        caches.append(types.SimpleNamespace(h=h, coeff=coeff))
+    cu_all, ci_all = concat[:m], concat[m:]
+
+    # margins and loss
+    z = np.sum(cu_all[batch[:, 0]] * (ci_all[batch[:, 1]] - ci_all[batch[:, 2]]), axis=1)
+    loss = float(np.logaddexp(0.0, -z).sum())
+    if config.eta != 0.0:
+        loss += 0.5 * config.eta * float(
+            np.sum(cu_all[np.unique(batch[:, 0])] ** 2)
+            + np.sum(ci_all[np.unique(batch[:, 1])] ** 2)
+        )
+
+    # backward
+    eta = config.eta
+    dz = -sigmoid1(-z)
+    users, u_at = np.unique(batch[:, 0], return_inverse=True)
+    items, i_at = np.unique(batch[:, 1:].T.ravel(), return_inverse=True)
+    s = sp.csr_matrix((np.concatenate([dz, -dz]), (np.tile(u_at, 2), i_at)),
+                      shape=(len(users), len(items)))
+    cu = cu_all[users]
+    ci = ci_all[items]
+    d_rows = np.vstack([s @ ci, s.T @ cu])
+    if eta != 0.0:
+        d_rows[: len(users)] += eta * cu
+        pos = np.unique(i_at[: len(batch)])
+        d_rows[len(users) + pos] += eta * ci[pos]
+    rows = np.concatenate([users, m + items])
+    grad_w = [None] * layers
+    grad_theta = [None] * layers
+    d_next = np.zeros((len(concat), p))
+    d_next[rows] = d_rows[:, layers * p:]
+    for layer in range(layers - 1, -1, -1):
+        h, coeff = caches[layer].h, caches[layer].coeff
+        act = zs[layer + 1]
+        d_next *= act
+        d_next *= 1.0 - act
+        e = oper.phi.T @ d_next
+        d = (oper.lam * h)[:, None]
+        grad_w[layer] = (d * coeff).T @ e
+        d_scaled = e @ params.w[layer].T
+        d_f = np.sum(d_scaled * coeff, axis=1)
+        grad_theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
+        d_next = oper.phi @ (d * d_scaled)
+        d_next[rows] += d_rows[:, layer * p: (layer + 1) * p]
+    grads = ModelParams(x0=d_next[:m], y0=d_next[m:], w=grad_w, theta=grad_theta)
+
+    # Adam
+    adam.step += 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    c1 = 1.0 - b1**adam.step
+    c2 = 1.0 - b2**adam.step
+    grad_map = dict(grads.tensors())
+    for name, tensor in params.tensors():
+        g = grad_map[name]
+        mom, var = adam.m[name], adam.v[name]
+        mom *= b1
+        mom += (1 - b1) * g
+        var *= b2
+        var += (1 - b2) * g * g
+        tensor -= config.learning_rate * (mom / c1) / (np.sqrt(var / c2) + config.adam_eps)
+    return loss

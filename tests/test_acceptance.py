@@ -22,6 +22,7 @@ from helpers import (
     expected_uniform_recall,
     interaction_set_from_pairs,
     laplacian_for,
+    make_trace,
     random_bipartite,
     synthetic_two_block,
 )
@@ -240,15 +241,7 @@ def test_gradients_match_finite_differences():
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(5, 4))
     params = ModelParams(x0=x.copy(), y0=y.copy(), w=[], theta=[])
-    from waveletcf.model import ForwardTrace
-
-    trace = ForwardTrace(
-        zs=[np.vstack([x, y])],
-        caches=[],
-        concat_users=x,
-        concat_items=y,
-        num_users=3,
-    )
+    trace = make_trace(x, y)
     toy = interaction_set_from_pairs(1, 1, [(0, 0)])
     toy_dec = eigensolve(laplacian_for(toy), q=2)
     toy_oper = PropagationOperator(toy_dec, boxcox_fit(toy_dec.shifted_lambdas), t=0.0)

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,42 @@ def test_spectral_toy_full_band(tmp_path, capsys):
     assert "lambda range [0.000000, 2.000000]" in captured
 
 
+def test_spectral_notes_a_fit_stopped_at_its_bound(pipeline, tmp_path, capsys):
+    # the planted two-block graph's likelihood still rises at kappa = 5
+    root, cfg = pipeline
+    out = tmp_path / "spec.bundle"
+    assert main(["spectral", "--config", cfg, "--set", f"spectral_cache={out}"]) == 0
+    captured = capsys.readouterr()
+    notes = [line for line in captured.err.splitlines() if line.startswith("note: ")]
+    assert len(notes) == 1
+    assert "stopped at its bound (kappa 5.000000)" in notes[0]
+    assert "filter response g in [" in notes[0] and "of 64 below 1e-6" in notes[0]
+    # stdout and the cache bytes are those of the fixture's run
+    assert "note:" not in captured.out and "kappa 5.000000" in captured.out
+    assert out.read_bytes() == (root / "spec.bundle").read_bytes()
+
+
+def test_spectral_fit_inside_its_range_adds_no_note(tmp_path, capsys):
+    # spectrum {0, 1, 2}: the likelihood peaks at kappa ~0.58
+    raw = tmp_path / "toy.tsv"
+    raw.write_text("alice\tleft\nalice\tright\n")
+    cfg = tmp_path / "toy.cfg"
+    write_config(
+        cfg,
+        input=raw,
+        dataset=tmp_path / "toy.ds",
+        spectral_cache=tmp_path / "toy.spec",
+        min_user_interactions=1,
+        min_item_interactions=1,
+        train_fraction=0.9,
+    )
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert main(["spectral", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "kappa 0.577" in captured.out
+    assert "note:" not in captured.err
+
+
 def test_q_clamped_with_warning(pipeline, tmp_path, capsys):
     root, cfg = pipeline
     code = main(
@@ -307,6 +345,39 @@ def test_train_resume_round_trip(pipeline, tmp_path, capsys):
     _, fresh_params, _ = model.load_checkpoint(fresh)
     for (_, a), (_, b) in zip(resumed_params.tensors(), fresh_params.tensors()):
         assert np.array_equal(a, b)
+
+
+def test_resume_after_sigkill_matches_an_uninterrupted_run(pipeline, tmp_path):
+    # a real crash: the train process is killed mid-run, without warning,
+    # once its first epoch's state exists; the resumed run must end on
+    # the uninterrupted run's bytes and leave no temporary file behind
+    _, cfg = pipeline
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def train(name, *extra):
+        return [sys.executable, "-m", "waveletcf", "train", "--config", cfg,
+                "--set", "max_epochs=300", "--set", "patience=1000",
+                "--set", f"checkpoint={tmp_path / name}.ckpt",
+                "--set", f"train_state={tmp_path / name}.state", *extra]
+
+    proc = subprocess.Popen(train("killed"), env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    state = tmp_path / "killed.state"
+    deadline = time.monotonic() + 60
+    while not state.exists() and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    proc.send_signal(signal.SIGKILL)
+    assert proc.wait() == -signal.SIGKILL, "training ended before the kill"
+    assert not (tmp_path / "killed.ckpt").exists()
+
+    for command in (train("killed", "--resume"), train("whole")):
+        done = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    for suffix in (".ckpt", ".state"):
+        killed = (tmp_path / f"killed{suffix}").read_bytes()
+        assert killed == (tmp_path / f"whole{suffix}").read_bytes(), suffix
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_resume_without_state_key(pipeline, tmp_path, capsys):

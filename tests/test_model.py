@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    concat_users,
     interaction_set_from_pairs,
     laplacian_for,
+    make_trace,
     masked_sigmoid,
     random_bipartite,
     score_pairs,
@@ -18,7 +20,6 @@ from helpers import (
 from waveletcf.bundles import load_bundle
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.model import (
-    ForwardTrace,
     ModelConfig,
     ModelParams,
     PropagationOperator,
@@ -179,7 +180,7 @@ def test_forward_matches_wavelet_pair_oracle(max_nodes, q):
         th += rng.normal(0, 0.5, th.shape)
     trace = forward(params, PropagationOperator(dec, bc, t=0.5), cfg)
     users, items = wavelet_pair_forward(params, dec, bc, 0.5, cfg.layers)
-    assert np.abs(trace.concat_users - users).max() <= 1e-8
+    assert np.abs(concat_users(trace) - users).max() <= 1e-8
     assert np.abs(trace.concat_items - items).max() <= 1e-8
 
 
@@ -189,12 +190,12 @@ def test_forward_concatenation_shapes():
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     oper = PropagationOperator(dec, bc, t=0.3)
     trace = forward(params, oper, cfg)
-    assert trace.concat_users.shape == (data.num_users, 16)
+    assert concat_users(trace).shape == (data.num_users, 16)
     assert trace.concat_items.shape == (data.num_items, 16)
-    assert np.isfinite(trace.concat_users).all()
+    assert np.isfinite(concat_users(trace)).all()
     assert np.isfinite(trace.concat_items).all()
     # layer 0 slice of the concatenation is the raw embedding block
-    np.testing.assert_array_equal(trace.concat_users[:, :4], params.x0)
+    np.testing.assert_array_equal(concat_users(trace)[:, :4], params.x0)
     np.testing.assert_array_equal(trace.concat_items[:, :4], params.y0)
 
 
@@ -205,18 +206,24 @@ def test_forward_deterministic():
     oper = PropagationOperator(dec, bc, t=0.4)
     t1 = forward(params, oper, cfg)
     t2 = forward(params, oper, cfg)
-    assert np.array_equal(t1.concat_users, t2.concat_users)
+    assert np.array_equal(concat_users(t1), concat_users(t2))
     assert np.array_equal(t1.concat_items, t2.concat_items)
 
 
-def make_trace(cu, ci):
-    return ForwardTrace(
-        zs=[],
-        caches=[],
-        concat_users=np.asarray(cu, dtype=np.float64),
-        concat_items=np.asarray(ci, dtype=np.float64),
-        num_users=len(cu),
-    )
+def test_forward_into_a_trace_overwrites_it():
+    data, lap, dec, bc = spectral_setup(seed=15, max_nodes=40)
+    cfg = ModelConfig(layers=2, width=3, seed=8)
+    params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
+    oper = PropagationOperator(dec, bc, t=0.4)
+    trace = forward(params, oper, cfg)
+    stale = trace.concat_items
+    params.y0 += 0.5
+    assert forward(params, oper, cfg, out=trace) is trace
+    fresh = forward(params, oper, cfg)
+    assert np.array_equal(trace.zs, fresh.zs)
+    # the cached item concatenation is rebuilt, not served stale
+    assert np.array_equal(trace.concat_items, fresh.concat_items)
+    assert not np.array_equal(trace.concat_items, stale)
 
 
 def test_score_zero_item():

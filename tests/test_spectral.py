@@ -219,6 +219,14 @@ def test_fit_degenerate_all_equal():
     assert fit.degenerate
 
 
+def test_fit_flags_a_kappa_on_its_bound():
+    # left-skewed values: the likelihood rises over the whole range
+    rising = boxcox_fit(np.array([1.0, 1.9, 1.95, 1.97, 1.99, 2.0]))
+    assert rising.at_bound and 5.0 - rising.kappa <= 1e-6
+    assert not boxcox_fit(np.array([1.0, 2.0, 3.0])).at_bound
+    assert not boxcox_fit(np.full(6, 1.7)).at_bound
+
+
 def test_transform_monotone_for_fitted_kappa():
     lams = np.sort(1 + np.random.default_rng(3).uniform(0, 2, 30))
     fit = boxcox_fit(lams)

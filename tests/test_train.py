@@ -1,6 +1,7 @@
 """Tests for triple sampling, loss, gradients, Adam, and the fit loop."""
 
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    concat_users,
     interaction_set_from_pairs,
     laplacian_for,
+    make_trace,
     random_bipartite,
     reference_backward,
+    reference_step,
     synthetic_two_block,
 )
 
@@ -20,7 +24,6 @@ from waveletcf.errors import ConfigError, DataError, NumericalError
 from waveletcf.evaluate import evaluate, popularity_scores
 from waveletcf.ingest import SplitSpec, split
 from waveletcf.model import (
-    ForwardTrace,
     ModelConfig,
     ModelParams,
     PropagationOperator,
@@ -114,18 +117,6 @@ def test_all_users_exhausted_errors():
 # ---------------------------------------------------------------------- loss
 
 
-def make_trace(cu, ci):
-    cu = np.asarray(cu, dtype=np.float64)
-    ci = np.asarray(ci, dtype=np.float64)
-    return ForwardTrace(
-        zs=[np.vstack([cu, ci])],
-        caches=[],
-        concat_users=cu,
-        concat_items=ci,
-        num_users=len(cu),
-    )
-
-
 def test_loss_equal_scores_is_ln2():
     trace = make_trace([[1.0, 0.0]], [[0.3, 0.4], [0.3, 0.4]])
     batch = np.array([[0, 0, 1]])
@@ -147,10 +138,10 @@ def test_loss_matches_brute_force():
     eta = 0.37
     expected = 0.0
     for u, i, j in batch:
-        z = float(trace.concat_users[u] @ (trace.concat_items[i] - trace.concat_items[j]))
+        z = float(concat_users(trace)[u] @ (trace.concat_items[i] - trace.concat_items[j]))
         expected += -math.log(1.0 / (1.0 + math.exp(-z)))
     for u in sorted(set(batch[:, 0].tolist())):
-        expected += eta / 2 * float(trace.concat_users[u] @ trace.concat_users[u])
+        expected += eta / 2 * float(concat_users(trace)[u] @ concat_users(trace)[u])
     for i in sorted(set(batch[:, 1].tolist())):
         expected += eta / 2 * float(trace.concat_items[i] @ trace.concat_items[i])
     assert bpr_loss(trace, batch, eta) == pytest.approx(expected, abs=1e-12)
@@ -537,3 +528,73 @@ def test_grid_search_small():
     assert best_fit.best_recall == best_row[2]
     with pytest.raises(ConfigError):
         grid_search(train, dec, bc, model_cfg, train_cfg, [], [1.0])
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37])
+def test_steps_match_reference_step_bitwise(eta):
+    # two epochs of the training loop's steps against the step as it ran
+    # before the reused workspace: every loss, parameter and Adam moment
+    # must agree to the bit
+    data, train, test, dec, bc = small_problem(seed=21)
+    model_cfg = ModelConfig(layers=3, width=8, t=0.5, seed=22)
+    train_cfg = TrainConfig(batch_size=100, learning_rate=0.05, eta=eta)
+    oper = PropagationOperator(dec, bc, t=model_cfg.t)
+    params = init_params(model_cfg, train.num_users, train.num_items, dec.q)
+    ref_params = params.copy()
+    adam, ref_adam = AdamState.init(params), AdamState.init(ref_params)
+    rng = np.random.default_rng(23)
+    trace, batches = None, []
+    for _ in range(2):
+        triples = sample_triples(train, train.num_pairs, rng)
+        for lo in range(0, len(triples), train_cfg.batch_size):
+            batch = triples[lo: lo + train_cfg.batch_size]
+            trace = forward(params, oper, model_cfg, out=trace)
+            rows = train_mod.BatchRows(trace, batch)
+            loss = bpr_loss(trace, batch, eta, rows)
+            grads = backward(trace, batch, params, oper, eta, rows)
+            adam_step(params, grads, adam, train_cfg)
+            want = reference_step(ref_params, oper, 3, batch, ref_adam, train_cfg)
+            assert loss == want
+            batches.append(batch)
+    for (name, got), (_, want) in zip(params.tensors(), ref_params.tensors()):
+        assert np.array_equal(got, want), name
+        assert np.array_equal(adam.m[name], ref_adam.m[name]), name
+        assert np.array_equal(adam.v[name], ref_adam.v[name]), name
+    assert adam.step == ref_adam.step == len(batches)
+    # the batches cover repeated users, an item that is one triple's
+    # positive and another's negative, and a short last batch
+    assert all(len(np.unique(b[:, 0])) < len(b) for b in batches)
+    assert all(np.intersect1d(b[:, 1], b[:, 2]).size for b in batches)
+    assert len(batches[-1]) < train_cfg.batch_size
+
+
+def test_warmed_step_allocates_less_than_one_layer_block():
+    # |R| << N: a 32-triple batch touches at most 96 of the 3400 rows, so a
+    # step that reuses its buffers needs far less than one N x P block
+    data = synthetic_two_block(num_users=2400, num_items=1000, per_user=10, seed=3)
+    dec = eigensolve(laplacian_for(data), q=16)
+    oper = PropagationOperator(dec, boxcox_fit(dec.shifted_lambdas), t=0.5)
+    model_cfg = ModelConfig(layers=3, width=64, t=0.5, seed=1)
+    train_cfg = TrainConfig(batch_size=32, eta=0.37)
+    params = init_params(model_cfg, data.num_users, data.num_items, dec.q)
+    adam = AdamState.init(params)
+    triples = sample_triples(data, 64, np.random.default_rng(2))
+    trace = None
+
+    def step(batch):
+        nonlocal trace
+        trace = forward(params, oper, model_cfg, out=trace)
+        rows = train_mod.BatchRows(trace, batch)
+        bpr_loss(trace, batch, train_cfg.eta, rows)
+        grads = backward(trace, batch, params, oper, train_cfg.eta, rows)
+        adam_step(params, grads, adam, train_cfg)
+
+    step(triples[:32])  # allocates the trace and Adam's scratch
+    tracemalloc.start()
+    try:
+        step(triples[32:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = dec.n * model_cfg.width * 8
+    assert peak < block, f"step peak {peak} B >= one N x P block ({block} B)"
