@@ -33,7 +33,7 @@ def write_atomic(path, chunks) -> None:
 
     They go to `path + ".tmp"`, which is synced, then renamed over `path`,
     so a crash mid-write leaves any earlier file at `path` intact and no
-    `.tmp` behind.
+    `.tmp` behind. A path that cannot be written raises DataError.
     """
     tmp = f"{path}.tmp"
     try:
@@ -43,6 +43,8 @@ def write_atomic(path, chunks) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

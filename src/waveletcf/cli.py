@@ -138,13 +138,20 @@ def _solve(cfg, train, q):
     )
     decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
     bc = spectral.boxcox_fit(decomp.shifted_lambdas)
-    # evaluate once so a non-positive response dies here, not mid-training
+    _check_filter(cfg, decomp, bc)
+    return decomp, bc
+
+
+def _check_filter(cfg, decomp, bc) -> None:
+    """Evaluate this run's filter response once, so that a non-positive one
+    dies here, not mid-training, and note a fit stopped at its bound."""
+    from . import spectral
+
     g = spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
     if bc.at_bound:
         print(f"note: the power-transform fit stopped at its bound (kappa {bc.kappa:.6f}); "
               f"filter response g in [{g.min():.3g}, {g.max():.3g}], "
               f"{(g < 1e-6).sum()} of {len(g)} below 1e-6", file=sys.stderr)
-    return decomp, bc
 
 
 def _spectral_summary(decomp, bc) -> list:
@@ -184,35 +191,26 @@ def cmd_spectral(args, cfg) -> int:
     q = _resolved_q(cfg, train)
     out = cfg.require("spectral_cache")
 
-    if os.path.exists(out):
+    if os.path.exists(out) and not args.force:
         try:
             decomp, bc, meta = spectral.load_spectral_cache(
                 out, expected_hash=train_hash
             )
-            unchanged = (
-                meta["q"] == q
-                and meta["eig_tol"] == cfg["eig_tol"]
-                and meta["eig_seed"] == cfg.eig_seed()
-            )
+            key = (decomp.q, meta["eig_tol"], meta["eig_seed"])
         except DataError as exc:
-            if not args.force:
-                raise ConfigError(
-                    f"{out} does not match this run ({exc}); pass --force "
-                    "to recompute"
-                )
-        else:
-            if unchanged:
-                # t is not part of the key: check this run's response too
-                spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
-                print(f"cache hit {out}")
-                for line in _spectral_summary(decomp, bc):
-                    print(line)
-                return 0
-            if not args.force:
-                raise ConfigError(
-                    f"{out} exists with different parameters; pass --force "
-                    "to recompute"
-                )
+            raise ConfigError(
+                f"{out} does not match this run ({exc}); pass --force to recompute"
+            ) from exc
+        if key != (q, cfg["eig_tol"], cfg.eig_seed()):
+            raise ConfigError(
+                f"{out} exists with different parameters; pass --force to recompute"
+            )
+        # t is not part of the key: check this run's response too
+        _check_filter(cfg, decomp, bc)
+        print(f"cache hit {out}")
+        for line in _spectral_summary(decomp, bc):
+            print(line)
+        return 0
 
     decomp, bc = _solve(cfg, train, q)
     spectral.save_spectral_cache(
@@ -331,9 +329,12 @@ def _load_trained(cfg):
     decomp, bc, _ = spectral.load_spectral_cache(
         cfg.require("spectral_cache"), expected_hash=train_hash
     )
-    ckpt_config, params, _ = model.load_checkpoint(
-        cfg.require("checkpoint"), expected_dataset_hash=train_hash
-    )
+    ckpt_path = cfg.require("checkpoint")
+    ckpt_config, params, _ = model.load_checkpoint(ckpt_path, train_hash)
+    for theta in params.theta:
+        if len(theta) != decomp.q:
+            raise DataError(f"{ckpt_path}: checkpoint gates have length {len(theta)}, "
+                            f"but the spectral cache holds Q={decomp.q}")
     trace = _score_trace(decomp, bc, ckpt_config, params)
     return train_set, test_set, train_hash, decomp, trace
 

@@ -155,8 +155,8 @@ class ForwardTrace:
         """Concatenated embeddings of stacked row `rows` ((L+1)P) or of an
         index array (len x (L+1)P): row n of layer l is zs row l N + n."""
         layers, n, p = self.zs.shape
-        at = (np.asarray(rows)[..., None] + n * np.arange(layers)).ravel()
-        return self.zs.reshape(-1, p)[at].reshape(*np.shape(rows), -1)
+        at = (np.asarray(rows, dtype=np.intp)[..., None] + n * np.arange(layers)).ravel()
+        return self.zs.reshape(-1, p)[at].reshape(*np.shape(rows), layers * p)
 
     @functools.cached_property
     def concat_items(self) -> np.ndarray:

@@ -15,10 +15,12 @@ import scipy.sparse as sp
 
 from . import bundles
 from .config import EXPONENT_MODES
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .graph import BipartiteLaplacian, SparseSymMatrix
 
-SPECTRAL_CACHE_VERSION = 2
+SPECTRAL_CACHE_VERSION = 3
+KAPPA_BOUNDS = (-5.0, 5.0)  # power-transform exponent search range
+KAPPA_TOL = 1e-6  # absolute tolerance of the fitted exponent
 
 
 def default_q(n: int) -> int:
@@ -29,20 +31,25 @@ def default_q(n: int) -> int:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Q smallest eigenpairs of the normalized Laplacian.
+    """Q smallest eigenpairs of the normalized Laplacian: eigenvalues
+    `lambdas` and the N x Q eigenvector block `phi`."""
 
-    `shifted_lambdas` are 1 + lambda, guaranteed positive, which the power
-    transform and the propagation rule both consume.
-    """
-
-    q: int
     lambdas: np.ndarray
-    shifted_lambdas: np.ndarray
     phi: np.ndarray
+
+    @property
+    def q(self) -> int:
+        return self.phi.shape[1]
 
     @property
     def n(self) -> int:
         return self.phi.shape[0]
+
+    @property
+    def shifted_lambdas(self) -> np.ndarray:
+        """1 + lambda, guaranteed positive, which the power transform and
+        the propagation rule both consume."""
+        return 1.0 + self.lambdas
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,8 @@ class BoxCoxResult:
     shifted eigenvalue; `std` uses divisor Q-1; `total` is the sum c used in
     the transfer function's scale normalization. `degenerate` flags an
     all-equal input sample, where kappa is defined as 1. `at_bound` flags a
-    kappa within `tol` of a search bound (not stored in the spectral cache).
+    kappa within `KAPPA_TOL` of a search bound. `boxcox_result` derives
+    every field but kappa.
     """
 
     kappa: float
@@ -152,12 +160,7 @@ def eigensolve(
     signs = np.sign(X[anchor, np.arange(q)])
     signs[signs == 0] = 1.0
     phi = X * signs
-    return SpectralDecomposition(
-        q=q,
-        lambdas=lambdas,
-        shifted_lambdas=1.0 + lambdas,
-        phi=phi,
-    )
+    return SpectralDecomposition(lambdas=lambdas, phi=phi)
 
 
 def boxcox_transform(values: np.ndarray, kappa: float) -> np.ndarray:
@@ -178,40 +181,42 @@ def _boxcox_loglik(values: np.ndarray, log_values: np.ndarray, kappa: float) -> 
     return -0.5 * len(values) * math.log(var) + (kappa - 1.0) * log_values.sum()
 
 
-def boxcox_fit(
-    shifted_lambdas: np.ndarray, tol: float = 1e-6, bounds=(-5.0, 5.0)
-) -> BoxCoxResult:
+def boxcox_result(shifted_lambdas: np.ndarray, kappa: float) -> BoxCoxResult:
+    """The power transform at exponent `kappa` and its summary statistics.
+
+    All-equal input is degenerate: its std is 0 and it is never at a bound.
+    """
+    y = boxcox_transform(shifted_lambdas, kappa)
+    degenerate = bool(np.all(shifted_lambdas == shifted_lambdas[0]))
+    lo, hi = KAPPA_BOUNDS
+    return BoxCoxResult(
+        kappa=float(kappa),
+        transformed=y,
+        mean=float(y.mean()),
+        std=0.0 if degenerate else float(y.std(ddof=1)),
+        total=float(y.sum()),
+        degenerate=degenerate,
+        at_bound=not degenerate and min(kappa - lo, hi - kappa) <= KAPPA_TOL,
+    )
+
+
+def boxcox_fit(shifted_lambdas: np.ndarray) -> BoxCoxResult:
     """Fit the power-transform exponent by maximum likelihood.
 
-    Coarse grid over `bounds` followed by golden-section refinement to
-    absolute tolerance `tol` in kappa. All-equal input is degenerate: the
-    likelihood is flat, kappa is defined as 1 and flagged.
+    Coarse grid over `KAPPA_BOUNDS` followed by golden-section refinement
+    to absolute tolerance `KAPPA_TOL` in kappa. All-equal input is
+    degenerate: the likelihood is flat, kappa is defined as 1 and flagged.
     """
     values = np.asarray(shifted_lambdas, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
         raise NumericalError("power-transform fit needs at least 2 values")
     if (values <= 0).any():
         raise NumericalError("power-transform fit requires positive inputs")
-
-    lo, hi = bounds
-
-    def finish(kappa, degenerate=False):
-        y = boxcox_transform(values, kappa)
-        return BoxCoxResult(
-            kappa=float(kappa),
-            transformed=y,
-            mean=float(y.mean()),
-            std=0.0 if degenerate else float(y.std(ddof=1)),
-            total=float(y.sum()),
-            degenerate=degenerate,
-            at_bound=not degenerate and min(kappa - lo, hi - kappa) <= tol,
-        )
-
     if np.all(values == values[0]):
-        return finish(1.0, degenerate=True)
+        return boxcox_result(values, 1.0)
 
     logs = np.log(values)
-    grid = np.linspace(lo, hi, 1001)
+    grid = np.linspace(*KAPPA_BOUNDS, 1001)
     lls = np.array([_boxcox_loglik(values, logs, k) for k in grid])
     best = int(np.argmax(lls))
     a = grid[max(0, best - 1)]
@@ -222,7 +227,7 @@ def boxcox_fit(
     d = a + inv_phi * (b - a)
     fc = _boxcox_loglik(values, logs, c)
     fd = _boxcox_loglik(values, logs, d)
-    while b - a > tol:
+    while b - a > KAPPA_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -231,7 +236,7 @@ def boxcox_fit(
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = _boxcox_loglik(values, logs, d)
-    return finish((a + b) / 2)
+    return boxcox_result(values, (a + b) / 2)
 
 
 def filter_response(
@@ -312,51 +317,36 @@ def save_spectral_cache(
     eig_tol: float,
     eig_seed: int,
 ) -> None:
-    """Persist the decomposition and fitted power transform.
-
-    The metadata records every input they depend on: the training split's
-    hash, q, and the eigensolver's tolerance and seed.
-    """
+    """Persist the eigenpairs and the fitted exponent, keyed on every input
+    they depend on: the training split's hash and the eigensolver's
+    tolerance and seed (q is phi's width)."""
     meta = {
         "dataset_hash": dataset_hash,
-        "q": int(decomp.q),
         "eig_tol": float(eig_tol),
         "eig_seed": int(eig_seed),
         "kappa": bc.kappa,
-        "mean": bc.mean,
-        "std": bc.std,
-        "total": bc.total,
-        "degenerate": bc.degenerate,
     }
-    arrays = {
-        "lambdas": decomp.lambdas,
-        "phi": decomp.phi,
-        "transformed": bc.transformed,
-    }
+    arrays = {"lambdas": decomp.lambdas, "phi": decomp.phi}
     bundles.save_artifact(path, "spectral-cache", SPECTRAL_CACHE_VERSION, meta, arrays)
 
 
 def load_spectral_cache(path, expected_hash: str = None):
-    """Load a spectral cache; refuses a mismatched dataset hash.
+    """Load a spectral cache; refuses a mismatched dataset hash and stored
+    values that no solve and fit could have produced. The power transform
+    and its statistics are derived from the stored kappa.
 
     Returns (decomp, bc, meta).
     """
     meta, arrays = bundles.load_artifact(
         path, "spectral-cache", SPECTRAL_CACHE_VERSION, expected_hash
     )
-    lambdas = arrays["lambdas"]
-    decomp = SpectralDecomposition(
-        q=meta["q"],
-        lambdas=lambdas,
-        shifted_lambdas=1.0 + lambdas,
-        phi=arrays["phi"],
-    )
-    bc = BoxCoxResult(
-        kappa=meta["kappa"],
-        transformed=arrays["transformed"],
-        mean=meta["mean"],
-        std=meta["std"],
-        total=meta["total"],
-        degenerate=meta["degenerate"],
-    )
-    return decomp, bc, meta
+    lambdas, phi, kappa = arrays["lambdas"], arrays["phi"], meta["kappa"]
+    if phi.ndim != 2 or phi.shape[1] < 2:
+        raise DataError(f"{path}: 'phi' must be 2-D with >= 2 columns, got {phi.shape}")
+    if lambdas.shape != (phi.shape[1],) or not ((lambdas >= 0) & (lambdas <= 2)).all():
+        raise DataError(f"{path}: 'lambdas' must hold {phi.shape[1]} values in [0, 2]")
+    lo, hi = KAPPA_BOUNDS
+    if type(kappa) not in (int, float) or not lo <= kappa <= hi:  # no bool
+        raise DataError(f"{path}: 'kappa' must be a real in [{lo}, {hi}], got {kappa!r}")
+    decomp = SpectralDecomposition(lambdas=lambdas, phi=phi)
+    return decomp, boxcox_result(decomp.shifted_lambdas, kappa), meta

@@ -88,7 +88,7 @@ def test_save_is_atomic(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.lib.format, "write_array", write_array)
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match="cannot write .*simulated crash"):
         save_bundle(p, {"kind": "y"}, arrays())
     assert p.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["x.bundle"]

@@ -205,6 +205,11 @@ def test_spectral_notes_a_fit_stopped_at_its_bound(pipeline, tmp_path, capsys):
     # stdout and the cache bytes are those of the fixture's run
     assert "note:" not in captured.out and "kappa 5.000000" in captured.out
     assert out.read_bytes() == (root / "spec.bundle").read_bytes()
+    # a cache hit derives the flag from the stored kappa and notes it too
+    assert main(["spectral", "--config", cfg, "--set", f"spectral_cache={out}"]) == 0
+    hit = capsys.readouterr()
+    assert "cache hit" in hit.out
+    assert [line for line in hit.err.splitlines() if line.startswith("note: ")] == notes
 
 
 def test_spectral_fit_inside_its_range_adds_no_note(tmp_path, capsys):
@@ -226,6 +231,81 @@ def test_spectral_fit_inside_its_range_adds_no_note(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "kappa 0.577" in captured.out
     assert "note:" not in captured.err
+    assert main(["spectral", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "cache hit" in captured.out and "kappa 0.577" in captured.out
+    assert "note:" not in captured.err
+
+
+def test_spectral_force_rebuilds_a_matching_cache(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    out = tmp_path / "spec.bundle"
+    out.write_bytes((root / "spec.bundle").read_bytes())
+    os.utime(out, (0, 0))
+    assert main(
+        ["spectral", "--config", cfg, "--set", f"spectral_cache={out}", "--force"]
+    ) == 0
+    captured = capsys.readouterr().out
+    assert "cache hit" not in captured and f"wrote {out}" in captured
+    assert out.stat().st_mtime > 0
+    assert out.read_bytes() == (root / "spec.bundle").read_bytes()
+
+
+def test_spectral_cache_of_an_older_version(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "spec.bundle")
+    old = tmp_path / "old.spec"
+    bundles.save_bundle(old, {**meta, "version": 2}, arrays)
+    override = ["--set", f"spectral_cache={old}"]
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, *override,
+                 "--set", f"checkpoint={tmp_path / 'x.ckpt'}"]) == 3
+    assert "spectral-cache version 2 unsupported (expected 3)" in capsys.readouterr().err
+    assert main(["spectral", "--config", cfg, *override]) == 2
+    assert "pass --force" in capsys.readouterr().err
+    assert main(["spectral", "--config", cfg, *override, "--force"]) == 0
+    assert old.read_bytes() == (root / "spec.bundle").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambdas", "short"),
+        ("lambdas", "above 2"),
+        ("lambdas", "nan"),
+        ("phi", "1-D"),
+        ("phi", "one column"),
+        ("kappa", "5"),
+        ("kappa", True),
+        ("kappa", 5.5),
+        ("kappa", float("nan")),
+    ],
+)
+def test_corrupt_spectral_cache_is_a_data_error(
+    pipeline, tmp_path, capsys, field, value
+):
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "spec.bundle")
+    lambdas, phi = arrays["lambdas"], arrays["phi"]
+    if field == "kappa":
+        meta = {**meta, "kappa": value}
+    elif value == "short":
+        arrays = {**arrays, "lambdas": lambdas[:-1]}
+    elif value == "above 2":
+        arrays = {**arrays, "lambdas": np.append(lambdas[:-1], 2.5)}
+    elif value == "nan":
+        arrays = {**arrays, "lambdas": np.append(lambdas[:-1], np.nan)}
+    elif value == "1-D":
+        arrays = {**arrays, "phi": phi[:, 0]}
+    else:
+        arrays = {**arrays, "phi": phi[:, :1], "lambdas": lambdas[:1]}
+    damaged = tmp_path / "damaged.spec"
+    bundles.save_bundle(damaged, meta, arrays)
+    capsys.readouterr()
+    code = main(["train", "--config", cfg, "--set", f"spectral_cache={damaged}",
+                 "--set", f"checkpoint={tmp_path / 'x.ckpt'}"])
+    assert code == 3
+    assert f"{damaged}: '{field}' must" in capsys.readouterr().err
 
 
 def test_q_clamped_with_warning(pipeline, tmp_path, capsys):
@@ -449,6 +529,32 @@ def test_bundle_missing_a_key_is_a_data_error(
     assert f"{damaged}: missing key '{key}'" in capsys.readouterr().err
 
 
+def test_checkpoint_scored_against_a_cache_of_another_q(pipeline, tmp_path, capsys):
+    _, cfg = pipeline
+    other = tmp_path / "q32.spec"
+    assert main(["spectral", "--config", cfg, "--set", "q=32",
+                 "--set", f"spectral_cache={other}"]) == 0
+    capsys.readouterr()
+    override = ["--set", f"spectral_cache={other}"]
+    for command in (["evaluate"], ["recommend", "--users", "u3"]):
+        assert main([*command, "--config", cfg, *override]) == 3
+        err = capsys.readouterr().err
+        assert "gates have length 64" in err and "holds Q=32" in err
+
+
+def test_unwritable_output_is_a_data_error(pipeline, tmp_path, capsys):
+    _, cfg = pipeline
+    missing = tmp_path / "no" / "such" / "dir" / "x.ds"
+    assert main(["ingest", "--config", cfg, "--set", f"dataset={missing}"]) == 3
+    assert f"cannot write {missing}" in capsys.readouterr().err
+    report = tmp_path / "report"
+    report.mkdir()
+    args = ["evaluate", "--config", cfg, "--set", f"report={report}", "--force"]
+    assert main(args) == 3
+    assert f"cannot write {report}" in capsys.readouterr().err
+    assert report.is_dir() and sorted(tmp_path.iterdir()) == [report]
+
+
 def test_evaluate_report(pipeline, capsys):
     _, cfg = pipeline
     assert main(["evaluate", "--config", cfg]) == 0
@@ -647,6 +753,13 @@ def test_recommend_unknown_user_entry(pipeline, capsys):
         assert status == "ok"
         assert len(items.split()) == 3
         assert all(item.startswith("i") for item in items.split())
+
+
+def test_recommend_with_only_unknown_users(pipeline, capsys):
+    _, cfg = pipeline
+    assert main(["recommend", "--config", cfg, "--users", "nobody,none"]) == 0
+    out = capsys.readouterr().out
+    assert out == "nobody\terror\tunknown user id\nnone\terror\tunknown user id\n"
 
 
 def test_recommend_excludes_train_positives(pipeline, capsys):

@@ -269,7 +269,7 @@ def test_persist_is_atomic(tmp_path, monkeypatch):
         return TornFile(fh) if "w" in mode else fh
 
     monkeypatch.setattr(builtins, "open", crashing_open)
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match="cannot write .*simulated crash"):
         persist(grid_dataset(seed=2), p)
     monkeypatch.undo()
     assert p.read_bytes() == before

@@ -14,6 +14,7 @@ from helpers import (
     random_bipartite,
 )
 
+from waveletcf import bundles
 from waveletcf.errors import ConfigError, DataError, NumericalError
 from waveletcf.ingest import dataset_hash
 from waveletcf.spectral import (
@@ -256,9 +257,7 @@ def make_bc(kappa=1.0, mean=0.5, std=0.2, total=1.7, transformed=(0.0,)):
 def decomposition(shifted_lambdas):
     """A decomposition holding only the given shifted eigenvalues."""
     lam = np.array(shifted_lambdas, dtype=float)
-    return SpectralDecomposition(
-        q=len(lam), lambdas=lam - 1.0, shifted_lambdas=lam, phi=np.eye(len(lam))
-    )
+    return SpectralDecomposition(lambdas=lam - 1.0, phi=np.eye(len(lam)))
 
 
 def response_at(bc, shifted_lambda, value, t, exponent_mode="power"):
@@ -439,9 +438,33 @@ def test_spectral_cache_roundtrip(tmp_path):
     assert np.array_equal(dec.phi, dec2.phi)
     assert np.array_equal(dec.lambdas, dec2.lambdas)
     assert np.array_equal(dec.shifted_lambdas, dec2.shifted_lambdas)
-    assert bc2.kappa == bc.kappa and bc2.total == bc.total
-    assert meta["q"] == dec.q
+    assert dec2.q == dec.q
     assert meta["eig_tol"] == 1e-9 and meta["eig_seed"] == 0
+    # the cache stores the solve's output and the exponent, nothing derived
+    assert set(meta) == {"dataset_hash", "eig_tol", "eig_seed", "kappa", "kind", "version"}
+    assert set(bundles.load_bundle(p)[1]) == {"lambdas", "phi"}
+
+
+@pytest.mark.parametrize(
+    "lambdas, at_bound, degenerate",
+    [
+        ([0.0, 1.0, 2.0], False, False),  # interior maximum, kappa ~0.58
+        ([0.0, 0.9, 0.95, 0.97, 0.99, 1.0], True, False),  # rising at kappa = 5
+        ([0.5] * 4, False, True),  # all equal
+    ],
+)
+def test_spectral_cache_derives_the_fitted_transform(
+    tmp_path, lambdas, at_bound, degenerate
+):
+    dec = decomposition(1.0 + np.array(lambdas))
+    bc = boxcox_fit(dec.shifted_lambdas)
+    assert (bc.at_bound, bc.degenerate) == (at_bound, degenerate)
+    p = tmp_path / "spec.bundle"
+    save_spectral_cache(p, dec, bc, "d" * 64, eig_tol=1e-9, eig_seed=0)
+    _, loaded, _ = load_spectral_cache(p)
+    assert np.array_equal(loaded.transformed, bc.transformed)
+    for field in ("kappa", "mean", "std", "total", "degenerate", "at_bound"):
+        assert getattr(loaded, field) == getattr(bc, field), field
 
 
 def test_spectral_cache_hash_mismatch(tmp_path):
