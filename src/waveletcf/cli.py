@@ -18,6 +18,7 @@ import sys
 from . import config as config_mod
 from .errors import ConfigError, DataError, NumericalError
 
+EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
 THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",
@@ -208,16 +209,14 @@ def cmd_spectral(args, cfg) -> int:
         # t is not part of the key: check this run's response too
         _check_filter(cfg, decomp, bc)
         print(f"cache hit {out}")
-        for line in _spectral_summary(decomp, bc):
-            print(line)
+        print("\n".join(_spectral_summary(decomp, bc)))
         return 0
 
     decomp, bc = _solve(cfg, train, q)
     spectral.save_spectral_cache(
         out, decomp, bc, train_hash, cfg["eig_tol"], cfg.eig_seed()
     )
-    for line in _spectral_summary(decomp, bc):
-        print(line)
+    print("\n".join(_spectral_summary(decomp, bc)))
     print(f"wrote {out}")
     return 0
 
@@ -443,15 +442,9 @@ def main(argv=None) -> int:
         cfg = config_mod.resolve(args.config, args.overrides)
         _pin_threads(cfg["threads"])
         return COMMANDS[args.command](args, cfg)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

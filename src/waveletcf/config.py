@@ -14,6 +14,7 @@ the CLI pins BLAS threads from the resolved config before numpy loads.
 """
 
 import difflib
+import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -32,7 +33,10 @@ def _parse_int(raw: str) -> int:
 
 
 def _parse_float(raw: str) -> float:
-    return float(raw.strip())
+    value = float(raw.strip())
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_str(raw: str) -> str:
@@ -60,6 +64,8 @@ def _check_field_types(config) -> None:
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type][1]):
             raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+        if f.type is float and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,8 @@ KEY_SPECS = {
         if f.name != "seed"
     },
     # grid search (unset = plain single fit)
-    "grid_learning_rates": (partial(_parse_list, float, "numbers"), None),
-    "grid_t_values": (partial(_parse_list, float, "numbers"), None),
+    "grid_learning_rates": (partial(_parse_list, _parse_float, "numbers"), None),
+    "grid_t_values": (partial(_parse_list, _parse_float, "numbers"), None),
     # evaluation
     "k_values": (partial(_parse_list, int, "integers"), (20,)),
     "cohort_boundaries": (partial(_parse_list, int, "integers"), (25, 50, 100)),
@@ -262,8 +268,8 @@ class RunConfig:
             )
         if v["q"] < 0:
             raise ConfigError(f"q must be >= 0 (0 means auto), got {v['q']}")
-        if v["eig_tol"] <= 0:
-            raise ConfigError(f"eig_tol must be positive, got {v['eig_tol']}")
+        if not 0 < v["eig_tol"] < math.inf:
+            raise ConfigError(f"eig_tol must be finite and > 0, got {v['eig_tol']}")
         if v["min_user_interactions"] < 1 or v["min_item_interactions"] < 1:
             raise ConfigError("activity thresholds must be >= 1")
         if v["threads"] < 1:

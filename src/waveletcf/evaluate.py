@@ -73,14 +73,6 @@ class MetricReport:
     notes: Tuple[str, ...] = ()
 
 
-def _cohort_labels(boundaries: Sequence[int]) -> List[str]:
-    edges = [0] + list(boundaries) + [None]
-    labels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        labels.append(f"[{lo},{hi})" if hi is not None else f"[{lo},inf)")
-    return labels
-
-
 def evaluate(
     score_fn: Callable[[np.ndarray], np.ndarray],
     train: InteractionSet,
@@ -131,11 +123,11 @@ def evaluate(
 
     train_counts = train.user_degrees()[eligible]
     edges = [0] + list(cohort_boundaries) + [np.inf]
-    labels = _cohort_labels(cohort_boundaries)
     cohorts = {}
     for k in k_values:
         rows = {}
-        for lo, hi, label in zip(edges[:-1], edges[1:], labels):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            label = f"[{lo},{hi})"  # the last one reads [lo,inf)
             mask = (train_counts >= lo) & (train_counts < hi)
             count = int(mask.sum())
             if count:
@@ -163,12 +155,9 @@ def evaluate(
 
 def render_report(report: MetricReport) -> str:
     """Aligned plain-text table followed by machine-readable lines."""
-    out = []
-    for note in report.notes:
-        out.append(f"# {note}")
+    out = [f"# {note}" for note in report.notes]
     out.append(f"eligible test users: {report.num_eligible}")
-    header = f"{'k':>4}  {'recall':>10}  {'ndcg':>10}"
-    out.append(header)
+    out.append(f"{'k':>4}  {'recall':>10}  {'ndcg':>10}")
     for k in report.k_values:
         out.append(f"{k:>4}  {report.recall[k]:>10.6f}  {report.ndcg[k]:>10.6f}")
     out.append("")

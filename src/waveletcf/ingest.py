@@ -8,7 +8,7 @@ of external ids.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -255,39 +255,30 @@ def split(data: InteractionSet, spec: SplitSpec):
     starts = np.cumsum(degrees) - degrees
     # one draw per user, in user order: this is what fixes the split
     perms = [starts[u] + rng.permutation(n) for u, n in enumerate(degrees) if n]
-    shuffled = data.pairs[np.concatenate(perms)] if perms else data.pairs
-    rank = np.arange(data.num_pairs) - np.repeat(starts, degrees)
+    # each pair's position in its user's shuffled order, in sorted pair order
+    rank = np.empty(data.num_pairs, dtype=np.int64)
+    if perms:
+        order = np.concatenate(perms)
+        rank[order] = np.arange(data.num_pairs) - np.repeat(starts, degrees)
     n_train = np.maximum(1, np.floor(degrees * spec.train_fraction).astype(np.int64))
     cap = n_train if spec.per_user_cap is None else spec.per_user_cap
     trained = rank < np.repeat(n_train, degrees)
-    kept = rank < np.repeat(np.minimum(n_train, cap), degrees)
-    train, capped, test = shuffled[kept], shuffled[trained & ~kept], shuffled[~trained]
+    train = rank < np.repeat(np.minimum(n_train, cap), degrees)
+    items = data.pairs[:, 1]
 
-    def promote(train, source):
-        """Rows of `source` that hold, for each item `train` lacks, the
-        pair of the smallest user."""
+    def promote(source):
+        """Move into train, for each item it lacks, the `source` pair of the
+        smallest user: the item's first in sorted order."""
         covered = np.zeros(data.num_items, dtype=bool)
-        covered[train[:, 1]] = True
-        rows = np.flatnonzero(~covered[source[:, 1]])
-        rows = rows[np.lexsort((source[rows, 0], source[rows, 1]))]
-        _, first = np.unique(source[rows, 1], return_index=True)
-        return rows[first]
+        covered[items[train]] = True
+        rows = np.flatnonzero(source & ~covered[items])
+        _, first = np.unique(items[rows], return_index=True)
+        train[rows[first]] = True
 
-    train = np.concatenate((train, capped[promote(train, capped)]))
-    moved = promote(train, test)
-    train = np.concatenate((train, test[moved]))
-    test = np.delete(test, moved, axis=0)
-
-    def assemble(pairs):
-        return InteractionSet(
-            num_users=data.num_users,
-            num_items=data.num_items,
-            pairs=pairs,
-            user_ids=data.user_ids,
-            item_ids=data.item_ids,
-        )
-
-    train, test = assemble(train), assemble(test)
+    promote(trained & ~train)  # capped-out pairs
+    promote(~trained)  # held-out pairs
+    test = ~trained & ~train
+    train, test = (replace(data, pairs=data.pairs[m]) for m in (train, test))
     train.validate(require_coverage=False)
     test.validate(require_coverage=False)
     return train, test

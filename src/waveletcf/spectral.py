@@ -100,22 +100,23 @@ def eigensolve(
     user-item block of I - L, gives the eigenpair (1 - sigma, [u; v]/sqrt(2)).
     When q < min(users, items), each connected component gives one exact
     lambda = 0 pair (its normalized sqrt-degree vector) and ARPACK, started
-    from a vector drawn from `seed`, gives the top triplets of R~ with the
-    components deflated. Otherwise, or when those reach sigma ~ 0 (R of
-    rank below q), L is diagonalized densely: O(N^2) memory, O(N^3) time.
+    from a vector drawn from `seed`, gives the top (sigma^2, v) of the Gram
+    of R~ on its smaller side with the components deflated; u = R~ v / sigma.
+    Otherwise, or when those reach sigma ~ 0 (R of rank below q), L is
+    diagonalized densely: O(N^2) memory, O(N^3) time.
 
     Raises NumericalError (with per-pair residual norms in `details`) if
     any pair has ||L x - lambda x|| above `tol`.
     """
     # imported here so that commands which never solve skip its slow import
     from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import ArpackNoConvergence, svds, aslinearoperator as linop
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n, m, k = lap.n, lap.num_users, lap.num_items
     if not 1 <= q <= n:
         raise ConfigError(f"q must lie in [1, {n}], got {q}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     mat = lap.lap.mat
 
     theta = None
@@ -127,22 +128,34 @@ def eigensolve(
         if c >= q:
             theta, X = np.zeros(q), null[:, :q]
         else:
-            # a component's users and items hold equal degree mass, so sqrt(2)
-            # times either half of its null vector is a unit singular vector
-            uc, vc = null[:m] * math.sqrt(2.0), null[m:] * math.sqrt(2.0)
-            op = linop(-mat[:m, m:]) - linop(uc) @ linop(vc.T)
+            # ARPACK runs on the smaller side's Gram. A component's users and
+            # items hold equal degree mass, so sqrt(2) times either half of
+            # its null vector is a unit singular vector: deflated from R~,
+            # it leaves the Gram as x -> R~^T R~ x - d d^T x.
+            sides = [slice(0, m), slice(m, n)]
+            small, big = sides if m < k else sides[::-1]
+            r, rt = -mat[big, small], -mat[small, big]
+            d = null[small] * math.sqrt(2.0)
+            gram = LinearOperator(
+                (len(d),) * 2, lambda x: rt @ (r @ x) - d @ (d.T @ x), dtype=float
+            )
             v0 = np.random.default_rng(seed).standard_normal(min(m, k))
             try:
-                u, sigma, vt = svds(op, k=q - c, v0=v0)
+                # ||L x - lambda x|| = ||G v - sigma^2 v|| / (sigma sqrt(2)) is at
+                # most ARPACK's relative tolerance, floored at machine precision
+                gram_tol = max(tol / 10, np.finfo(float).eps)
+                sq, v = eigsh(gram, k=q - c, v0=v0, tol=gram_tol)
             except ArpackNoConvergence as exc:
-                raise NumericalError(f"truncated SVD failed: {exc}") from exc
+                raise NumericalError(f"truncated eigensolve failed: {exc}") from exc
+            order = np.argsort(-sq, kind="stable")
+            sigma, v = np.sqrt(np.maximum(sq[order], 0.0)), v[:, order]
             # sigma <= sqrt(tol) (R of rank below q): the pairs are accurate only
             # to ~1e-16 / sigma and may be deflated directions; solve densely
             if sigma.min() > math.sqrt(tol):
-                order = np.argsort(-sigma, kind="stable")
-                pairs = np.vstack([u[:, order], vt[order].T]) / math.sqrt(2.0)
-                theta = np.concatenate([np.zeros(c), 1.0 - sigma[order]])
-                X = np.hstack([null, pairs])
+                pairs = np.empty((n, q - c))
+                pairs[small], pairs[big] = v, (r @ v) / sigma
+                theta = np.concatenate([np.zeros(c), 1.0 - sigma])
+                X = np.hstack([null, pairs / math.sqrt(2.0)])
     if theta is None:
         theta, S = np.linalg.eigh(mat.toarray())
         theta, X = theta[:q], S[:, :q]
@@ -217,7 +230,13 @@ def boxcox_fit(shifted_lambdas: np.ndarray) -> BoxCoxResult:
 
     logs = np.log(values)
     grid = np.linspace(*KAPPA_BOUNDS, 1001)
-    lls = np.array([_boxcox_loglik(values, logs, k) for k in grid])
+    # the whole grid in one array pass, row i transforming at grid[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = (np.power(values, grid[:, None]) - 1.0) / grid[:, None]
+        y[grid == 0] = logs
+        var = y.var(axis=1)
+        lls = np.where(var > 0, -0.5 * len(values) * np.log(var), -np.inf)
+    lls += (grid - 1.0) * logs.sum()
     best = int(np.argmax(lls))
     a = grid[max(0, best - 1)]
     b = grid[min(len(grid) - 1, best + 1)]
@@ -252,8 +271,8 @@ def filter_response(
     two standard deviations picks `mult`; `arg` is lam^kappa ("power") or
     the transformed value ("boxcox").
 
-    Raises NumericalError if any response underflows to zero: the gates
-    and the inverse wavelet response both need g > 0.
+    Raises NumericalError if any response underflows to zero or is NaN:
+    the gates and the inverse wavelet response both need g > 0.
     """
     if exponent_mode not in EXPONENT_MODES:
         raise ConfigError(f"exponent_mode must be one of {EXPONENT_MODES}")
@@ -270,7 +289,7 @@ def filter_response(
     mult = 1.0 + (2.0 + case) * t / c + sigma * (case > 0)
     arg = decomp.shifted_lambdas**bc.kappa if exponent_mode == "power" else y
     resp = np.exp(-arg * mult)
-    if (resp <= 0).any():
+    if not (resp > 0).all():  # NaN included
         raise NumericalError("filter response must be strictly positive")
     return resp
 

@@ -1,6 +1,7 @@
 """Shared test fixtures: random connected bipartite graphs, a planted
 two-block dataset, and dense or analytic oracles."""
 
+import math
 import types
 
 import numpy as np
@@ -11,7 +12,12 @@ from waveletcf.errors import ConfigError, DataError
 from waveletcf.graph import build_adjacency, build_laplacian
 from waveletcf.ingest import CANONICAL_MAGIC, CANONICAL_VERSION, InteractionSet
 from waveletcf.model import ForwardTrace, ModelParams, sigmoid
-from waveletcf.spectral import build_wavelet_pair
+from waveletcf.spectral import (
+    KAPPA_BOUNDS,
+    KAPPA_TOL,
+    _boxcox_loglik,
+    build_wavelet_pair,
+)
 
 
 def interaction_set_from_pairs(num_users, num_items, pairs):
@@ -38,6 +44,82 @@ def reference_serialize(data: InteractionSet, seed: int) -> bytes:
     lines.append("#items\n")
     lines += [iid + "\n" for iid in data.item_ids]
     return "".join(lines).encode("utf-8")
+
+
+def reference_split(data: InteractionSet, spec):
+    """Split oracle: each user's pairs gathered in shuffled order, cut by
+    rank, repaired from lexsorted candidates and left to `InteractionSet`
+    to sort."""
+    rng = np.random.default_rng(spec.seed)
+    degrees = data.user_degrees()
+    starts = np.cumsum(degrees) - degrees
+    perms = [starts[u] + rng.permutation(n) for u, n in enumerate(degrees) if n]
+    shuffled = data.pairs[np.concatenate(perms)] if perms else data.pairs
+    rank = np.arange(data.num_pairs) - np.repeat(starts, degrees)
+    n_train = np.maximum(1, np.floor(degrees * spec.train_fraction).astype(np.int64))
+    cap = n_train if spec.per_user_cap is None else spec.per_user_cap
+    trained = rank < np.repeat(n_train, degrees)
+    kept = rank < np.repeat(np.minimum(n_train, cap), degrees)
+    train, capped, test = shuffled[kept], shuffled[trained & ~kept], shuffled[~trained]
+
+    def promote(train, source):
+        covered = np.zeros(data.num_items, dtype=bool)
+        covered[train[:, 1]] = True
+        rows = np.flatnonzero(~covered[source[:, 1]])
+        rows = rows[np.lexsort((source[rows, 0], source[rows, 1]))]
+        _, first = np.unique(source[rows, 1], return_index=True)
+        return rows[first]
+
+    train = np.concatenate((train, capped[promote(train, capped)]))
+    moved = promote(train, test)
+    train = np.concatenate((train, test[moved]))
+    test = np.delete(test, moved, axis=0)
+
+    def assemble(pairs):
+        return InteractionSet(
+            num_users=data.num_users,
+            num_items=data.num_items,
+            pairs=pairs,
+            user_ids=data.user_ids,
+            item_ids=data.item_ids,
+        )
+
+    return assemble(train), assemble(test)
+
+
+def reference_kappa_grid(values):
+    """Grid-search oracle: the log-likelihood at each of the fit's 1001
+    grid exponents, one call per exponent. Returns (grid, log-likelihoods)."""
+    values = np.asarray(values, dtype=np.float64)
+    logs = np.log(values)
+    grid = np.linspace(*KAPPA_BOUNDS, 1001)
+    return grid, np.array([_boxcox_loglik(values, logs, k) for k in grid])
+
+
+def reference_kappa(values):
+    """Fit oracle: `reference_kappa_grid`'s best exponent refined by the
+    fit's golden-section search."""
+    values = np.asarray(values, dtype=np.float64)
+    logs = np.log(values)
+    grid, lls = reference_kappa_grid(values)
+    best = int(np.argmax(lls))
+    a = grid[max(0, best - 1)]
+    b = grid[min(len(grid) - 1, best + 1)]
+    inv_phi = (math.sqrt(5) - 1) / 2
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = _boxcox_loglik(values, logs, c)
+    fd = _boxcox_loglik(values, logs, d)
+    while b - a > KAPPA_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = _boxcox_loglik(values, logs, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = _boxcox_loglik(values, logs, d)
+    return (a + b) / 2
 
 
 def synthetic_two_block(

@@ -137,6 +137,24 @@ def test_unknown_config_key_is_a_config_error(pipeline, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["eig_tol=nan", "t=inf", "grid_t_values=0.5,nan"])
+def test_non_finite_float_is_a_config_error(pipeline, capsys, setting):
+    _, cfg = pipeline
+    assert main(["spectral", "--config", cfg, "--set", setting]) == 2
+    key = setting.split("=")[0]
+    assert f"config key '{key}': cannot parse" in capsys.readouterr().err
+
+
+def test_unreachable_eig_tol_exits_4(pipeline, tmp_path, capsys):
+    # q = 4 < 40 items: ARPACK runs, and restarts, on the 40-item Gram
+    _, cfg = pipeline
+    args = ["--set", "eig_tol=1e-300", "--set", "q=4",
+            "--set", f"spectral_cache={tmp_path / 'spec.bundle'}"]
+    assert main(["spectral", "--config", cfg, *args]) == 4
+    assert "eigenpairs miss tol=1e-300" in capsys.readouterr().err
+    assert not (tmp_path / "spec.bundle").exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -626,6 +644,8 @@ def test_checkpoint_layer_count_mismatch_is_a_data_error(
         ("exponent_mode", "weird"),
         ("t", True),
         ("width", 2.5),
+        ("t", float("nan")),
+        ("t", float("inf")),
     ],
 )
 def test_checkpoint_with_invalid_stored_config_is_a_data_error(

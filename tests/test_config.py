@@ -70,6 +70,13 @@ def test_value_parsers():
         parse_value("k_values", " , ")
 
 
+@pytest.mark.parametrize("key", ["eig_tol", "t", "learning_rate", "grid_t_values"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+def test_float_parsers_refuse_non_finite_values(key, raw):
+    with pytest.raises(ConfigError, match=f"config key '{key}': cannot parse"):
+        parse_value(key, raw if key != "grid_t_values" else f"0.5,{raw}")
+
+
 def test_precedence_file_env_flags(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("width=8\nlayers=2\nseed=1\n")
@@ -118,6 +125,12 @@ def test_flag_without_equals():
         ),
         ({"learning_rate": 0.0}, "zero rate"),
         ({"min_user_interactions": 0}, "thresholds"),
+        ({"eig_tol": float("nan")}, "eig_tol must be finite and > 0"),
+        ({"eig_tol": float("inf")}, "eig_tol must be finite and > 0"),
+        ({"t": float("nan")}, "t must be finite"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+        ({"eta": float("inf")}, "eta must be finite"),
+        ({"adam_eps": float("-inf")}, "adam_eps must be finite"),
     ],
 )
 def test_validation_rejects(values, fragment):

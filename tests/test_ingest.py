@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import reference_serialize
+from helpers import random_bipartite, reference_serialize, reference_split
 
 from waveletcf.errors import DataError
 from waveletcf.ingest import (
@@ -173,6 +173,26 @@ def test_split_train_covers_every_item():
         data = grid_dataset(seed=seed)
         train, _ = split(data, SplitSpec(seed=seed, per_user_cap=2))
         assert (train.item_degrees() > 0).all()
+
+
+def test_split_matches_the_shuffle_then_sort_oracle():
+    repairs = {"capped": 0, "held-out": 0}
+    for seed in range(12):
+        data = random_bipartite(seed, max_nodes=160, density_range=(0.03, 0.3))
+        degrees = data.user_degrees()
+        for fraction, cap in ((0.8, None), (0.5, 1), (0.3, 2), (0.8, 3), (0.1, None)):
+            spec = SplitSpec(train_fraction=fraction, seed=seed + 100, per_user_cap=cap)
+            train, test = split(data, spec)
+            ref_train, ref_test = reference_split(data, spec)
+            assert np.array_equal(train.pairs, ref_train.pairs)
+            assert np.array_equal(test.pairs, ref_test.pairs)
+            # pairs moved by the repair, counted to show that both kinds ran
+            n_train = np.maximum(1, np.floor(degrees * fraction).astype(np.int64))
+            kept = np.minimum(n_train, cap or n_train).sum()
+            held_out = (degrees - n_train).sum() - test.num_pairs
+            repairs["held-out"] += held_out
+            repairs["capped"] += train.num_pairs - kept - held_out
+    assert min(repairs.values()) > 0
 
 
 def test_split_rejects_bad_fraction():

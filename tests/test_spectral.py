@@ -12,6 +12,8 @@ from helpers import (
     interaction_set_from_pairs,
     laplacian_for,
     random_bipartite,
+    reference_kappa,
+    reference_kappa_grid,
 )
 
 from waveletcf import bundles
@@ -94,6 +96,40 @@ def test_disconnected_matches_dense_oracle(q):
     )
 
 
+def transposed(data):
+    """The same graph with the roles of users and items swapped."""
+    pairs = [(int(i), int(u)) for u, i in data.pairs]
+    return interaction_set_from_pairs(data.num_items, data.num_users, pairs)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("wide", [False, True])
+def test_truncated_on_either_side_matches_dense_oracle(components, wide, monkeypatch):
+    # ARPACK works on the Gram of the smaller side: the items of a tall
+    # graph (more users than items), the users of a wide one; each
+    # component's null pair is deflated from it
+    if components == 1:
+        data = random_bipartite(4, max_nodes=120)
+    else:
+        data = two_component_graph()
+    if (data.num_users < data.num_items) != wide:
+        data = transposed(data)
+    assert (data.num_users < data.num_items) == wide
+    lap = laplacian_for(data)
+    oracle_vals, oracle_vecs = dense_eigh(lap)
+    # about half the smaller side, cut between two distinct eigenvalues
+    half = min(data.num_users, data.num_items) // 2
+    q = max(j for j in range(2, half) if oracle_vals[j] - oracle_vals[j - 1] > 1e-6)
+    monkeypatch.setattr(np.linalg, "eigh", None)  # no dense fallback
+    dec = eigensolve(lap, q=q, seed=3)
+    assert np.abs(dec.lambdas[:components]).max() == 0.0
+    assert np.abs(dec.lambdas - np.clip(oracle_vals[:q], 0, 2)).max() <= 1e-8
+    assert (
+        cluster_projector_error(oracle_vals[:q], dec.phi, oracle_vecs[:, :q]) <= 1e-6
+    )
+    assert np.abs(dec.phi.T @ dec.phi - np.eye(q)).max() <= 1e-8
+
+
 def test_rank_deficient_matches_dense_oracle():
     # three user types, 40 users, 30 items: R has rank 3, so q = 5 and 10
     # reach singular value 0 (lambda = 1) while q < min(users, items)
@@ -137,6 +173,23 @@ def test_eigensolve_unreachable_tolerance():
     with pytest.raises(NumericalError) as exc:
         eigensolve(lap, q=4, tol=1e-300)
     assert "residual_norms" in exc.value.details
+
+
+def test_eigensolve_unreachable_tolerance_after_restarts():
+    # the Gram's side (110 items) exceeds ARPACK's 20-vector basis, so it
+    # restarts; it stops at machine precision and the residual gate fails
+    data = random_bipartite(4, max_nodes=300, density_range=(0.05, 0.1))
+    assert min(data.num_users, data.num_items) == 110
+    with pytest.raises(NumericalError) as exc:
+        eigensolve(laplacian_for(data), q=4, tol=1e-300)
+    assert len(exc.value.details["residual_norms"]) == 4
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_eigensolve_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    lap = laplacian_for(random_bipartite(9, max_nodes=40))
+    with pytest.raises(ConfigError, match="tol"):
+        eigensolve(lap, q=4, tol=tol)
 
 
 def test_eigensolve_rejects_bad_q():
@@ -199,6 +252,29 @@ def test_fit_matches_brute_force_grid():
     k_grid, ll_grid = brute_kappa(sample)
     assert abs(fit.kappa - k_grid) <= 1e-3
     assert abs(loglik(sample, fit.kappa) - ll_grid) <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["interior", "bound", "zero"])
+def test_fit_matches_the_per_kappa_loop(case):
+    values = {
+        "interior": 1 + np.sort(np.random.default_rng(3).uniform(0, 2, 30)),
+        "bound": np.array([1.0, 1.9, 1.95, 1.97, 1.99, 2.0]),
+        # logs symmetric about 0 make the likelihood even in kappa
+        "zero": np.exp(np.linspace(-0.6, 0.6, 25)),
+    }[case]
+    fit = boxcox_fit(values)
+    assert fit.kappa == reference_kappa(values)
+    assert fit.at_bound == (case == "bound")
+    grid, lls = reference_kappa_grid(values)
+    assert (grid[np.argmax(lls)] == 0.0) == (case == "zero")
+
+
+def test_fit_matches_the_per_kappa_loop_on_random_spectra():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        size, skew = rng.integers(2, 120), rng.uniform(0.2, 3)
+        values = 1 + np.sort(rng.uniform(0, 2, size)) ** skew
+        assert boxcox_fit(values).kappa == reference_kappa(values)
 
 
 def test_fit_statistics():
@@ -367,6 +443,12 @@ def test_underflowed_response_raises():
     dec, bc, _ = fitted_filter()
     with pytest.raises(NumericalError, match="strictly positive"):
         filter_response(dec, bc, 1e300)
+
+
+def test_nan_response_raises():
+    dec, bc, _ = fitted_filter()
+    with pytest.raises(NumericalError, match="strictly positive"):
+        filter_response(dec, replace(bc, kappa=math.nan), 0.5)
 
 
 # ------------------------------------------------------------------ wavelets
