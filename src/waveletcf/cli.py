@@ -171,7 +171,7 @@ def cmd_ingest(args, cfg) -> int:
 
     out = cfg.require("dataset")
     _refuse_overwrite(out, args.force)
-    raw = ingest.load_interactions(cfg.require("input"), cfg["input_format"])
+    raw = ingest.load_interactions(cfg.require("input"))
     data = ingest.filter_by_activity(
         raw, cfg["min_user_interactions"], cfg["min_item_interactions"]
     )
@@ -314,7 +314,7 @@ def _score_trace(decomp, bc, model_config, params):
     oper = model.PropagationOperator(
         decomp, bc, model_config.t, exponent_mode=model_config.exponent_mode
     )
-    return model.forward(params, oper, model_config)
+    return model.forward(params, oper)
 
 
 def _load_trained(cfg):

@@ -132,7 +132,6 @@ class TrainConfig:
 KEY_SPECS = {
     # artifact paths
     "input": (_parse_str, None),
-    "input_format": (_parse_str, "auto"),
     "dataset": (_parse_str, None),
     "spectral_cache": (_parse_str, None),
     "checkpoint": (_parse_str, None),
@@ -252,11 +251,6 @@ class RunConfig:
 
     def _validate(self):
         v = self.values
-        if v["input_format"] not in ("auto", "tsv", "csv"):
-            raise ConfigError(
-                "input_format must be one of auto/tsv/csv, got "
-                f"'{v['input_format']}'"
-            )
         if not (0.0 < v["train_fraction"] < 1.0):
             raise ConfigError(
                 "train_fraction must lie strictly in (0,1), got "
@@ -266,8 +260,9 @@ class RunConfig:
             raise ConfigError(
                 f"per_user_cap must be >= 0 (0 disables), got {v['per_user_cap']}"
             )
-        if v["q"] < 0:
-            raise ConfigError(f"q must be >= 0 (0 means auto), got {v['q']}")
+        if v["q"] < 0 or v["q"] == 1:
+            # the power-transform fit needs at least 2 eigenvalues
+            raise ConfigError(f"q must be 0 or >= 2 (0 means auto), got {v['q']}")
         if not 0 < v["eig_tol"] < math.inf:
             raise ConfigError(f"eig_tol must be finite and > 0, got {v['eig_tol']}")
         if v["min_user_interactions"] < 1 or v["min_item_interactions"] < 1:
@@ -282,6 +277,8 @@ class RunConfig:
                 "cohort_boundaries must be strictly increasing, got "
                 f"{v['cohort_boundaries']}"
             )
+        if len(set(v["k_values"])) != len(v["k_values"]):
+            raise ConfigError(f"k_values entries must be distinct, got {v['k_values']}")
         if (v["grid_learning_rates"] is None) != (v["grid_t_values"] is None):
             raise ConfigError(
                 "grid_learning_rates and grid_t_values must be set together"

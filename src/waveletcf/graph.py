@@ -36,9 +36,6 @@ class SparseSymMatrix:
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
 
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.mat.sum(axis=1)).ravel()
-
 
 @dataclass(frozen=True)
 class BipartiteLaplacian:
@@ -82,7 +79,7 @@ def build_laplacian(
             f"adjacency size {adj.n} does not match "
             f"{num_users} users + {num_items} items"
         )
-    degree = adj.row_sums()
+    degree = np.asarray(adj.mat.sum(axis=1)).ravel()
     dead = np.flatnonzero(degree == 0)
     if dead.size:
         labels = [

@@ -85,30 +85,21 @@ class InteractionSet:
         bounds = np.cumsum(self.user_degrees())[:-1]
         return np.split(self.pairs[:, 1].copy(), bounds)
 
-    def validate(self, require_coverage: bool = True) -> None:
-        """Check index-range and duplicate invariants.
-
-        `require_coverage` additionally demands that every user and item
-        index occurs in at least one pair; split subsets share the parent
-        maps and are validated without it.
-        """
-        if self.num_users < 1 or self.num_items < 1:
+    def validate(self) -> None:
+        """Check index-range, duplicate and coverage invariants: every user
+        and item index occurs in at least one pair."""
+        if self.num_users < 1 or self.num_items < 1 or self.num_pairs == 0:
             raise DataError("dataset fully filtered")
         if len(self.user_ids) != self.num_users or len(self.item_ids) != self.num_items:
             raise DataError("id map sizes disagree with declared dimensions")
-        if self.num_pairs:
-            if self.pairs[:, 0].min() < 0 or self.pairs[:, 0].max() >= self.num_users:
-                raise DataError("user index out of range")
-            if self.pairs[:, 1].min() < 0 or self.pairs[:, 1].max() >= self.num_items:
-                raise DataError("item index out of range")
-            dup = np.all(self.pairs[1:] == self.pairs[:-1], axis=1)
-            if dup.any():
-                raise DataError("duplicate (user, item) pairs")
-        if require_coverage:
-            if self.num_pairs == 0:
-                raise DataError("dataset fully filtered")
-            if (self.user_degrees() == 0).any() or (self.item_degrees() == 0).any():
-                raise DataError("orphan user or item index after filtering")
+        if self.pairs[:, 0].min() < 0 or self.pairs[:, 0].max() >= self.num_users:
+            raise DataError("user index out of range")
+        if self.pairs[:, 1].min() < 0 or self.pairs[:, 1].max() >= self.num_items:
+            raise DataError("item index out of range")
+        if np.all(self.pairs[1:] == self.pairs[:-1], axis=1).any():
+            raise DataError("duplicate (user, item) pairs")
+        if (self.user_degrees() == 0).any() or (self.item_degrees() == 0).any():
+            raise DataError("orphan user or item index after filtering")
 
     def __eq__(self, other):
         if not isinstance(other, InteractionSet):
@@ -122,42 +113,36 @@ class InteractionSet:
         )
 
 
-def _detect_delimiter(line: str) -> str:
-    return "\t" if "\t" in line else ","
-
-
-def _read(path, first_line: bool = False) -> str:
-    """Text of `path`, or only its first line; a file that cannot be read
-    or is not UTF-8 is a DataError naming the path."""
+def _read(path) -> str:
+    """Text of `path`; a file that cannot be read or is not UTF-8 is a
+    DataError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.readline() if first_line else fh.read()
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def load_interactions(path, fmt: str = "auto") -> list:
+def load_interactions(path) -> list:
     """Parse a delimiter-separated interaction log into (user_id, item_id)
     string pairs in file order.
 
-    fmt is "auto" (per-file detection on the first data line), "tsv", or
-    "csv". Lines starting with '#' are skipped. Each data row needs
-    user and item columns; a third column must parse as a float rating and
-    a fourth as an integer timestamp. Both are checked, then dropped: the
-    interactions are binary.
+    The first data line sets the delimiter for the whole file: tab if it
+    holds one, else comma. Lines starting with '#' are skipped. Each data
+    row needs user and item columns; a third column must parse as a float
+    rating and a fourth as an integer timestamp. Both are checked, then
+    dropped: the interactions are binary.
     """
-    if fmt not in ("auto", "tsv", "csv"):
-        raise DataError(f"unknown format descriptor: {fmt!r}")
-    delim = {"tsv": "\t", "csv": ","}.get(fmt)
+    delim = None
     rows = []
     for lineno, line in enumerate(_read(path).split("\n"), start=1):
         line = line.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if delim is None:
-            delim = _detect_delimiter(line)
+            delim = "\t" if "\t" in line else ","
         cols = line.split(delim)
         if len(cols) < 2:
             raise DataError(f"{path}: line {lineno}: expected at least 2 columns")
@@ -224,15 +209,13 @@ def filter_by_activity(rows, min_user: int, min_item: int) -> InteractionSet:
     user_ids, item_ids = list(user_codes), list(item_codes)
     user_order, users = _first_appearance(users)
     item_order, items = _first_appearance(items)
-    out = InteractionSet(
+    return InteractionSet(
         num_users=len(user_order),
         num_items=len(item_order),
         pairs=np.column_stack((users, items)),
         user_ids=tuple(user_ids[c] for c in user_order),
         item_ids=tuple(item_ids[c] for c in item_order),
     )
-    out.validate(require_coverage=True)
-    return out
 
 
 def split(data: InteractionSet, spec: SplitSpec):
@@ -278,10 +261,7 @@ def split(data: InteractionSet, spec: SplitSpec):
     promote(trained & ~train)  # capped-out pairs
     promote(~trained)  # held-out pairs
     test = ~trained & ~train
-    train, test = (replace(data, pairs=data.pairs[m]) for m in (train, test))
-    train.validate(require_coverage=False)
-    test.validate(require_coverage=False)
-    return train, test
+    return replace(data, pairs=data.pairs[train]), replace(data, pairs=data.pairs[test])
 
 
 def _pair_block(pairs: np.ndarray) -> bytes:
@@ -396,10 +376,5 @@ def load_canonical(path) -> InteractionSet:
     out = InteractionSet(
         num_users=m, num_items=k, pairs=pairs, user_ids=user_ids, item_ids=item_ids
     )
-    out.validate(require_coverage=True)
+    out.validate()
     return out
-
-
-def canonical_header(path) -> dict:
-    """Header fields of a canonical dataset file without loading the body."""
-    return _header(path, _read(path, first_line=True))

@@ -68,19 +68,35 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
-        arrays = {name: t.copy() for name, t in self.tensors()}
-        return ModelParams.from_arrays(arrays, len(self.w))
+        return ModelParams(self.x0.copy(), self.y0.copy(),
+                           [wi.copy() for wi in self.w], [th.copy() for th in self.theta])
 
     @classmethod
     def from_arrays(cls, arrays, layers: int, prefix: str = "") -> "ModelParams":
-        """Tensors of an L-layer model stored under their `tensors()` names,
-        each behind `prefix`."""
-        return cls(
+        """Tensors of an L-layer model stored in a loaded bundle's `arrays`
+        under their `tensors()` names, each behind `prefix`. Unless x0 and
+        y0 share a width P, each w is P x P and each theta is 1-D, this is a
+        DataError naming the bundle and the tensor."""
+        params = cls(
             x0=arrays[f"{prefix}x0"],
             y0=arrays[f"{prefix}y0"],
             w=[arrays[f"{prefix}w{i}"] for i in range(layers)],
             theta=[arrays[f"{prefix}theta{i}"] for i in range(layers)],
         )
+        p = params.x0.shape[1] if params.x0.ndim == 2 else None
+        for name, t in params.tensors():
+            expected, ok = {
+                "x": ("2-D", p is not None),
+                "y": (f"2-D of x0's width {p}", t.ndim == 2 and t.shape[1] == p),
+                "w": (f"{p} x {p}", t.shape == (p, p)),
+                "t": ("1-D", t.ndim == 1),
+            }[name[0]]
+            if not ok:
+                raise DataError(
+                    f"{arrays.path}: '{prefix}{name}' has shape {t.shape}, "
+                    f"expected {expected}"
+                )
+        return params
 
 
 def init_params(
@@ -185,18 +201,18 @@ def propagate_layer(
     return sigmoid(pre, out=pre), LayerCache(h=h, coeff=coeff)
 
 
-def forward(
-    params: ModelParams, oper: PropagationOperator, config: ModelConfig, out=None
-) -> ForwardTrace:
-    """Run all layers from the initial embeddings into one (L+1) x N x P
-    array; `out`, a trace of the same model, is overwritten when given."""
+def forward(params: ModelParams, oper: PropagationOperator, out=None) -> ForwardTrace:
+    """Run all L = len(params.w) layers from the initial embeddings into one
+    (L+1) x N x P array; `out`, a trace of the same model, is overwritten
+    when given."""
+    layers = len(params.w)
     m, p = params.x0.shape
     if out is None:
-        zs = np.empty((config.layers + 1, m + len(params.y0), p))
-        out = ForwardTrace(zs, [None] * config.layers, m, np.empty(zs.shape[1:]))
+        zs = np.empty((layers + 1, m + len(params.y0), p))
+        out = ForwardTrace(zs, [None] * layers, m, np.empty(zs.shape[1:]))
     vars(out).pop("concat_items", None)
     np.concatenate([params.x0, params.y0], out=out.zs[0])
-    for i in range(config.layers):
+    for i in range(layers):
         out.caches[i] = propagate_layer(out.zs[i], i, params, oper, out=out.zs[i + 1])[1]
     return out
 
@@ -246,4 +262,10 @@ def load_checkpoint(path, expected_dataset_hash: str = None):
             f"{path}: checkpoint holds {meta['num_w']} layer(s) of weights "
             f"but its config says layers={config.layers}"
         )
-    return config, ModelParams.from_arrays(arrays, config.layers), meta
+    params = ModelParams.from_arrays(arrays, config.layers)
+    if params.x0.shape[1] != config.width:
+        raise DataError(
+            f"{path}: checkpoint tensors have width {params.x0.shape[1]} "
+            f"but its config says width={config.width}"
+        )
+    return config, params, meta

@@ -58,10 +58,10 @@ class BoxCoxResult:
 
     `transformed` holds (lam^kappa - 1)/kappa (log at kappa = 0) for each
     shifted eigenvalue; `std` uses divisor Q-1; `total` is the sum c used in
-    the transfer function's scale normalization. `degenerate` flags an
-    all-equal input sample, where kappa is defined as 1. `at_bound` flags a
-    kappa within `KAPPA_TOL` of a search bound. `boxcox_result` derives
-    every field but kappa.
+    the transfer function's scale normalization; an all-equal input
+    sample has kappa 1 and std 0. `at_bound` flags a kappa within
+    `KAPPA_TOL` of a search bound. `boxcox_result` derives every field but
+    kappa.
     """
 
     kappa: float
@@ -69,7 +69,6 @@ class BoxCoxResult:
     mean: float
     std: float
     total: float
-    degenerate: bool = False
     at_bound: bool = False
 
 
@@ -186,12 +185,17 @@ def boxcox_transform(values: np.ndarray, kappa: float) -> np.ndarray:
     return (np.power(values, kappa) - 1.0) / kappa
 
 
-def _boxcox_loglik(values: np.ndarray, log_values: np.ndarray, kappa: float) -> float:
-    y = boxcox_transform(values, kappa)
-    var = y.var()
-    if var <= 0:
-        return -np.inf
-    return -0.5 * len(values) * math.log(var) + (kappa - 1.0) * log_values.sum()
+def _loglik(values: np.ndarray, logs: np.ndarray, kappas) -> np.ndarray:
+    """Profile log-likelihood of the power transform of `values` (with
+    `logs` = log(values)) at each exponent of `kappas`, one array pass:
+    row i of the transform is taken at kappas[i]."""
+    kappas = np.asarray(kappas, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = (np.power(values, kappas[:, None]) - 1.0) / kappas[:, None]
+        y[kappas == 0] = logs
+        var = y.var(axis=1)
+        lls = np.where(var > 0, -0.5 * len(values) * np.log(var), -np.inf)
+    return lls + (kappas - 1.0) * logs.sum()
 
 
 def boxcox_result(shifted_lambdas: np.ndarray, kappa: float) -> BoxCoxResult:
@@ -208,7 +212,6 @@ def boxcox_result(shifted_lambdas: np.ndarray, kappa: float) -> BoxCoxResult:
         mean=float(y.mean()),
         std=0.0 if degenerate else float(y.std(ddof=1)),
         total=float(y.sum()),
-        degenerate=degenerate,
         at_bound=not degenerate and min(kappa - lo, hi - kappa) <= KAPPA_TOL,
     )
 
@@ -217,8 +220,8 @@ def boxcox_fit(shifted_lambdas: np.ndarray) -> BoxCoxResult:
     """Fit the power-transform exponent by maximum likelihood.
 
     Coarse grid over `KAPPA_BOUNDS` followed by golden-section refinement
-    to absolute tolerance `KAPPA_TOL` in kappa. All-equal input is
-    degenerate: the likelihood is flat, kappa is defined as 1 and flagged.
+    to absolute tolerance `KAPPA_TOL` in kappa, both through `_loglik`.
+    All-equal input has a flat likelihood: kappa is defined as 1.
     """
     values = np.asarray(shifted_lambdas, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
@@ -230,31 +233,23 @@ def boxcox_fit(shifted_lambdas: np.ndarray) -> BoxCoxResult:
 
     logs = np.log(values)
     grid = np.linspace(*KAPPA_BOUNDS, 1001)
-    # the whole grid in one array pass, row i transforming at grid[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = (np.power(values, grid[:, None]) - 1.0) / grid[:, None]
-        y[grid == 0] = logs
-        var = y.var(axis=1)
-        lls = np.where(var > 0, -0.5 * len(values) * np.log(var), -np.inf)
-    lls += (grid - 1.0) * logs.sum()
-    best = int(np.argmax(lls))
+    best = int(np.argmax(_loglik(values, logs, grid)))
     a = grid[max(0, best - 1)]
     b = grid[min(len(grid) - 1, best + 1)]
 
     inv_phi = (math.sqrt(5) - 1) / 2
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = _boxcox_loglik(values, logs, c)
-    fd = _boxcox_loglik(values, logs, d)
+    fc, fd = _loglik(values, logs, [c, d])
     while b - a > KAPPA_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _boxcox_loglik(values, logs, c)
+            (fc,) = _loglik(values, logs, [c])
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _boxcox_loglik(values, logs, d)
+            (fd,) = _loglik(values, logs, [d])
     return boxcox_result(values, (a + b) / 2)
 
 

@@ -330,6 +330,11 @@ def fit(
                     "max_epochs and patience"
                 )
         params = ModelParams.from_arrays(arrays, model_config.layers, "cur_")
+        for name, t in params.tensors():
+            for key in (f"best_{name}", f"adam_m_{name}", f"adam_v_{name}"):
+                if arrays[key].shape != t.shape:
+                    raise DataError(f"{state_path}: '{key}' has shape "
+                                    f"{arrays[key].shape}, expected {t.shape}")
         best_params = ModelParams.from_arrays(arrays, model_config.layers, "best_")
         adam = AdamState(
             step=meta["adam_step"],
@@ -354,14 +359,14 @@ def fit(
         total = 0.0
         for lo in range(0, count, train_config.batch_size):
             batch = triples[lo: lo + train_config.batch_size]
-            trace = forward(params, oper, model_config, out=trace)
+            trace = forward(params, oper, out=trace)
             rows = BatchRows(trace, batch)
             total += bpr_loss(trace, batch, train_config.eta, rows)
             grads = backward(trace, batch, params, oper, train_config.eta, rows)
             adam_step(params, grads, adam, train_config)
         loss = total / count
 
-        trace = forward(params, oper, model_config, out=trace)
+        trace = forward(params, oper, out=trace)
         report = evaluate(
             lambda u: score_user(trace, u), inner_train, val, k_values=(20,)
         )

@@ -10,12 +10,12 @@ import scipy.sparse.csgraph as csgraph
 
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.graph import build_adjacency, build_laplacian
-from waveletcf.ingest import CANONICAL_MAGIC, CANONICAL_VERSION, InteractionSet
+from waveletcf.ingest import CANONICAL_MAGIC, CANONICAL_VERSION, InteractionSet, _header
 from waveletcf.model import ForwardTrace, ModelParams, sigmoid
 from waveletcf.spectral import (
     KAPPA_BOUNDS,
     KAPPA_TOL,
-    _boxcox_loglik,
+    boxcox_transform,
     build_wavelet_pair,
 )
 
@@ -85,6 +85,23 @@ def reference_split(data: InteractionSet, spec):
         )
 
     return assemble(train), assemble(test)
+
+
+def canonical_header(path) -> dict:
+    """Header fields of a canonical dataset file, read from its first line
+    only and parsed as `load_canonical` parses them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _header(path, fh.readline())
+
+
+def _boxcox_loglik(values, log_values, kappa):
+    """Power-transform log-likelihood at one exponent, in scalar
+    arithmetic: the oracle of the fit's array `_loglik`."""
+    y = boxcox_transform(values, kappa)
+    var = y.var()
+    if var <= 0:
+        return -np.inf
+    return -0.5 * len(values) * math.log(var) + (kappa - 1.0) * log_values.sum()
 
 
 def reference_kappa_grid(values):
@@ -167,7 +184,7 @@ def synthetic_two_block(
         user_ids=tuple(f"u{u}" for u in range(num_users)),
         item_ids=tuple(f"i{i}" for i in range(num_items)),
     )
-    data.validate(require_coverage=True)
+    data.validate()
     return data
 
 

@@ -211,7 +211,7 @@ def _finite_difference_worst():
     )
     eta = 0.3
     grads = dict(
-        backward(forward(params, oper, cfg), batch, params, oper, eta).tensors()
+        backward(forward(params, oper), batch, params, oper, eta).tensors()
     )
     h = 1e-4
     worst = 0.0
@@ -222,9 +222,9 @@ def _finite_difference_worst():
             idx = it.multi_index
             orig = tensor[idx]
             tensor[idx] = orig + h
-            up = bpr_loss(forward(params, oper, cfg), batch, eta)
+            up = bpr_loss(forward(params, oper), batch, eta)
             tensor[idx] = orig - h
-            down = bpr_loss(forward(params, oper, cfg), batch, eta)
+            down = bpr_loss(forward(params, oper), batch, eta)
             tensor[idx] = orig
             fd[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -417,7 +417,7 @@ def _train_synthetic(train_set, model_cfg, train_cfg):
     bc = boxcox_fit(dec.shifted_lambdas)
     result = fit(train_set, dec, bc, model_cfg, train_cfg)
     oper = PropagationOperator(dec, bc, model_cfg.t)
-    trace = forward(result.best_params, oper, model_cfg)
+    trace = forward(result.best_params, oper)
     return trace
 
 

@@ -636,6 +636,71 @@ def test_checkpoint_layer_count_mismatch_is_a_data_error(
     assert f"layers={meta['num_w'] + shift}" in capsys.readouterr().err
 
 
+# the pipeline fixture trains at width 16; each damage leaves every other
+# tensor as it is
+@pytest.mark.parametrize(
+    "name, damage, expected",
+    [
+        ("w0", lambda a: np.hstack([a, a[:, :1]]), "16 x 16"),
+        ("y0", lambda a: a[:, :8], "2-D of x0's width 16"),
+        ("theta0", lambda a: a[:, None], "1-D"),
+    ],
+    ids=["w0-16x17", "y0-8-columns", "theta0-2d"],
+)
+def test_checkpoint_with_mismatched_shapes_is_a_data_error(
+    pipeline, tmp_path, capsys, name, damage, expected
+):
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "model.ckpt")
+    arrays[name] = damage(arrays[name])
+    bad = tmp_path / "shape.ckpt"
+    bundles.save_bundle(bad, meta, arrays)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={bad}"]) == 3
+    shape = arrays[name].shape
+    assert f"{bad}: '{name}' has shape {shape}, expected {expected}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_checkpoint_width_must_match_its_config(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "model.ckpt")
+    for name in list(arrays):
+        if name[0] in "xy":
+            arrays[name] = arrays[name][:, :8]
+        elif name[0] == "w":
+            arrays[name] = arrays[name][:8, :8]
+    bad = tmp_path / "narrow.ckpt"
+    bundles.save_bundle(bad, meta, arrays)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={bad}"]) == 3
+    assert f"{bad}: checkpoint tensors have width 8 but its config says width=16" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "name, expected", [("cur_w0", "16 x 16"), ("adam_m_w0", "(16, 16)")]
+)
+def test_resume_from_a_state_with_mismatched_shapes_is_a_data_error(
+    pipeline, tmp_path, capsys, name, expected
+):
+    _, cfg = pipeline
+    state = tmp_path / "state.bundle"
+    args = ["train", "--config", cfg, "--set", f"checkpoint={tmp_path / 'r.ckpt'}",
+            "--set", f"train_state={state}"]
+    assert main([*args, "--set", "max_epochs=1"]) == 0
+    meta, arrays = bundles.load_bundle(state)
+    arrays[name] = np.hstack([arrays[name], arrays[name][:, :1]])
+    bundles.save_bundle(state, meta, arrays)
+    capsys.readouterr()
+    assert main([*args, "--resume", "--set", "max_epochs=2"]) == 3
+    assert f"{state}: '{name}' has shape (16, 17), expected {expected}" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

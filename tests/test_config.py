@@ -107,7 +107,8 @@ def test_flag_without_equals():
         ({"train_fraction": 1.5}, "train_fraction"),
         ({"val_fraction": 0.0}, "val_fraction"),
         ({"exponent_mode": "exp"}, "exponent_mode"),
-        ({"input_format": "xml"}, "input_format"),
+        # the delimiter is always detected: there is no input_format key
+        ({"input_format": "auto"}, "unknown config key 'input_format'"),
         ({"threads": 0}, "threads"),
         ({"q": -1}, "q"),
         ({"eig_tol": 0.0}, "eig_tol"),
@@ -131,6 +132,8 @@ def test_flag_without_equals():
         ({"learning_rate": float("nan")}, "learning_rate must be finite"),
         ({"eta": float("inf")}, "eta must be finite"),
         ({"adam_eps": float("-inf")}, "adam_eps must be finite"),
+        ({"q": 1}, "q must be 0 or >= 2"),
+        ({"k_values": (20, 20)}, "k_values entries must be distinct"),
     ],
 )
 def test_validation_rejects(values, fragment):

@@ -5,13 +5,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import random_bipartite, reference_serialize, reference_split
+from helpers import canonical_header, random_bipartite, reference_serialize, reference_split
 
 from waveletcf.errors import DataError
 from waveletcf.ingest import (
     InteractionSet,
     SplitSpec,
-    canonical_header,
     dataset_hash,
     filter_by_activity,
     load_canonical,
@@ -193,6 +192,34 @@ def test_split_matches_the_shuffle_then_sort_oracle():
             repairs["held-out"] += held_out
             repairs["capped"] += train.num_pairs - kept - held_out
     assert min(repairs.values()) > 0
+
+
+def assert_sorted_unique_in_range(data):
+    pairs = data.pairs
+    assert pairs.dtype == np.int64 and pairs.shape == (data.num_pairs, 2)
+    assert (pairs >= 0).all()
+    assert (pairs[:, 0] < data.num_users).all() and (pairs[:, 1] < data.num_items).all()
+    # lexicographic order with no pair repeated
+    assert (np.diff(pairs[:, 0] * data.num_items + pairs[:, 1]) > 0).all()
+
+
+def test_filter_and_split_outputs_keep_the_dataset_invariants():
+    # nothing re-checks what filter_by_activity and split return: the
+    # invariants `validate` checks on a loaded dataset hold by construction
+    rng = np.random.default_rng(0)
+    for seed in range(20):
+        n = int(rng.integers(200, 600))
+        users, items = rng.integers(0, 40, n), rng.integers(0, 30, n)
+        rows = [(f"u{u}", f"i{i}") for u, i in zip(users, items)]
+        data = filter_by_activity(rows, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        assert_sorted_unique_in_range(data)
+        assert (data.user_degrees() > 0).all() and (data.item_degrees() > 0).all()
+        assert (len(data.user_ids), len(data.item_ids)) == (data.num_users, data.num_items)
+        for cap in (None, 1, int(rng.integers(2, 6))):
+            spec = SplitSpec(rng.uniform(0.05, 0.95), seed=seed, per_user_cap=cap)
+            for part in split(data, spec):
+                assert_sorted_unique_in_range(part)
+                assert (part.user_ids, part.item_ids) == (data.user_ids, data.item_ids)
 
 
 def test_split_rejects_bad_fraction():

@@ -178,7 +178,7 @@ def test_forward_matches_wavelet_pair_oracle(max_nodes, q):
     rng = np.random.default_rng(3)
     for th in params.theta:
         th += rng.normal(0, 0.5, th.shape)
-    trace = forward(params, PropagationOperator(dec, bc, t=0.5), cfg)
+    trace = forward(params, PropagationOperator(dec, bc, t=0.5))
     users, items = wavelet_pair_forward(params, dec, bc, 0.5, cfg.layers)
     assert np.abs(concat_users(trace) - users).max() <= 1e-8
     assert np.abs(trace.concat_items - items).max() <= 1e-8
@@ -189,7 +189,7 @@ def test_forward_concatenation_shapes():
     cfg = ModelConfig(layers=3, width=4, seed=7)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     oper = PropagationOperator(dec, bc, t=0.3)
-    trace = forward(params, oper, cfg)
+    trace = forward(params, oper)
     assert concat_users(trace).shape == (data.num_users, 16)
     assert trace.concat_items.shape == (data.num_items, 16)
     assert np.isfinite(concat_users(trace)).all()
@@ -204,8 +204,8 @@ def test_forward_deterministic():
     cfg = ModelConfig(layers=2, width=3, seed=8)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     oper = PropagationOperator(dec, bc, t=0.4)
-    t1 = forward(params, oper, cfg)
-    t2 = forward(params, oper, cfg)
+    t1 = forward(params, oper)
+    t2 = forward(params, oper)
     assert np.array_equal(concat_users(t1), concat_users(t2))
     assert np.array_equal(t1.concat_items, t2.concat_items)
 
@@ -215,11 +215,11 @@ def test_forward_into_a_trace_overwrites_it():
     cfg = ModelConfig(layers=2, width=3, seed=8)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     oper = PropagationOperator(dec, bc, t=0.4)
-    trace = forward(params, oper, cfg)
+    trace = forward(params, oper)
     stale = trace.concat_items
     params.y0 += 0.5
-    assert forward(params, oper, cfg, out=trace) is trace
-    fresh = forward(params, oper, cfg)
+    assert forward(params, oper, out=trace) is trace
+    fresh = forward(params, oper)
     assert np.array_equal(trace.zs, fresh.zs)
     # the cached item concatenation is rebuilt, not served stale
     assert np.array_equal(trace.concat_items, fresh.concat_items)

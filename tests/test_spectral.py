@@ -286,14 +286,14 @@ def test_fit_statistics():
     assert fit.std == pytest.approx(y.std(ddof=1))  # divisor Q-1
     assert fit.total == pytest.approx(y.sum())
     assert fit.total > 0
-    assert not fit.degenerate
+    assert fit.std > 0 and not fit.at_bound
 
 
 def test_fit_degenerate_all_equal():
     fit = boxcox_fit(np.full(6, 1.7))
     assert fit.kappa == 1.0
     assert fit.std == 0.0
-    assert fit.degenerate
+    assert not fit.at_bound
 
 
 def test_fit_flags_a_kappa_on_its_bound():
@@ -528,7 +528,7 @@ def test_spectral_cache_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "lambdas, at_bound, degenerate",
+    "lambdas, at_bound, all_equal",
     [
         ([0.0, 1.0, 2.0], False, False),  # interior maximum, kappa ~0.58
         ([0.0, 0.9, 0.95, 0.97, 0.99, 1.0], True, False),  # rising at kappa = 5
@@ -536,16 +536,16 @@ def test_spectral_cache_roundtrip(tmp_path):
     ],
 )
 def test_spectral_cache_derives_the_fitted_transform(
-    tmp_path, lambdas, at_bound, degenerate
+    tmp_path, lambdas, at_bound, all_equal
 ):
     dec = decomposition(1.0 + np.array(lambdas))
     bc = boxcox_fit(dec.shifted_lambdas)
-    assert (bc.at_bound, bc.degenerate) == (at_bound, degenerate)
+    assert (bc.at_bound, bc.std == 0.0) == (at_bound, all_equal)
     p = tmp_path / "spec.bundle"
     save_spectral_cache(p, dec, bc, "d" * 64, eig_tol=1e-9, eig_seed=0)
     _, loaded, _ = load_spectral_cache(p)
     assert np.array_equal(loaded.transformed, bc.transformed)
-    for field in ("kappa", "mean", "std", "total", "degenerate", "at_bound"):
+    for field in ("kappa", "mean", "std", "total", "at_bound"):
         assert getattr(loaded, field) == getattr(bc, field), field
 
 

@@ -221,9 +221,9 @@ def test_gradients_match_finite_differences_fused():
     eta = 0.3
 
     def loss_at(p):
-        return bpr_loss(forward(p, oper, cfg), batch, eta)
+        return bpr_loss(forward(p, oper), batch, eta)
 
-    grads = backward(forward(params, oper, cfg), batch, params, oper, eta)
+    grads = backward(forward(params, oper), batch, params, oper, eta)
     h = 1e-4
     for name, tensor in params.tensors():
         analytic = dict(grads.tensors())[name]
@@ -299,7 +299,7 @@ def oracle_case(layers, one_triple, seed=43):
         params = init_params(cfg, m, k, q=dec.q)
         for th in params.theta:
             th += rng.normal(0, 0.5, th.shape)
-        trace = forward(params, oper, cfg)
+        trace = forward(params, oper)
     if one_triple:
         return trace, np.array([[1, 2, 4]]), params, oper
     batch = np.column_stack(
@@ -548,7 +548,7 @@ def test_steps_match_reference_step_bitwise(eta):
         triples = sample_triples(train, train.num_pairs, rng)
         for lo in range(0, len(triples), train_cfg.batch_size):
             batch = triples[lo: lo + train_cfg.batch_size]
-            trace = forward(params, oper, model_cfg, out=trace)
+            trace = forward(params, oper, out=trace)
             rows = train_mod.BatchRows(trace, batch)
             loss = bpr_loss(trace, batch, eta, rows)
             grads = backward(trace, batch, params, oper, eta, rows)
@@ -583,7 +583,7 @@ def test_warmed_step_allocates_less_than_one_layer_block():
 
     def step(batch):
         nonlocal trace
-        trace = forward(params, oper, model_cfg, out=trace)
+        trace = forward(params, oper, out=trace)
         rows = train_mod.BatchRows(trace, batch)
         bpr_loss(trace, batch, train_cfg.eta, rows)
         grads = backward(trace, batch, params, oper, train_cfg.eta, rows)
