@@ -293,7 +293,7 @@ def cmd_train(args, cfg) -> int:
             "best_epoch": result.best_epoch,
             "best_recall": result.best_recall,
             "best_ndcg": result.best_ndcg,
-            "epochs_run": result.epochs_run,
+            "epochs_run": result.epoch,
             "stopped_early": result.stopped_early,
             "learning_rate": train_config.learning_rate,
             "root_seed": cfg["seed"],
@@ -328,12 +328,10 @@ def _load_trained(cfg):
     decomp, bc, _ = spectral.load_spectral_cache(
         cfg.require("spectral_cache"), expected_hash=train_hash
     )
-    ckpt_path = cfg.require("checkpoint")
-    ckpt_config, params, _ = model.load_checkpoint(ckpt_path, train_hash)
-    for theta in params.theta:
-        if len(theta) != decomp.q:
-            raise DataError(f"{ckpt_path}: checkpoint gates have length {len(theta)}, "
-                            f"but the spectral cache holds Q={decomp.q}")
+    ckpt_config, params, _ = model.load_checkpoint(
+        cfg.require("checkpoint"), train_set.num_users, train_set.num_items,
+        decomp.q, train_hash,
+    )
     trace = _score_trace(decomp, bc, ckpt_config, params)
     return train_set, test_set, train_hash, decomp, trace
 

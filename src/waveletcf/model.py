@@ -72,31 +72,27 @@ class ModelParams:
                            [wi.copy() for wi in self.w], [th.copy() for th in self.theta])
 
     @classmethod
-    def from_arrays(cls, arrays, layers: int, prefix: str = "") -> "ModelParams":
-        """Tensors of an L-layer model stored in a loaded bundle's `arrays`
-        under their `tensors()` names, each behind `prefix`. Unless x0 and
-        y0 share a width P, each w is P x P and each theta is 1-D, this is a
-        DataError naming the bundle and the tensor."""
-        params = cls(
-            x0=arrays[f"{prefix}x0"],
-            y0=arrays[f"{prefix}y0"],
-            w=[arrays[f"{prefix}w{i}"] for i in range(layers)],
-            theta=[arrays[f"{prefix}theta{i}"] for i in range(layers)],
-        )
-        p = params.x0.shape[1] if params.x0.ndim == 2 else None
-        for name, t in params.tensors():
-            expected, ok = {
-                "x": ("2-D", p is not None),
-                "y": (f"2-D of x0's width {p}", t.ndim == 2 and t.shape[1] == p),
-                "w": (f"{p} x {p}", t.shape == (p, p)),
-                "t": ("1-D", t.ndim == 1),
-            }[name[0]]
-            if not ok:
-                raise DataError(
-                    f"{arrays.path}: '{prefix}{name}' has shape {t.shape}, "
-                    f"expected {expected}"
-                )
-        return params
+    def from_arrays(cls, arrays, shapes: dict, prefix: str = "") -> "ModelParams":
+        """The tensors of `shapes` (see `param_shapes`) stored in a loaded
+        bundle's `arrays`, each behind `prefix`. One of another shape is a
+        DataError naming the bundle, the tensor and both shapes."""
+        ts = [arrays[prefix + name] for name in shapes]
+        for (name, shape), t in zip(shapes.items(), ts):
+            if t.shape != shape:
+                raise DataError(f"{arrays.path}: '{prefix}{name}' has shape "
+                                f"{t.shape}, expected {shape}")
+        layers = (len(ts) - 2) // 2
+        return cls(ts[0], ts[1], ts[2: 2 + layers], ts[2 + layers:])
+
+
+def param_shapes(config: ModelConfig, num_users: int, num_items: int, q: int) -> dict:
+    """{name: shape} of every model tensor, in `tensors()` order: x0 M x P,
+    y0 K x P, each w P x P and each gate Q."""
+    p = config.width
+    shapes = {"x0": (num_users, p), "y0": (num_items, p)}
+    shapes.update((f"w{i}", (p, p)) for i in range(config.layers))
+    shapes.update((f"theta{i}", (q,)) for i in range(config.layers))
+    return shapes
 
 
 def init_params(
@@ -242,9 +238,12 @@ def save_checkpoint(
     )
 
 
-def load_checkpoint(path, expected_dataset_hash: str = None):
-    """Load a checkpoint; refuses one built for a different dataset or
-    holding a config that fails validation.
+def load_checkpoint(
+    path, num_users: int, num_items: int, q: int, expected_dataset_hash: str = None
+):
+    """Load the checkpoint of a model of M = `num_users`, K = `num_items`
+    and Q = `q`; refuses one built for a different dataset, holding a
+    config that fails validation or tensors of other shapes.
 
     Returns (config, params, meta).
     """
@@ -262,10 +261,5 @@ def load_checkpoint(path, expected_dataset_hash: str = None):
             f"{path}: checkpoint holds {meta['num_w']} layer(s) of weights "
             f"but its config says layers={config.layers}"
         )
-    params = ModelParams.from_arrays(arrays, config.layers)
-    if params.x0.shape[1] != config.width:
-        raise DataError(
-            f"{path}: checkpoint tensors have width {params.x0.shape[1]} "
-            f"but its config says width={config.width}"
-        )
-    return config, params, meta
+    shapes = param_shapes(config, num_users, num_items, q)
+    return config, ModelParams.from_arrays(arrays, shapes), meta

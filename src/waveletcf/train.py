@@ -27,6 +27,7 @@ from .model import (
     PropagationOperator,
     forward,
     init_params,
+    param_shapes,
     row_blocks,
     score_user,
     sigmoid,
@@ -232,22 +233,57 @@ def adam_step(
 
 
 @dataclass
-class FitResult:
+class TrainState:
+    """The record a run resumes from: current and best parameters, Adam's
+    moments, the sampler's generator and the early-stopping counters.
+    `patience` is this run's, not part of the record."""
+
+    params: ModelParams
     best_params: ModelParams
-    final_params: ModelParams
-    best_epoch: int
-    best_recall: float
-    best_ndcg: float
-    epochs_run: int
-    stopped_early: bool
+    adam: AdamState
+    rng: np.random.Generator
+    patience: int
+    epoch: int = 0
+    best_epoch: int = 0
+    best_recall: float = -np.inf
+    best_ndcg: float = 0.0
+    since_best: int = 0
+    COUNTERS = ("epoch", "best_epoch", "best_recall", "best_ndcg", "since_best")
 
+    @property
+    def stopped_early(self) -> bool:
+        return self.since_best > self.patience
 
-def _save_train_state(path, params, best_params, adam, meta):
-    arrays = {f"cur_{name}": t for name, t in params.tensors()}
-    arrays.update((f"best_{name}", t) for name, t in best_params.tensors())
-    arrays.update((f"adam_m_{name}", t) for name, t in adam.m.items())
-    arrays.update((f"adam_v_{name}", t) for name, t in adam.v.items())
-    bundles.save_artifact(path, "train-state", TRAIN_STATE_VERSION, meta, arrays)
+    def save(self, path, run_key: dict) -> None:
+        arrays = {f"cur_{name}": t for name, t in self.params.tensors()}
+        arrays.update((f"best_{name}", t) for name, t in self.best_params.tensors())
+        arrays.update((f"adam_m_{name}", t) for name, t in self.adam.m.items())
+        arrays.update((f"adam_v_{name}", t) for name, t in self.adam.v.items())
+        meta = {"run_key": run_key, **{k: getattr(self, k) for k in self.COUNTERS},
+                "adam_step": self.adam.step,
+                "rng_state": json.dumps(self.rng.bit_generator.state)}
+        bundles.save_artifact(path, "train-state", TRAIN_STATE_VERSION, meta, arrays)
+
+    @classmethod
+    def load(cls, path, run_key: dict, shapes: dict, rng, patience: int):
+        """The state saved at `path` for the run `run_key`, with tensors
+        of `shapes` (see `model.param_shapes`), continuing `rng`. A state
+        saved for another run is a ConfigError naming the first key that
+        differs."""
+        meta, arrays = bundles.load_artifact(path, "train-state", TRAIN_STATE_VERSION)
+        saved = meta["run_key"]
+        for name in sorted(set(saved) | set(run_key)):
+            if saved.get(name) != run_key.get(name):
+                raise ConfigError(
+                    f"{path}: the saved state has {name}={saved.get(name)!r}, "
+                    f"this run has {name}={run_key.get(name)!r}; a resume may "
+                    "change only max_epochs and patience"
+                )
+        params, best, m, v = (ModelParams.from_arrays(arrays, shapes, prefix)
+                              for prefix in ("cur_", "best_", "adam_m_", "adam_v_"))
+        adam = AdamState(meta["adam_step"], dict(m.tensors()), dict(v.tensors()))
+        rng.bit_generator.state = json.loads(meta["rng_state"])
+        return cls(params, best, adam, rng, patience, *(meta[k] for k in cls.COUNTERS))
 
 
 def fit(
@@ -261,7 +297,7 @@ def fit(
     state_path=None,
     resume: bool = False,
     dataset_hash: Optional[str] = None,
-) -> FitResult:
+) -> TrainState:
     """Train with early stopping on a held-out validation slice.
 
     A per-user `val_fraction` of the training pairs is held out; after each
@@ -275,9 +311,9 @@ def fit(
     triple sampling via labeled child seeds. `state_path` enables per-epoch
     state saves; `resume=True` continues from such a save bit-exactly, and
     refuses one saved for another dataset or config (only max_epochs and
-    patience may change). `dataset_hash` is `train_data`'s
-    `ingest.dataset_hash`, computed here if a state is saved and it is
-    not given.
+    patience may change); resuming a run that already stopped trains no
+    further. `dataset_hash` is `train_data`'s `ingest.dataset_hash`,
+    computed here if a state is saved and it is not given.
     """
     log = log_fn or (lambda line: None)
 
@@ -292,17 +328,6 @@ def fit(
         decomp, bc, model_config.t, exponent_mode=model_config.exponent_mode
     )
     rng = np.random.default_rng(child_seed(train_config.seed, TRIPLES))
-
-    params = init_params(
-        model_config, train_data.num_users, train_data.num_items, decomp.q
-    )
-    adam = AdamState.init(params)
-    best_params = params.copy()
-    best_epoch = 0
-    best_recall = -np.inf
-    best_ndcg = 0.0
-    since_best = 0
-    start_epoch = 0
     if state_path is not None:
         # every input the saved state depends on; a resume may extend a run
         # through max_epochs and patience only
@@ -313,47 +338,23 @@ def fit(
             **{f"train.{k}": v for k, v in asdict(train_config).items()
                if k not in ("max_epochs", "patience")},
         }
-
+    sizes = (model_config, train_data.num_users, train_data.num_items, decomp.q)
     if resume:
         if state_path is None:
             raise ConfigError("resume requires a state_path")
-        meta, arrays = bundles.load_artifact(
-            state_path, "train-state", TRAIN_STATE_VERSION
+        state = TrainState.load(
+            state_path, run_key, param_shapes(*sizes), rng, train_config.patience
         )
-        saved = meta["run_key"]
-        for name in sorted(set(saved) | set(run_key)):
-            if saved.get(name) != run_key.get(name):
-                raise ConfigError(
-                    f"{state_path}: the saved state has {name}="
-                    f"{saved.get(name)!r}, this run has {name}="
-                    f"{run_key.get(name)!r}; a resume may change only "
-                    "max_epochs and patience"
-                )
-        params = ModelParams.from_arrays(arrays, model_config.layers, "cur_")
-        for name, t in params.tensors():
-            for key in (f"best_{name}", f"adam_m_{name}", f"adam_v_{name}"):
-                if arrays[key].shape != t.shape:
-                    raise DataError(f"{state_path}: '{key}' has shape "
-                                    f"{arrays[key].shape}, expected {t.shape}")
-        best_params = ModelParams.from_arrays(arrays, model_config.layers, "best_")
-        adam = AdamState(
-            step=meta["adam_step"],
-            m={name: arrays[f"adam_m_{name}"] for name, _ in params.tensors()},
-            v={name: arrays[f"adam_v_{name}"] for name, _ in params.tensors()},
-        )
-        rng.bit_generator.state = json.loads(meta["rng_state"])
-        start_epoch = meta["epoch"]
-        best_epoch = meta["best_epoch"]
-        best_recall = meta["best_recall"]
-        best_ndcg = meta["best_ndcg"]
-        since_best = meta["since_best"]
+    else:
+        params = init_params(*sizes)
+        state = TrainState(params, params.copy(), AdamState.init(params), rng,
+                           train_config.patience)
 
     count = inner_train.num_pairs
-    stopped_early = False
-    epoch = start_epoch
+    params = state.params
     trace = None  # every step overwrites the same buffers
-    while epoch < train_config.max_epochs:
-        epoch += 1
+    while state.epoch < train_config.max_epochs and not state.stopped_early:
+        state.epoch += 1
         t0 = time.perf_counter()
         triples = sample_triples(inner_train, count, rng)
         total = 0.0
@@ -363,7 +364,7 @@ def fit(
             rows = BatchRows(trace, batch)
             total += bpr_loss(trace, batch, train_config.eta, rows)
             grads = backward(trace, batch, params, oper, train_config.eta, rows)
-            adam_step(params, grads, adam, train_config)
+            adam_step(params, grads, state.adam, train_config)
         loss = total / count
 
         trace = forward(params, oper, out=trace)
@@ -372,49 +373,18 @@ def fit(
         )
         recall, ndcg = report.recall[20], report.ndcg[20]
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        line = f"{epoch} {loss:.6f} {recall:.6f} {ndcg:.6f} {elapsed_ms}"
-        log(line)
+        log(f"{state.epoch} {loss:.6f} {recall:.6f} {ndcg:.6f} {elapsed_ms}")
 
-        if recall > best_recall:
-            best_recall = recall
-            best_ndcg = ndcg
-            best_epoch = epoch
-            best_params = params.copy()
-            since_best = 0
+        if recall > state.best_recall:
+            state.best_recall, state.best_ndcg = float(recall), float(ndcg)
+            state.best_epoch = state.epoch
+            state.best_params = params.copy()
+            state.since_best = 0
         else:
-            since_best += 1
-
+            state.since_best += 1
         if state_path is not None:
-            _save_train_state(
-                state_path,
-                params,
-                best_params,
-                adam,
-                {
-                    "run_key": run_key,
-                    "epoch": epoch,
-                    "best_epoch": best_epoch,
-                    "best_recall": best_recall,
-                    "best_ndcg": best_ndcg,
-                    "since_best": since_best,
-                    "adam_step": adam.step,
-                    "rng_state": json.dumps(rng.bit_generator.state),
-                },
-            )
-
-        if since_best > train_config.patience:
-            stopped_early = True
-            break
-
-    return FitResult(
-        best_params=best_params,
-        final_params=params,
-        best_epoch=best_epoch,
-        best_recall=float(best_recall),
-        best_ndcg=float(best_ndcg),
-        epochs_run=epoch,
-        stopped_early=stopped_early,
-    )
+            state.save(state_path, run_key)
+    return state
 
 
 def grid_search(

@@ -362,7 +362,7 @@ def test_train_log_and_checkpoint_meta(pipeline, capsys):
     assert len(epoch_lines) == 4
     assert all(len(line.split()) == 5 for line in epoch_lines)
 
-    config, params, meta = model.load_checkpoint(ckpt)
+    config, params, meta = model.load_checkpoint(ckpt, 60, 40, 64)
     assert meta["best_epoch"] >= 0
     assert meta["root_seed"] == 11
     assert 0.0 <= meta["best_recall"] <= 1.0
@@ -410,7 +410,7 @@ def test_train_grid_enumerates_and_reports_best(pipeline, tmp_path, capsys):
     assert len(runs) == 4
     best = [line for line in captured.splitlines() if line.startswith("grid best")]
     assert len(best) == 1 and "(4 runs)" in best[0]
-    config, _, meta = model.load_checkpoint(ckpt)
+    config, _, meta = model.load_checkpoint(ckpt, 60, 40, 64)
     assert (meta["learning_rate"], config.t) in [
         (lr, t) for lr in (0.01, 0.05) for t in (0.5, 1.0)
     ]
@@ -439,8 +439,8 @@ def test_train_resume_round_trip(pipeline, tmp_path, capsys):
         ["train", "--config", cfg, "--set", "max_epochs=4", "--set",
          f"checkpoint={fresh}"]
     ) == 0
-    _, resumed_params, _ = model.load_checkpoint(ckpt)
-    _, fresh_params, _ = model.load_checkpoint(fresh)
+    _, resumed_params, _ = model.load_checkpoint(ckpt, 60, 40, 64)
+    _, fresh_params, _ = model.load_checkpoint(fresh, 60, 40, 64)
     for (_, a), (_, b) in zip(resumed_params.tensors(), fresh_params.tensors()):
         assert np.array_equal(a, b)
 
@@ -548,7 +548,7 @@ def test_bundle_missing_a_key_is_a_data_error(
 
 
 def test_checkpoint_scored_against_a_cache_of_another_q(pipeline, tmp_path, capsys):
-    _, cfg = pipeline
+    root, cfg = pipeline
     other = tmp_path / "q32.spec"
     assert main(["spectral", "--config", cfg, "--set", "q=32",
                  "--set", f"spectral_cache={other}"]) == 0
@@ -556,8 +556,9 @@ def test_checkpoint_scored_against_a_cache_of_another_q(pipeline, tmp_path, caps
     override = ["--set", f"spectral_cache={other}"]
     for command in (["evaluate"], ["recommend", "--users", "u3"]):
         assert main([*command, "--config", cfg, *override]) == 3
-        err = capsys.readouterr().err
-        assert "gates have length 64" in err and "holds Q=32" in err
+        assert f"{root / 'model.ckpt'}: 'theta0' has shape (64,), expected (32,)" in (
+            capsys.readouterr().err
+        )
 
 
 def test_unwritable_output_is_a_data_error(pipeline, tmp_path, capsys):
@@ -641,9 +642,9 @@ def test_checkpoint_layer_count_mismatch_is_a_data_error(
 @pytest.mark.parametrize(
     "name, damage, expected",
     [
-        ("w0", lambda a: np.hstack([a, a[:, :1]]), "16 x 16"),
-        ("y0", lambda a: a[:, :8], "2-D of x0's width 16"),
-        ("theta0", lambda a: a[:, None], "1-D"),
+        ("w0", lambda a: np.hstack([a, a[:, :1]]), "(16, 16)"),
+        ("y0", lambda a: a[:, :8], "(40, 16)"),
+        ("theta0", lambda a: a[:, None], "(64,)"),
     ],
     ids=["w0-16x17", "y0-8-columns", "theta0-2d"],
 )
@@ -675,16 +676,27 @@ def test_checkpoint_width_must_match_its_config(pipeline, tmp_path, capsys):
     bundles.save_bundle(bad, meta, arrays)
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={bad}"]) == 3
-    assert f"{bad}: checkpoint tensors have width 8 but its config says width=16" in (
+    assert f"{bad}: 'x0' has shape (60, 8), expected (60, 16)" in (
         capsys.readouterr().err
     )
 
 
+# a train state at width 16 and Q = 64; the gate case cuts one tensor
+# under every prefix, so the first the resume reads is named
 @pytest.mark.parametrize(
-    "name, expected", [("cur_w0", "16 x 16"), ("adam_m_w0", "(16, 16)")]
+    "names, damage, expected",
+    [
+        (["cur_w0"], lambda a: np.hstack([a, a[:, :1]]),
+         "'cur_w0' has shape (16, 17), expected (16, 16)"),
+        (["adam_m_w0"], lambda a: np.hstack([a, a[:, :1]]),
+         "'adam_m_w0' has shape (16, 17), expected (16, 16)"),
+        ([f"{prefix}theta0" for prefix in ("cur_", "best_", "adam_m_", "adam_v_")],
+         lambda a: a[:-1], "'cur_theta0' has shape (63,), expected (64,)"),
+    ],
+    ids=["cur_w0-16 x 16", "adam_m_w0-(16, 16)", "theta0-63"],
 )
 def test_resume_from_a_state_with_mismatched_shapes_is_a_data_error(
-    pipeline, tmp_path, capsys, name, expected
+    pipeline, tmp_path, capsys, names, damage, expected
 ):
     _, cfg = pipeline
     state = tmp_path / "state.bundle"
@@ -692,13 +704,30 @@ def test_resume_from_a_state_with_mismatched_shapes_is_a_data_error(
             "--set", f"train_state={state}"]
     assert main([*args, "--set", "max_epochs=1"]) == 0
     meta, arrays = bundles.load_bundle(state)
-    arrays[name] = np.hstack([arrays[name], arrays[name][:, :1]])
+    for name in names:
+        arrays[name] = damage(arrays[name])
     bundles.save_bundle(state, meta, arrays)
     capsys.readouterr()
     assert main([*args, "--resume", "--set", "max_epochs=2"]) == 3
-    assert f"{state}: '{name}' has shape (16, 17), expected {expected}" in (
-        capsys.readouterr().err
-    )
+    assert f"{state}: {expected}" in capsys.readouterr().err
+
+
+def test_resume_of_a_run_that_stopped_early_trains_no_further(
+    pipeline, tmp_path, capsys
+):
+    _, cfg = pipeline
+    ckpt, state = tmp_path / "r.ckpt", tmp_path / "state.bundle"
+    args = ["train", "--config", cfg, "--set", f"checkpoint={ckpt}",
+            "--set", f"train_state={state}", "--set", "max_epochs=50",
+            "--set", "patience=0"]
+    assert main(args) == 0
+    assert bundles.load_bundle(ckpt)[0]["stopped_early"]
+    before = ckpt.read_bytes(), state.read_bytes()
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line[:1].isdigit()] == []
+    assert (ckpt.read_bytes(), state.read_bytes()) == before
 
 
 @pytest.mark.parametrize(

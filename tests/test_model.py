@@ -26,6 +26,7 @@ from waveletcf.model import (
     forward,
     init_params,
     load_checkpoint,
+    param_shapes,
     propagate_layer,
     save_checkpoint,
     score_user,
@@ -254,11 +255,20 @@ def test_checkpoint_roundtrip(tmp_path):
     params = init_params(cfg, 12, 9, q=5)
     p = tmp_path / "model.ckpt"
     save_checkpoint(p, cfg, params, dataset_hash="d" * 64, extra_meta={"epoch": 4})
-    cfg2, params2, meta = load_checkpoint(p, expected_dataset_hash="d" * 64)
+    cfg2, params2, meta = load_checkpoint(p, 12, 9, 5, expected_dataset_hash="d" * 64)
     assert cfg2 == cfg
     assert meta["epoch"] == 4
     for (_, ta), (_, tb) in zip(params.tensors(), params2.tensors()):
         assert np.array_equal(ta, tb)
+
+
+@pytest.mark.parametrize(
+    "layers, width, m, k, q", [(1, 1, 1, 1, 1), (2, 3, 12, 9, 5), (4, 16, 7, 30, 37)]
+)
+def test_param_shapes_are_the_shapes_init_draws(layers, width, m, k, q):
+    cfg = ModelConfig(layers=layers, width=width, seed=0)
+    drawn = [(name, t.shape) for name, t in init_params(cfg, m, k, q).tensors()]
+    assert drawn == list(param_shapes(cfg, m, k, q).items())
 
 
 def test_checkpoint_with_num_theta_still_loads(tmp_path):
@@ -272,7 +282,7 @@ def test_checkpoint_with_num_theta_still_loads(tmp_path):
         old, cfg, params, dataset_hash="d" * 64, extra_meta={"num_theta": 2}
     )
     assert load_bundle(old)[0]["num_theta"] == 2
-    cfg2, params2, _ = load_checkpoint(old, expected_dataset_hash="d" * 64)
+    cfg2, params2, _ = load_checkpoint(old, 12, 9, 5, expected_dataset_hash="d" * 64)
     assert cfg2 == cfg
     for (_, ta), (_, tb) in zip(params.tensors(), params2.tensors()):
         assert np.array_equal(ta, tb)
@@ -284,4 +294,4 @@ def test_checkpoint_hash_refusal(tmp_path):
     p = tmp_path / "model.ckpt"
     save_checkpoint(p, cfg, params, dataset_hash="d" * 64)
     with pytest.raises(DataError, match="dataset"):
-        load_checkpoint(p, expected_dataset_hash="e" * 64)
+        load_checkpoint(p, 6, 6, 3, expected_dataset_hash="e" * 64)

@@ -391,8 +391,8 @@ def test_fit_beats_popularity_and_logs(capsys):
     )
     lines = []
     result = fit(train, dec, bc, model_cfg, train_cfg, log_fn=lines.append)
-    assert result.epochs_run <= 30
-    assert len(lines) == result.epochs_run
+    assert result.epoch <= 30
+    assert len(lines) == result.epoch
     for n, line in enumerate(lines, start=1):
         cols = line.split()
         assert len(cols) == 5
@@ -440,7 +440,7 @@ def test_fit_patience_zero_stops_after_first_non_improvement():
     )
     result = fit(train, dec, bc, model_cfg, train_cfg)
     assert result.stopped_early
-    assert result.epochs_run == result.best_epoch + 1
+    assert result.epoch == result.best_epoch + 1
 
 
 def test_fit_resume_is_bit_exact(tmp_path):
@@ -468,7 +468,7 @@ def test_fit_resume_is_bit_exact(tmp_path):
         log_fn=resumed_lines.append,
     )
     for (_, ta), (_, tb) in zip(
-        full.final_params.tensors(), resumed.final_params.tensors()
+        full.params.tensors(), resumed.params.tensors()
     ):
         assert np.array_equal(ta, tb)
     assert [l.split()[:4] for l in resumed_lines] == [
