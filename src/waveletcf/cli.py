@@ -5,7 +5,9 @@ The run config is resolved once (file < environment < `--set`), and its
 numpy-backed module is imported, so `threads=1` caps every thread pool
 before any linear algebra library initializes; that is what makes
 single-threaded runs bitwise reproducible. `waveletcf.config` imports no
-numpy for this reason.
+numpy for this reason. Likewise no module imports scipy at its top: only
+the functions that build or solve a sparse matrix do, so `ingest`,
+`evaluate` and `recommend` never pay for its import.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Reports go to stdout, diagnostics to stderr.

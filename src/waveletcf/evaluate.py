@@ -46,13 +46,24 @@ def topk(scores: np.ndarray, seen: np.ndarray, k: int):
     B x min(k, K) item indices, and row b is valid in its first
     lengths[b] = min(k, pool) entries, fewer than k only when the row's
     candidate pool is smaller than k.
+
+    Only each row's candidates for its first min(k, K) places are sorted:
+    the keys -score (+inf where seen) no greater than the row's k-th
+    smallest, plus any NaN, which sorts last as in a full sort.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    masked = np.where(seen, -np.inf, scores)
-    order = np.argsort(-masked, axis=1, kind="stable")[:, :k]
+    width = min(k, seen.shape[1])
+    neg = np.where(seen, np.inf, -scores)
+    kth = np.partition(neg, width - 1, axis=1)[:, width - 1:width]
+    rows, cols = np.nonzero(~(neg > kth))
+    # cols ascend within each row and lexsort is stable, so equal keys
+    # keep ascending item order
+    order = np.lexsort((neg[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(len(neg)))
+    ranked = cols[order][starts[:, None] + np.arange(width)]
     lengths = np.minimum(k, seen.shape[1] - seen.sum(axis=1))
-    return order, lengths
+    return ranked, lengths
 
 
 @dataclass

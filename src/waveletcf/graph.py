@@ -8,7 +8,6 @@ is I - D^{-1/2} A D^{-1/2} with spectrum inside [0, 2].
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
 from .ingest import InteractionSet
@@ -17,10 +16,11 @@ from .ingest import InteractionSet
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form.
 
-    Both (i, j) and (j, i) are stored, so symmetry is exact by construction.
+    `mat` is a square scipy sparse matrix, kept as CSR. Both (i, j) and
+    (j, i) are stored, so symmetry is exact by construction.
     """
 
-    def __init__(self, mat: sp.csr_matrix):
+    def __init__(self, mat):
         if mat.shape[0] != mat.shape[1]:
             raise DataError(f"matrix is not square: {mat.shape}")
         self.mat = mat.tocsr()
@@ -53,6 +53,10 @@ class BipartiteLaplacian:
 
 def build_adjacency(data: InteractionSet) -> SparseSymMatrix:
     """Assemble the binary (M+K)x(M+K) bipartite adjacency matrix."""
+    # imported here so that commands which never build a graph skip its
+    # slow import
+    import scipy.sparse as sp
+
     if data.num_pairs == 0:
         raise DataError("cannot build a graph from an empty interaction set")
     m = data.num_users
@@ -74,6 +78,8 @@ def build_laplacian(
     train sets built from surviving users/items); zero-degree nodes are
     reported by index with a user/item label.
     """
+    import scipy.sparse as sp
+
     if num_users + num_items != adj.n:
         raise DataError(
             f"adjacency size {adj.n} does not match "

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bundles
 from .config import EXPONENT_MODES
@@ -290,6 +289,8 @@ def filter_response(
 
 
 def _materialize(phi: np.ndarray, diag: np.ndarray, drop_threshold: float):
+    import scipy.sparse as sp
+
     dense = (phi * diag) @ phi.T
     dense = (dense + dense.T) / 2
     if drop_threshold > 0:

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bundles, ingest
 from .config import ModelConfig, TrainConfig
@@ -140,6 +139,8 @@ def backward(
     `rows` as in `bpr_loss`. The x0 and y0 gradients are views of
     `trace.grad`, which the next call on the same trace overwrites.
     """
+    import scipy.sparse as sp
+
     rows = BatchRows(trace, batch) if rows is None else rows
     dz = -sigmoid(-rows.margins)
 
@@ -149,6 +150,7 @@ def backward(
     # items, taken one layer's columns at a time.
     s = sp.csr_matrix((np.concatenate([dz, -dz]), (np.tile(rows.u_at, 2), rows.i_at)),
                       shape=(len(rows.users), len(rows.items)))
+    s_t = s.T
     item_rows = trace.num_users + rows.items
     layers = len(params.w)
     grad_w = [None] * layers
@@ -171,7 +173,7 @@ def backward(
             np.matmul(oper.phi, d * d_scaled, out=d_next)
         # the loss's gradient on the batch rows of this layer's columns
         cu, ci = trace.zs[layer][rows.users], trace.zs[layer][item_rows]
-        d_users, d_items = s @ ci, s.T @ cu
+        d_users, d_items = s @ ci, s_t @ cu
         if eta != 0.0:
             d_users += eta * cu
             d_items[rows.pos] += eta * ci[rows.pos]
@@ -248,7 +250,9 @@ class TrainState:
     best_recall: float = -np.inf
     best_ndcg: float = 0.0
     since_best: int = 0
-    COUNTERS = ("epoch", "best_epoch", "best_recall", "best_ndcg", "since_best")
+    # each counter's type; a real may be stored as a JSON integer
+    COUNTERS = {"epoch": int, "best_epoch": int, "best_recall": float,
+                "best_ndcg": float, "since_best": int}
 
     @property
     def stopped_early(self) -> bool:
@@ -269,9 +273,12 @@ class TrainState:
         """The state saved at `path` for the run `run_key`, with tensors
         of `shapes` (see `model.param_shapes`), continuing `rng`. A state
         saved for another run is a ConfigError naming the first key that
-        differs."""
+        differs. A malformed run key, counter or generator state is a
+        DataError naming its key."""
         meta, arrays = bundles.load_artifact(path, "train-state", TRAIN_STATE_VERSION)
         saved = meta["run_key"]
+        if not isinstance(saved, dict):
+            raise DataError(f"{path}: 'run_key' must be an object, got {saved!r}")
         for name in sorted(set(saved) | set(run_key)):
             if saved.get(name) != run_key.get(name):
                 raise ConfigError(
@@ -281,8 +288,15 @@ class TrainState:
                 )
         params, best, m, v = (ModelParams.from_arrays(arrays, shapes, prefix)
                               for prefix in ("cur_", "best_", "adam_m_", "adam_v_"))
+        for key, kind in {"adam_step": int, **cls.COUNTERS}.items():
+            if type(meta[key]) not in ((int,) if kind is int else (int, float)):  # no bool
+                raise DataError(f"{path}: '{key}' must be of type {kind.__name__}, "
+                                f"got {meta[key]!r}")
+        try:
+            rng.bit_generator.state = json.loads(meta["rng_state"])
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise DataError(f"{path}: 'rng_state' is not a generator state ({exc})") from exc
         adam = AdamState(meta["adam_step"], dict(m.tensors()), dict(v.tensors()))
-        rng.bit_generator.state = json.loads(meta["rng_state"])
         return cls(params, best, adam, rng, patience, *(meta[k] for k in cls.COUNTERS))
 
 

@@ -292,6 +292,14 @@ def expected_uniform_recall(
     return float(np.mean(vals))
 
 
+def reference_topk(scores, seen, k):
+    """Ranking oracle: each whole row sorted stably by descending score,
+    its `seen` items set to -inf first; (ranked, lengths) as `topk`."""
+    masked = np.where(seen, -np.inf, scores)
+    order = np.argsort(-masked, axis=1, kind="stable")[:, :k]
+    return order, np.minimum(k, seen.shape[1] - seen.sum(axis=1))
+
+
 def make_trace(cu, ci):
     """A depth-0 trace whose concatenated user and item embeddings are
     `cu` and `ci`."""

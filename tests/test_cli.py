@@ -712,6 +712,31 @@ def test_resume_from_a_state_with_mismatched_shapes_is_a_data_error(
     assert f"{state}: {expected}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("epoch", "1", "'epoch' must be of type int, got '1'"),
+        ("best_recall", None, "'best_recall' must be of type float, got None"),
+        ("rng_state", "{}", "'rng_state' is not a generator state"),
+        ("run_key", ["x"], "'run_key' must be an object, got ['x']"),
+    ],
+)
+def test_resume_from_a_state_with_malformed_metadata_is_a_data_error(
+    pipeline, tmp_path, capsys, key, value, expected
+):
+    _, cfg = pipeline
+    state = tmp_path / "state.bundle"
+    args = ["train", "--config", cfg, "--set", f"checkpoint={tmp_path / 'r.ckpt'}",
+            "--set", f"train_state={state}"]
+    assert main([*args, "--set", "max_epochs=1"]) == 0
+    meta, arrays = bundles.load_bundle(state)
+    meta[key] = value
+    bundles.save_bundle(state, meta, arrays)
+    capsys.readouterr()
+    assert main([*args, "--resume", "--set", "max_epochs=2"]) == 3
+    assert f"{state}: {expected}" in capsys.readouterr().err
+
+
 def test_resume_of_a_run_that_stopped_early_trains_no_further(
     pipeline, tmp_path, capsys
 ):
@@ -1034,6 +1059,40 @@ def test_config_resolution_imports_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_only_sparse_building_commands_import_scipy(pipeline, tmp_path):
+    # scipy is imported where a sparse matrix is built or solved, so the
+    # package, ingest, evaluate and recommend load numpy only
+    _, cfg = pipeline
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WAVELETCF_")}
+    env["PYTHONPATH"] = src
+    code = (
+        "import contextlib, importlib, io, json, pkgutil, sys\n"
+        "import waveletcf\n"
+        "from waveletcf.cli import main\n"
+        "for info in pkgutil.iter_modules(waveletcf.__path__):\n"
+        "    if info.name != '__main__':\n"
+        "        importlib.import_module('waveletcf.' + info.name)\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([*argv, '--config', sys.argv[1]]) == 0, argv\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = [run('ingest', '--set', 'dataset=' + sys.argv[2]),\n"
+        "          run('evaluate'), run('recommend', '--users', 'u3'),\n"
+        "          run('spectral', '--set', 'spectral_cache=' + sys.argv[3])]\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "data.ds"),
+         str(tmp_path / "spec.bundle")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *quiet, spectral = json.loads(proc.stdout)
+    assert quiet == [[], [], []]
+    assert "scipy.sparse" in spectral
 
 
 def test_pin_threads_sets_blas_vars():

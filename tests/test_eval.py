@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     expected_uniform_recall,
     interaction_set_from_pairs,
+    reference_topk,
     synthetic_two_block,
 )
 
@@ -68,6 +69,30 @@ def test_topk_ranks_each_row_of_a_block():
     assert ranked[:2].tolist() == [[2, 0], [0, 1]]
     with pytest.raises(DataError):
         topk(scores, seen, 0)
+
+
+def test_topk_matches_the_full_sort_oracle():
+    # ties, NaN and +-inf scores, rows seen in full and k at or above K;
+    # the tail past each row's length is compared too
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        b, n, k = rng.integers(1, 9), rng.integers(1, 30), int(rng.integers(1, 40))
+        if trial % 2:
+            scores = rng.integers(-2, 3, (b, n)).astype(np.float64)
+        else:
+            scores = rng.standard_normal((b, n))
+        special = rng.integers(0, 20, (b, n))
+        scores[special == 0] = np.nan
+        scores[special == 1] = np.inf
+        scores[special == 2] = -np.inf
+        scores[special == 3] = -0.0
+        seen = rng.random((b, n)) < rng.random()
+        seen[0] |= trial % 7 == 0
+        ranked, lengths = topk(scores, seen, k)
+        expected, expected_lengths = reference_topk(scores, seen, k)
+        assert ranked.dtype == expected.dtype
+        np.testing.assert_array_equal(ranked, expected)
+        np.testing.assert_array_equal(lengths, expected_lengths)
 
 
 def test_interaction_rows_follow_the_asked_users():
