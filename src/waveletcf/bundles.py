@@ -157,3 +157,14 @@ def load_artifact(path, kind: str, version: int, dataset_hash: str = None):
             f"not {dataset_hash[:12]}..."
         )
     return meta, arrays
+
+
+def key_mismatch(saved: dict, wanted: dict, what: str):
+    """The first key k, in sorted order, on which two run keys differ (a
+    key that one lacks counts as None there), as "the saved <what> has
+    k=<saved value>, this run has k=<wanted value>"; None if they agree."""
+    for key in sorted(set(saved) | set(wanted)):
+        if saved.get(key) != wanted.get(key):
+            return (f"the saved {what} has {key}={saved.get(key)!r}, "
+                    f"this run has {key}={wanted.get(key)!r}")
+    return None

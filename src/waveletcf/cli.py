@@ -188,7 +188,7 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_spectral(args, cfg) -> int:
-    from . import spectral
+    from . import bundles, spectral
 
     train, _, train_hash = _load_split(cfg)
     q = _resolved_q(cfg, train)
@@ -199,15 +199,16 @@ def cmd_spectral(args, cfg) -> int:
             decomp, bc, meta = spectral.load_spectral_cache(
                 out, expected_hash=train_hash
             )
-            key = (decomp.q, meta["eig_tol"], meta["eig_seed"])
+            saved = {"q": decomp.q, "eig_tol": meta["eig_tol"], "eig_seed": meta["eig_seed"]}
         except DataError as exc:
             raise ConfigError(
                 f"{out} does not match this run ({exc}); pass --force to recompute"
             ) from exc
-        if key != (q, cfg["eig_tol"], cfg.eig_seed()):
-            raise ConfigError(
-                f"{out} exists with different parameters; pass --force to recompute"
-            )
+        wanted = {"q": q, "eig_tol": cfg["eig_tol"], "eig_seed": cfg.eig_seed()}
+        mismatch = bundles.key_mismatch(saved, wanted, "cache")
+        if mismatch:
+            raise ConfigError(f"{out} exists with different parameters: {mismatch}; "
+                              "pass --force to recompute")
         # t is not part of the key: check this run's response too
         _check_filter(cfg, decomp, bc)
         print(f"cache hit {out}")
@@ -224,8 +225,6 @@ def cmd_spectral(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    from dataclasses import replace
-
     from . import model, spectral, train as train_mod
 
     train_set, _, train_hash = _load_split(cfg)
@@ -250,23 +249,16 @@ def cmd_train(args, cfg) -> int:
     if grid_lrs is not None:
         if args.resume:
             raise ConfigError("resume is not supported together with grid search")
-        rows, best_row, result = train_mod.grid_search(
-            train_set,
-            decomp,
-            bc,
-            model_config,
-            train_config,
-            list(grid_lrs),
-            list(cfg["grid_t_values"]),
-            log_fn=print,
+        grid_ts = cfg["grid_t_values"]
+        model_config, train_config, result = train_mod.grid_search(
+            train_set, decomp, bc, model_config, train_config,
+            list(grid_lrs), list(grid_ts), log_fn=print,
         )
-        best_lr, best_t = best_row[0], best_row[1]
         print(
-            f"grid best lr={best_lr} t={best_t} recall@20={best_row[2]:.6f} "
-            f"ndcg@20={best_row[3]:.6f} ({len(rows)} runs)"
+            f"grid best lr={train_config.learning_rate} t={model_config.t} "
+            f"recall@20={result.best_recall:.6f} ndcg@20={result.best_ndcg:.6f} "
+            f"({len(grid_lrs) * len(grid_ts)} runs)"
         )
-        model_config = replace(model_config, t=best_t)
-        train_config = replace(train_config, learning_rate=best_lr)
     else:
         state_path = cfg["train_state"]
         if args.resume and not state_path:
@@ -409,9 +401,11 @@ def cmd_recommend(args, cfg) -> int:
     k = args.k if args.k is not None else max(cfg["k_values"])
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    asked = [uid for uid in (raw.strip() for raw in args.users.split(",")) if uid]
+    if not asked:
+        raise ConfigError(f"--users names no user id, got {args.users!r}")
     train_set, _, _, _, trace = _load_trained(cfg)
     user_index = train_set.user_index
-    asked = [uid for uid in (raw.strip() for raw in args.users.split(",")) if uid]
     known = [uid for uid in asked if uid in user_index]
     users = [user_index[uid] for uid in known]
     seen = eval_mod.interactions(train_set, users)

@@ -67,9 +67,10 @@ class ModelParams:
         out += [(f"theta{i}", th) for i, th in enumerate(self.theta)]
         return out
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.x0.copy(), self.y0.copy(),
-                           [wi.copy() for wi in self.w], [th.copy() for th in self.theta])
+    def map(self, fn) -> "ModelParams":
+        """A ModelParams of `fn` applied to each tensor."""
+        return ModelParams(fn(self.x0), fn(self.y0),
+                           [fn(wi) for wi in self.w], [fn(th) for th in self.theta])
 
     @classmethod
     def from_arrays(cls, arrays, shapes: dict, prefix: str = "") -> "ModelParams":

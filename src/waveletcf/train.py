@@ -190,39 +190,32 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter, and the
-    update's scratch pair, which is never saved."""
+    """First/second moment accumulators, one per model tensor, plus the
+    step counter, and the update's scratch pair, which is never saved."""
 
     step: int
-    m: dict
-    v: dict
+    m: ModelParams
+    v: ModelParams
     scratch: np.ndarray = field(default=None, repr=False)
 
     @classmethod
     def init(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            step=0,
-            m={name: np.zeros_like(t) for name, t in params.tensors()},
-            v={name: np.zeros_like(t) for name, t in params.tensors()},
-        )
+        return cls(0, params.map(np.zeros_like), params.map(np.zeros_like))
 
 
 def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
-):
-    """Standard bias-corrected Adam update, in place, through a scratch
-    pair sized to the largest tensor."""
+) -> None:
+    """Standard bias-corrected Adam update of `params` and `state`, in
+    place, through a scratch pair sized to the largest tensor."""
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     if state.scratch is None:
         state.scratch = np.empty((2, max(t.size for _, t in params.tensors())))
-    grad_map = dict(grads.tensors())
-    for name, tensor in params.tensors():
-        g = grad_map[name]
-        m = state.m[name]
-        v = state.v[name]
+    lockstep = zip(*(p.tensors() for p in (params, grads, state.m, state.v)), strict=True)
+    for (_, tensor), (_, g), (_, m), (_, v) in lockstep:
         s, t = (a[: g.size].reshape(g.shape) for a in state.scratch)
         m *= b1
         m += np.multiply(g, 1 - b1, out=s)
@@ -231,7 +224,6 @@ def adam_step(
         np.multiply(np.divide(m, c1, out=s), config.learning_rate, out=s)
         np.sqrt(np.divide(v, c2, out=t), out=t)
         tensor -= np.divide(s, np.add(t, config.adam_eps, out=t), out=s)
-    return params, state
 
 
 @dataclass
@@ -253,16 +245,17 @@ class TrainState:
     # each counter's type; a real may be stored as a JSON integer
     COUNTERS = {"epoch": int, "best_epoch": int, "best_recall": float,
                 "best_ndcg": float, "since_best": int}
+    # stored name prefixes of params, best_params, adam.m and adam.v
+    PREFIXES = ("cur_", "best_", "adam_m_", "adam_v_")
 
     @property
     def stopped_early(self) -> bool:
         return self.since_best > self.patience
 
     def save(self, path, run_key: dict) -> None:
-        arrays = {f"cur_{name}": t for name, t in self.params.tensors()}
-        arrays.update((f"best_{name}", t) for name, t in self.best_params.tensors())
-        arrays.update((f"adam_m_{name}", t) for name, t in self.adam.m.items())
-        arrays.update((f"adam_v_{name}", t) for name, t in self.adam.v.items())
+        sets = (self.params, self.best_params, self.adam.m, self.adam.v)
+        arrays = {prefix + name: t for prefix, tensors in zip(self.PREFIXES, sets)
+                  for name, t in tensors.tensors()}
         meta = {"run_key": run_key, **{k: getattr(self, k) for k in self.COUNTERS},
                 "adam_step": self.adam.step,
                 "rng_state": json.dumps(self.rng.bit_generator.state)}
@@ -279,15 +272,13 @@ class TrainState:
         saved = meta["run_key"]
         if not isinstance(saved, dict):
             raise DataError(f"{path}: 'run_key' must be an object, got {saved!r}")
-        for name in sorted(set(saved) | set(run_key)):
-            if saved.get(name) != run_key.get(name):
-                raise ConfigError(
-                    f"{path}: the saved state has {name}={saved.get(name)!r}, "
-                    f"this run has {name}={run_key.get(name)!r}; a resume may "
-                    "change only max_epochs and patience"
-                )
+        mismatch = bundles.key_mismatch(saved, run_key, "state")
+        if mismatch:
+            raise ConfigError(
+                f"{path}: {mismatch}; a resume may change only max_epochs and patience"
+            )
         params, best, m, v = (ModelParams.from_arrays(arrays, shapes, prefix)
-                              for prefix in ("cur_", "best_", "adam_m_", "adam_v_"))
+                              for prefix in cls.PREFIXES)
         for key, kind in {"adam_step": int, **cls.COUNTERS}.items():
             if type(meta[key]) not in ((int,) if kind is int else (int, float)):  # no bool
                 raise DataError(f"{path}: '{key}' must be of type {kind.__name__}, "
@@ -296,7 +287,7 @@ class TrainState:
             rng.bit_generator.state = json.loads(meta["rng_state"])
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise DataError(f"{path}: 'rng_state' is not a generator state ({exc})") from exc
-        adam = AdamState(meta["adam_step"], dict(m.tensors()), dict(v.tensors()))
+        adam = AdamState(meta["adam_step"], m, v)
         return cls(params, best, adam, rng, patience, *(meta[k] for k in cls.COUNTERS))
 
 
@@ -361,7 +352,7 @@ def fit(
         )
     else:
         params = init_params(*sizes)
-        state = TrainState(params, params.copy(), AdamState.init(params), rng,
+        state = TrainState(params, params.map(np.copy), AdamState.init(params), rng,
                            train_config.patience)
 
     count = inner_train.num_pairs
@@ -392,7 +383,7 @@ def fit(
         if recall > state.best_recall:
             state.best_recall, state.best_ndcg = float(recall), float(ndcg)
             state.best_epoch = state.epoch
-            state.best_params = params.copy()
+            state.best_params = params.map(np.copy)
             state.since_best = 0
         else:
             state.since_best += 1
@@ -413,37 +404,22 @@ def grid_search(
 ):
     """Exhaustive search over (learning_rate, t) by validation Recall@20.
 
-    Returns (rows, best_row, best_fit) where each row is
-    (learning_rate, t, recall, ndcg, best_epoch).
+    Returns the best cell's (model_config, train_config, fitted state);
+    of equally good cells, the first in (learning_rate, t) order wins.
     """
     if not learning_rates or not t_values:
         raise ConfigError("grid search needs non-empty learning_rate and t lists")
     log = log_fn or (lambda line: None)
-    rows = []
-    best_row = None
-    best_fit = None
+    best = None
     for lr in learning_rates:
         for t in t_values:
-            result = fit(
-                train_data,
-                decomp,
-                bc,
-                replace(model_config, t=float(t)),
-                replace(train_config, learning_rate=float(lr)),
-            )
-            row = (
-                float(lr),
-                float(t),
-                result.best_recall,
-                result.best_ndcg,
-                result.best_epoch,
-            )
-            rows.append(row)
+            cell = (replace(model_config, t=float(t)),
+                    replace(train_config, learning_rate=float(lr)))
+            result = fit(train_data, decomp, bc, *cell)
             log(
                 f"grid lr={lr} t={t} recall@20={result.best_recall:.6f} "
                 f"ndcg@20={result.best_ndcg:.6f} best_epoch={result.best_epoch}"
             )
-            if best_row is None or row[2] > best_row[2]:
-                best_row = row
-                best_fit = result
-    return rows, best_row, best_fit
+            if best is None or result.best_recall > best[2].best_recall:
+                best = (*cell, result)
+    return best

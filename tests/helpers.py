@@ -446,10 +446,9 @@ def reference_step(params, oper, layers, batch, adam, config):
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**adam.step
     c2 = 1.0 - b2**adam.step
-    grad_map = dict(grads.tensors())
-    for name, tensor in params.tensors():
-        g = grad_map[name]
-        mom, var = adam.m[name], adam.v[name]
+    for (_, tensor), (_, g), (_, mom), (_, var) in zip(
+        params.tensors(), grads.tensors(), adam.m.tensors(), adam.v.tensors(), strict=True
+    ):
         mom *= b1
         mom += (1 - b1) * g
         var *= b2

@@ -173,8 +173,15 @@ def test_spectral_cache_hit(pipeline, capsys):
 
 def test_spectral_parameter_change_needs_force(pipeline, capsys):
     root, cfg = pipeline
+    # the refusal names the first differing key with both values
     assert main(["spectral", "--config", cfg, "--set", "eig_tol=1e-6"]) == 2
-    assert "different parameters" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the saved cache has eig_tol=1e-09, this run has eig_tol=1e-06" in err
+    assert main(["spectral", "--config", cfg, "--set", "q=32"]) == 2
+    err = capsys.readouterr().err
+    assert "spec.bundle exists with different parameters" in err
+    assert "the saved cache has q=64, this run has q=32" in err
+    assert "pass --force to recompute" in err
     # the cache holds no filter output, so the filter scale is not its key
     assert main(["spectral", "--config", cfg, "--set", "t=0.9"]) == 0
     assert "cache hit" in capsys.readouterr().out
@@ -410,10 +417,16 @@ def test_train_grid_enumerates_and_reports_best(pipeline, tmp_path, capsys):
     assert len(runs) == 4
     best = [line for line in captured.splitlines() if line.startswith("grid best")]
     assert len(best) == 1 and "(4 runs)" in best[0]
+    best_fields = dict(kv.split("=") for kv in best[0].split()[2:6])
     config, _, meta = model.load_checkpoint(ckpt, 60, 40, 64)
     assert (meta["learning_rate"], config.t) in [
         (lr, t) for lr in (0.01, 0.05) for t in (0.5, 1.0)
     ]
+    assert meta["learning_rate"] == float(best_fields["lr"])
+    assert config.t == float(best_fields["t"])
+    recalls = [dict(kv.split("=") for kv in line.split()[1:])["recall@20"] for line in runs]
+    assert f"{meta['best_recall']:.6f}" == best_fields["recall@20"]
+    assert float(best_fields["recall@20"]) == max(map(float, recalls))
 
 
 def test_train_resume_round_trip(pipeline, tmp_path, capsys):
@@ -837,6 +850,15 @@ def test_recommend_refuses_k_zero_before_loading(pipeline, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "k must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("users", ["", ",", " , "])
+def test_recommend_refuses_a_list_without_ids(pipeline, capsys, users):
+    _, cfg = pipeline
+    assert main(["recommend", "--config", cfg, "--users", users]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--users names no user id" in captured.err
 
 
 def test_recommend_forced_choice(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from waveletcf.model import (
     PropagationOperator,
     forward,
     init_params,
+    param_shapes,
     score_user,
 )
 from waveletcf.spectral import boxcox_fit, eigensolve
@@ -483,6 +485,49 @@ def test_fit_resume_is_bit_exact(tmp_path):
     assert state.read_bytes() == saved
 
 
+def test_train_state_round_trip(tmp_path):
+    # a state saved after two steps, loaded and saved again: the same bytes,
+    # and every tensor set, counter and the generator come back as saved
+    data, train, test, dec, bc = small_problem(seed=25)
+    model_cfg = ModelConfig(layers=2, width=4, t=0.5, seed=26)
+    train_cfg = TrainConfig(batch_size=64, learning_rate=0.05, eta=0.1)
+    oper = PropagationOperator(dec, bc, t=model_cfg.t)
+    sizes = (model_cfg, train.num_users, train.num_items, dec.q)
+    params = init_params(*sizes)
+    state = train_mod.TrainState(
+        params, params.map(np.copy), AdamState.init(params), np.random.default_rng(27),
+        patience=3, epoch=2, best_epoch=1, best_recall=0.25, best_ndcg=0.125, since_best=1,
+    )
+    trace = None
+    for _ in range(2):
+        batch = sample_triples(train, train_cfg.batch_size, state.rng)
+        trace = forward(params, oper, out=trace)
+        grads = backward(trace, batch, params, oper, train_cfg.eta)
+        adam_step(params, grads, state.adam, train_cfg)
+    run_key = {"q": dec.q, "model.seed": model_cfg.seed}
+    first, second = tmp_path / "first.bundle", tmp_path / "second.bundle"
+    state.save(first, run_key)
+    loaded = train_mod.TrainState.load(
+        first, run_key, param_shapes(*sizes), np.random.default_rng(0), patience=3
+    )
+    loaded.save(second, run_key)
+    assert first.read_bytes() == second.read_bytes()
+
+    def tensor_sets(s):
+        return (s.params, s.best_params, s.adam.m, s.adam.v)
+
+    # the four sets differ, so a mixed-up prefix would show
+    assert len({float(s.x0.sum()) for s in tensor_sets(state)}) == 4
+    for want, got in zip(tensor_sets(state), tensor_sets(loaded), strict=True):
+        for (name, a), (_, b) in zip(want.tensors(), got.tensors(), strict=True):
+            assert np.array_equal(a, b), name
+    for key in train_mod.TrainState.COUNTERS:
+        assert getattr(loaded, key) == getattr(state, key), key
+    assert loaded.adam.step == state.adam.step == 2
+    assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+    assert loaded.rng.integers(1 << 62) == state.rng.integers(1 << 62)
+
+
 def test_train_state_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
     # two identical runs whose epochs take different wall-clock times
     data, train, test, dec, bc = small_problem(seed=15)
@@ -512,7 +557,7 @@ def test_grid_search_small():
         batch_size=256, learning_rate=0.05, eta=0.1, max_epochs=2, patience=10, seed=14
     )
     lines = []
-    rows, best_row, best_fit = grid_search(
+    best_model, best_train, best_fit = grid_search(
         train,
         dec,
         bc,
@@ -522,10 +567,19 @@ def test_grid_search_small():
         t_values=[0.2, 1.0],
         log_fn=lines.append,
     )
-    assert len(rows) == 4
     assert len([l for l in lines if l.startswith("grid ")]) == 4
-    assert best_row[2] == max(r[2] for r in rows)
-    assert best_fit.best_recall == best_row[2]
+    # each cell refitted on its own: the returned cell is the first best one
+    cells = [(lr, t) for lr in (0.01, 0.05) for t in (0.2, 1.0)]
+    recalls = [
+        fit(train, dec, bc, replace(model_cfg, t=t),
+            replace(train_cfg, learning_rate=lr)).best_recall
+        for lr, t in cells
+    ]
+    assert (best_train.learning_rate, best_model.t) == cells[recalls.index(max(recalls))]
+    assert best_fit.best_recall == max(recalls)
+    # the cell's configs differ from the caller's in the grid keys only
+    assert replace(best_model, t=model_cfg.t) == model_cfg
+    assert replace(best_train, learning_rate=train_cfg.learning_rate) == train_cfg
     with pytest.raises(ConfigError):
         grid_search(train, dec, bc, model_cfg, train_cfg, [], [1.0])
 
@@ -540,7 +594,7 @@ def test_steps_match_reference_step_bitwise(eta):
     train_cfg = TrainConfig(batch_size=100, learning_rate=0.05, eta=eta)
     oper = PropagationOperator(dec, bc, t=model_cfg.t)
     params = init_params(model_cfg, train.num_users, train.num_items, dec.q)
-    ref_params = params.copy()
+    ref_params = params.map(np.copy)
     adam, ref_adam = AdamState.init(params), AdamState.init(ref_params)
     rng = np.random.default_rng(23)
     trace, batches = None, []
@@ -556,10 +610,9 @@ def test_steps_match_reference_step_bitwise(eta):
             want = reference_step(ref_params, oper, 3, batch, ref_adam, train_cfg)
             assert loss == want
             batches.append(batch)
-    for (name, got), (_, want) in zip(params.tensors(), ref_params.tensors()):
-        assert np.array_equal(got, want), name
-        assert np.array_equal(adam.m[name], ref_adam.m[name]), name
-        assert np.array_equal(adam.v[name], ref_adam.v[name]), name
+    for mine, ref in ((params, ref_params), (adam.m, ref_adam.m), (adam.v, ref_adam.v)):
+        for (name, got), (_, want) in zip(mine.tensors(), ref.tensors(), strict=True):
+            assert np.array_equal(got, want), name
     assert adam.step == ref_adam.step == len(batches)
     # the batches cover repeated users, an item that is one triple's
     # positive and another's negative, and a short last batch
