@@ -150,11 +150,28 @@ def _check_filter(cfg, decomp, bc) -> None:
     dies here, not mid-training, and note a fit stopped at its bound."""
     from . import spectral
 
-    g = spectral.filter_response(decomp, bc, cfg["t"], cfg["exponent_mode"])
+    g = spectral.filter_response(decomp, bc, cfg.model_config())
     if bc.at_bound:
         print(f"note: the power-transform fit stopped at its bound (kappa {bc.kappa:.6f}); "
               f"filter response g in [{g.min():.3g}, {g.max():.3g}], "
               f"{(g < 1e-6).sum()} of {len(g)} below 1e-6", file=sys.stderr)
+
+
+def _load_cache(cfg, q, train_hash, fix="rerun `spectral --force` to recompute it"):
+    """The spectral cache as (decomp, bc), if it serves this run. One rule
+    decides: the loader checks the training split's hash, and its q (the
+    run's resolved `q`), eig_tol and eigensolver seed must be the run's.
+    `fix` ends the error that names the first one that differs."""
+    from . import bundles, spectral
+
+    path = cfg.require("spectral_cache")
+    decomp, bc, meta = spectral.load_spectral_cache(path, expected_hash=train_hash)
+    saved = {"q": decomp.q, "eig_tol": meta["eig_tol"], "eig_seed": meta["eig_seed"]}
+    wanted = {"q": q, "eig_tol": cfg["eig_tol"], "eig_seed": cfg.eig_seed()}
+    mismatch = bundles.key_mismatch(saved, wanted, "cache")
+    if mismatch:
+        raise ConfigError(f"{path} exists with different parameters: {mismatch}; {fix}")
+    return decomp, bc
 
 
 def _spectral_summary(decomp, bc) -> list:
@@ -188,7 +205,7 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_spectral(args, cfg) -> int:
-    from . import bundles, spectral
+    from . import spectral
 
     train, _, train_hash = _load_split(cfg)
     q = _resolved_q(cfg, train)
@@ -196,19 +213,11 @@ def cmd_spectral(args, cfg) -> int:
 
     if os.path.exists(out) and not args.force:
         try:
-            decomp, bc, meta = spectral.load_spectral_cache(
-                out, expected_hash=train_hash
-            )
-            saved = {"q": decomp.q, "eig_tol": meta["eig_tol"], "eig_seed": meta["eig_seed"]}
+            decomp, bc = _load_cache(cfg, q, train_hash, "pass --force to recompute")
         except DataError as exc:
             raise ConfigError(
                 f"{out} does not match this run ({exc}); pass --force to recompute"
             ) from exc
-        wanted = {"q": q, "eig_tol": cfg["eig_tol"], "eig_seed": cfg.eig_seed()}
-        mismatch = bundles.key_mismatch(saved, wanted, "cache")
-        if mismatch:
-            raise ConfigError(f"{out} exists with different parameters: {mismatch}; "
-                              "pass --force to recompute")
         # t is not part of the key: check this run's response too
         _check_filter(cfg, decomp, bc)
         print(f"cache hit {out}")
@@ -225,12 +234,10 @@ def cmd_spectral(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    from . import model, spectral, train as train_mod
+    from . import model, train as train_mod
 
     train_set, _, train_hash = _load_split(cfg)
-    decomp, bc, _ = spectral.load_spectral_cache(
-        cfg.require("spectral_cache"), expected_hash=train_hash
-    )
+    decomp, bc = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
     out = cfg.require("checkpoint")
     if not args.resume:
         _refuse_overwrite(out, args.force)
@@ -260,12 +267,6 @@ def cmd_train(args, cfg) -> int:
             f"({len(grid_lrs) * len(grid_ts)} runs)"
         )
     else:
-        state_path = cfg["train_state"]
-        if args.resume and not state_path:
-            raise ConfigError(
-                "resume needs the train_state config key pointing at the "
-                "saved state of the interrupted run"
-            )
         result = train_mod.fit(
             train_set,
             decomp,
@@ -273,7 +274,7 @@ def cmd_train(args, cfg) -> int:
             model_config,
             train_config,
             log_fn=print,
-            state_path=state_path,
+            state_path=cfg["train_state"],
             resume=args.resume,
             dataset_hash=train_hash,
         )
@@ -288,7 +289,7 @@ def cmd_train(args, cfg) -> int:
             "best_recall": result.best_recall,
             "best_ndcg": result.best_ndcg,
             "epochs_run": result.epoch,
-            "stopped_early": result.stopped_early,
+            "stopped_early": result.since_best > train_config.patience,
             "learning_rate": train_config.learning_rate,
             "root_seed": cfg["seed"],
         },
@@ -305,9 +306,7 @@ def cmd_train(args, cfg) -> int:
 def _score_trace(decomp, bc, model_config, params):
     from . import model
 
-    oper = model.PropagationOperator(
-        decomp, bc, model_config.t, exponent_mode=model_config.exponent_mode
-    )
+    oper = model.PropagationOperator(decomp, bc, model_config)
     return model.forward(params, oper)
 
 
@@ -316,12 +315,10 @@ def _load_trained(cfg):
 
     Returns (train, test, train hash, decomposition, forward trace).
     """
-    from . import model, spectral
+    from . import model
 
     train_set, test_set, train_hash = _load_split(cfg)
-    decomp, bc, _ = spectral.load_spectral_cache(
-        cfg.require("spectral_cache"), expected_hash=train_hash
-    )
+    decomp, bc = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
     ckpt_config, params, _ = model.load_checkpoint(
         cfg.require("checkpoint"), train_set.num_users, train_set.num_items,
         decomp.q, train_hash,

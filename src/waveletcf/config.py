@@ -43,6 +43,10 @@ def _parse_str(raw: str) -> str:
     return raw.strip()
 
 
+def _parse_path(raw: str) -> Optional[str]:
+    return raw.strip() or None  # an empty path means unset
+
+
 def _parse_list(item, noun, raw: str) -> tuple:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -92,6 +96,27 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
+class SplitSpec:
+    """Per-user train/test split parameters.
+
+    `per_user_cap` further down-samples each user's training items to at
+    most the cap (cold-start protocol); capped-out pairs are discarded.
+    """
+
+    train_fraction: float = 0.8
+    seed: int = 0
+    per_user_cap: Optional[int] = None
+
+    def __post_init__(self):
+        if not (0.0 < self.train_fraction < 1.0):
+            raise ConfigError(
+                f"train_fraction must lie strictly in (0,1), got {self.train_fraction}"
+            )
+        if self.per_user_cap is not None and self.per_user_cap < 1:
+            raise ConfigError(f"per_user_cap must be >= 1, got {self.per_user_cap}")
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 1024
     learning_rate: float = 0.05
@@ -131,12 +156,12 @@ class TrainConfig:
 # "unset" for optional keys.
 KEY_SPECS = {
     # artifact paths
-    "input": (_parse_str, None),
-    "dataset": (_parse_str, None),
-    "spectral_cache": (_parse_str, None),
-    "checkpoint": (_parse_str, None),
-    "train_state": (_parse_str, None),
-    "report": (_parse_str, None),
+    "input": (_parse_path, None),
+    "dataset": (_parse_path, None),
+    "spectral_cache": (_parse_path, None),
+    "checkpoint": (_parse_path, None),
+    "train_state": (_parse_path, None),
+    "report": (_parse_path, None),
     # ingest thresholds keep only sufficiently active rows/cols
     "min_user_interactions": (_parse_int, 5),
     "min_item_interactions": (_parse_int, 5),
@@ -251,15 +276,11 @@ class RunConfig:
 
     def _validate(self):
         v = self.values
-        if not (0.0 < v["train_fraction"] < 1.0):
-            raise ConfigError(
-                "train_fraction must lie strictly in (0,1), got "
-                f"{v['train_fraction']}"
-            )
         if v["per_user_cap"] < 0:
             raise ConfigError(
                 f"per_user_cap must be >= 0 (0 disables), got {v['per_user_cap']}"
             )
+        self.split_spec()
         if v["q"] < 0 or v["q"] == 1:
             # the power-transform fit needs at least 2 eigenvalues
             raise ConfigError(f"q must be 0 or >= 2 (0 means auto), got {v['q']}")
@@ -294,8 +315,7 @@ class RunConfig:
                 raise ConfigError(
                     f"grid_t_values must all be >= 0, got {v['grid_t_values']}"
                 )
-        # nested configs validate their own fields; the split checks above
-        # already cover every SplitSpec check
+        # nested configs validate their own fields
         self.model_config()
         self.train_config()
 
@@ -311,10 +331,8 @@ class RunConfig:
             )
         return value
 
-    def split_spec(self):
-        """The per-user split parameters, as an `ingest.SplitSpec`."""
-        from .ingest import SplitSpec
-
+    def split_spec(self) -> SplitSpec:
+        """The per-user split parameters."""
         cap = self.values["per_user_cap"]
         return SplitSpec(
             train_fraction=self.values["train_fraction"],

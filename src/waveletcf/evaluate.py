@@ -14,8 +14,6 @@ import numpy as np
 from .errors import DataError
 from .ingest import InteractionSet, SplitSpec, split
 
-DEFAULT_COHORT_BOUNDARIES = (25, 50, 100)
-
 # users scored and ranked per block. Ranking holds a few BLOCK_USERS x
 # num_items arrays; at 256 users they raised the process's peak RSS by
 # up to 5 MB on a 1510 x 927 run, at 64 not measurably
@@ -89,7 +87,7 @@ def evaluate(
     train: InteractionSet,
     test: InteractionSet,
     k_values: Sequence[int] = (20,),
-    cohort_boundaries: Sequence[int] = DEFAULT_COHORT_BOUNDARIES,
+    cohort_boundaries: Sequence[int] = (),
     notes: Sequence[str] = (),
 ) -> MetricReport:
     """Score every eligible test user and aggregate ranking metrics.
@@ -99,7 +97,7 @@ def evaluate(
     scores, anything that broadcasts to (len(users), num_items): the
     rows themselves, or one row shared by every user. Cohorts partition
     eligible users by their training interaction count at the given
-    boundaries.
+    boundaries; with none, the one cohort [0,inf) holds them all.
     """
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 1:

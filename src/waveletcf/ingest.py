@@ -9,36 +9,15 @@ of external ids.
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .bundles import write_atomic
+from .config import SplitSpec
 from .errors import DataError
 
 CANONICAL_MAGIC = "wavelet-cf-dataset"
 CANONICAL_VERSION = "v1"
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Per-user train/test split parameters.
-
-    `per_user_cap` further down-samples each user's training items to at
-    most the cap (cold-start protocol); capped-out pairs are discarded.
-    """
-
-    train_fraction: float = 0.8
-    seed: int = 0
-    per_user_cap: Optional[int] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise DataError(
-                f"train_fraction must lie strictly in (0,1), got {self.train_fraction}"
-            )
-        if self.per_user_cap is not None and self.per_user_cap < 1:
-            raise DataError(f"per_user_cap must be >= 1, got {self.per_user_cap}")
 
 
 @dataclass(eq=False)

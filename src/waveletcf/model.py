@@ -132,13 +132,12 @@ class PropagationOperator:
         self,
         decomp: SpectralDecomposition,
         bc: BoxCoxResult,
-        t: float,
-        exponent_mode: str = "power",
+        config: ModelConfig,
     ):
         self.phi = decomp.phi
         self.lam = decomp.shifted_lambdas
         self.n = decomp.n
-        self.g = filter_response(decomp, bc, t, exponent_mode)
+        self.g = filter_response(decomp, bc, config)
 
     def gate(self, theta: np.ndarray) -> np.ndarray:
         """Per-frequency gate h = sigma(g * theta)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundles
-from .config import EXPONENT_MODES
+from .config import ModelConfig
 from .errors import ConfigError, DataError, NumericalError
 from .graph import BipartiteLaplacian, SparseSymMatrix
 
@@ -255,10 +255,9 @@ def boxcox_fit(shifted_lambdas: np.ndarray) -> BoxCoxResult:
 def filter_response(
     decomp: SpectralDecomposition,
     bc: BoxCoxResult,
-    t: float,
-    exponent_mode: str = "power",
+    config: ModelConfig,
 ) -> np.ndarray:
-    """Adaptive low-pass response g_t at every retained eigenvalue.
+    """Adaptive low-pass response g_t of `config` at every retained eigenvalue.
 
     g = exp(-arg * mult), as the README's "Filter" section states: the
     case of each transformed eigenvalue against the sample mean and one or
@@ -268,20 +267,16 @@ def filter_response(
     Raises NumericalError if any response underflows to zero or is NaN:
     the gates and the inverse wavelet response both need g > 0.
     """
-    if exponent_mode not in EXPONENT_MODES:
-        raise ConfigError(f"exponent_mode must be one of {EXPONENT_MODES}")
     if bc.total <= 0:
         raise NumericalError(
             "transfer function undefined: transformed eigenvalue sum is not positive"
         )
-    if t < 0:
-        raise ConfigError(f"scale t must be non-negative, got {t}")
     mu, sigma, c = bc.mean, bc.std, bc.total
     y = bc.transformed
     # boundary points belong to the higher (more attenuating) case
     case = sum(y >= mu + k * sigma for k in (0.0, 1.0, 2.0))
-    mult = 1.0 + (2.0 + case) * t / c + sigma * (case > 0)
-    arg = decomp.shifted_lambdas**bc.kappa if exponent_mode == "power" else y
+    mult = 1.0 + (2.0 + case) * config.t / c + sigma * (case > 0)
+    arg = decomp.shifted_lambdas**bc.kappa if config.exponent_mode == "power" else y
     resp = np.exp(-arg * mult)
     if not (resp > 0).all():  # NaN included
         raise NumericalError("filter response must be strictly positive")
@@ -301,20 +296,19 @@ def _materialize(phi: np.ndarray, diag: np.ndarray, drop_threshold: float):
 def build_wavelet_pair(
     decomp: SpectralDecomposition,
     bc: BoxCoxResult,
-    t: float,
+    config: ModelConfig,
     drop_threshold: float = 1e-7,
-    exponent_mode: str = "power",
 ) -> WaveletPair:
     """Assemble the sparsified wavelet operator pair.
 
-    psi = Phi diag(g) Phi^T for the filter response g at scale t; psi_inv
+    psi = Phi diag(g) Phi^T for the filter response g of `config`; psi_inv
     uses the reciprocal response 1/g, so psi @ psi_inv equals the projector
     Phi Phi^T (the identity when the spectrum is complete). Entries smaller
     than `drop_threshold` in magnitude are dropped after assembly.
     """
     if drop_threshold < 0:
         raise ConfigError(f"drop_threshold must be >= 0, got {drop_threshold}")
-    g = filter_response(decomp, bc, t, exponent_mode)
+    g = filter_response(decomp, bc, config)
     return WaveletPair(
         psi=_materialize(decomp.phi, g, drop_threshold),
         psi_inv=_materialize(decomp.phi, 1.0 / g, drop_threshold),

@@ -16,10 +16,10 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import bundles, ingest
-from .config import ModelConfig, TrainConfig
+from .config import ModelConfig, SplitSpec, TrainConfig
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import evaluate
-from .ingest import InteractionSet, SplitSpec, split
+from .ingest import InteractionSet, split
 from .model import (
     ForwardTrace,
     ModelParams,
@@ -230,13 +230,12 @@ def adam_step(
 class TrainState:
     """The record a run resumes from: current and best parameters, Adam's
     moments, the sampler's generator and the early-stopping counters.
-    `patience` is this run's, not part of the record."""
+    Patience is the run's `TrainConfig`'s, not part of the record."""
 
     params: ModelParams
     best_params: ModelParams
     adam: AdamState
     rng: np.random.Generator
-    patience: int
     epoch: int = 0
     best_epoch: int = 0
     best_recall: float = -np.inf
@@ -248,10 +247,6 @@ class TrainState:
     # stored name prefixes of params, best_params, adam.m and adam.v
     PREFIXES = ("cur_", "best_", "adam_m_", "adam_v_")
 
-    @property
-    def stopped_early(self) -> bool:
-        return self.since_best > self.patience
-
     def save(self, path, run_key: dict) -> None:
         sets = (self.params, self.best_params, self.adam.m, self.adam.v)
         arrays = {prefix + name: t for prefix, tensors in zip(self.PREFIXES, sets)
@@ -262,7 +257,7 @@ class TrainState:
         bundles.save_artifact(path, "train-state", TRAIN_STATE_VERSION, meta, arrays)
 
     @classmethod
-    def load(cls, path, run_key: dict, shapes: dict, rng, patience: int):
+    def load(cls, path, run_key: dict, shapes: dict, rng):
         """The state saved at `path` for the run `run_key`, with tensors
         of `shapes` (see `model.param_shapes`), continuing `rng`. A state
         saved for another run is a ConfigError naming the first key that
@@ -288,7 +283,7 @@ class TrainState:
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise DataError(f"{path}: 'rng_state' is not a generator state ({exc})") from exc
         adam = AdamState(meta["adam_step"], m, v)
-        return cls(params, best, adam, rng, patience, *(meta[k] for k in cls.COUNTERS))
+        return cls(params, best, adam, rng, *(meta[k] for k in cls.COUNTERS))
 
 
 def fit(
@@ -320,6 +315,11 @@ def fit(
     further. `dataset_hash` is `train_data`'s `ingest.dataset_hash`,
     computed here if a state is saved and it is not given.
     """
+    if resume and not state_path:
+        raise ConfigError(
+            "resume needs the train_state config key pointing at the "
+            "saved state of the interrupted run"
+        )
     log = log_fn or (lambda line: None)
 
     inner_train, val = split(
@@ -329,9 +329,7 @@ def fit(
             seed=child_seed(train_config.seed, VAL_SPLIT),
         ),
     )
-    oper = PropagationOperator(
-        decomp, bc, model_config.t, exponent_mode=model_config.exponent_mode
-    )
+    oper = PropagationOperator(decomp, bc, model_config)
     rng = np.random.default_rng(child_seed(train_config.seed, TRIPLES))
     if state_path is not None:
         # every input the saved state depends on; a resume may extend a run
@@ -345,20 +343,15 @@ def fit(
         }
     sizes = (model_config, train_data.num_users, train_data.num_items, decomp.q)
     if resume:
-        if state_path is None:
-            raise ConfigError("resume requires a state_path")
-        state = TrainState.load(
-            state_path, run_key, param_shapes(*sizes), rng, train_config.patience
-        )
+        state = TrainState.load(state_path, run_key, param_shapes(*sizes), rng)
     else:
         params = init_params(*sizes)
-        state = TrainState(params, params.map(np.copy), AdamState.init(params), rng,
-                           train_config.patience)
+        state = TrainState(params, params.map(np.copy), AdamState.init(params), rng)
 
     count = inner_train.num_pairs
     params = state.params
     trace = None  # every step overwrites the same buffers
-    while state.epoch < train_config.max_epochs and not state.stopped_early:
+    while state.epoch < train_config.max_epochs and state.since_best <= train_config.patience:
         state.epoch += 1
         t0 = time.perf_counter()
         triples = sample_triples(inner_train, count, rng)

@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from waveletcf.config import ModelConfig
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.graph import build_adjacency, build_laplacian
 from waveletcf.ingest import CANONICAL_MAGIC, CANONICAL_VERSION, InteractionSet, _header
@@ -255,7 +256,7 @@ def wavelet_pair_forward(params, decomp, bc, t, layers):
     psi and psi^-1 assembled as dense N x N matrices. Returns the
     concatenated (users, items) embeddings.
     """
-    pair = build_wavelet_pair(decomp, bc, t, drop_threshold=0.0)
+    pair = build_wavelet_pair(decomp, bc, ModelConfig(t=t), drop_threshold=0.0)
     psi = pair.psi.toarray()
     psi_inv = pair.psi_inv.toarray()
     phi = decomp.phi

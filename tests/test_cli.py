@@ -393,6 +393,39 @@ def test_train_stale_cache_is_a_data_error(pipeline, tmp_path, capsys):
     assert "cache was built for dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, saved",
+    [("q=32", "q=64, this run has q=32"),
+     ("eig_tol=0.001", "eig_tol=1e-09, this run has eig_tol=0.001")],
+)
+def test_cache_readers_apply_the_reuse_rule(pipeline, capsys, setting, saved):
+    # train, evaluate and recommend refuse a cache that spectral would
+    # refuse to reuse for the same run, before any training or scoring
+    root, cfg = pipeline
+    before = (root / "model.ckpt").read_bytes()
+    for command in (["train", "--force"], ["evaluate"], ["recommend", "--users", "u3"]):
+        assert main([*command, "--config", cfg, "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert f"exists with different parameters: the saved cache has {saved}" in captured.err
+        assert "rerun `spectral --force`" in captured.err
+        assert captured.out == ""
+    assert (root / "model.ckpt").read_bytes() == before
+
+
+def test_an_empty_path_means_unset(pipeline, tmp_path, capsys):
+    _, cfg = pipeline
+    # a required path left empty exits 2 before any epoch
+    assert main(["train", "--config", cfg, "--set", "checkpoint="]) == 2
+    captured = capsys.readouterr()
+    assert "config key 'checkpoint' is required" in captured.err
+    assert captured.out == ""
+    # an optional one is not written
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", cfg, "--set", f"checkpoint={ckpt}",
+                 "--set", "train_state=", "--set", "max_epochs=1"]) == 0
+    assert list(tmp_path.iterdir()) == [ckpt]
+
+
 def test_train_grid_enumerates_and_reports_best(pipeline, tmp_path, capsys):
     _, cfg = pipeline
     ckpt = tmp_path / "grid.ckpt"
@@ -493,12 +526,13 @@ def test_resume_after_sigkill_matches_an_uninterrupted_run(pipeline, tmp_path):
 
 def test_resume_without_state_key(pipeline, tmp_path, capsys):
     _, cfg = pipeline
-    code = main(
-        ["train", "--config", cfg, "--resume", "--set",
-         f"checkpoint={tmp_path / 'r.ckpt'}"]
-    )
-    assert code == 2
-    assert "train_state" in capsys.readouterr().err
+    for unset in ([], ["--set", "train_state="]):
+        code = main(
+            ["train", "--config", cfg, "--resume", "--set",
+             f"checkpoint={tmp_path / 'r.ckpt'}", *unset]
+        )
+        assert code == 2
+        assert "train_state" in capsys.readouterr().err
 
 
 def test_resume_refuses_a_state_from_another_config(pipeline, tmp_path, capsys):
@@ -566,7 +600,7 @@ def test_checkpoint_scored_against_a_cache_of_another_q(pipeline, tmp_path, caps
     assert main(["spectral", "--config", cfg, "--set", "q=32",
                  "--set", f"spectral_cache={other}"]) == 0
     capsys.readouterr()
-    override = ["--set", f"spectral_cache={other}"]
+    override = ["--set", f"spectral_cache={other}", "--set", "q=32"]
     for command in (["evaluate"], ["recommend", "--users", "u3"]):
         assert main([*command, "--config", cfg, *override]) == 3
         assert f"{root / 'model.ckpt'}: 'theta0' has shape (64,), expected (32,)" in (

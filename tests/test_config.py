@@ -64,6 +64,10 @@ def test_value_parsers():
     assert parse_value("threads", " 4 ") == 4
     assert parse_value("t", "0.25") == 0.25
     assert parse_value("grid_learning_rates", "0.01,0.05") == (0.01, 0.05)
+    # an empty path means unset, so `require` refuses it
+    for key in ("input", "dataset", "spectral_cache", "checkpoint", "train_state", "report"):
+        assert parse_value(key, " x.ds ") == "x.ds"
+        assert parse_value(key, " ") is None
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_value("threads", "many")
     with pytest.raises(ConfigError, match="k_values"):

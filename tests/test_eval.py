@@ -196,6 +196,11 @@ def test_cohort_counts_partition_eligible_users():
         assert sum(c for _, _, c in report.cohorts[k].values()) == report.num_eligible
     assert 0.0 <= report.recall[20] <= 1.0
     assert 0.0 <= report.ndcg[20] <= 1.0
+    # without boundaries, one cohort holds every eligible user
+    report = evaluate(lambda u: rows[u], train, test, k_values=(20,))
+    assert report.cohorts == {
+        20: {"[0,inf)": (report.recall[20], report.ndcg[20], report.num_eligible)}
+    }
 
 
 def test_full_catalog_cutoff_gives_perfect_recall():

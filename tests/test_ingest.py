@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import canonical_header, random_bipartite, reference_serialize, reference_split
 
-from waveletcf.errors import DataError
+from waveletcf.errors import ConfigError, DataError
 from waveletcf.ingest import (
     InteractionSet,
     SplitSpec,
@@ -223,9 +223,9 @@ def test_filter_and_split_outputs_keep_the_dataset_invariants():
 
 
 def test_split_rejects_bad_fraction():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         SplitSpec(train_fraction=1.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         SplitSpec(train_fraction=0.0)
 
 

@@ -118,7 +118,7 @@ def test_gate_saturation_gives_half_output():
     cfg = ModelConfig(layers=1, width=3, seed=2)
     params = init_params(cfg, 5, 5, q=dec.q)
     params.theta[0] = np.full(dec.q, -1e9)
-    oper = PropagationOperator(dec, bc, t=0.5)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.5))
     rng = np.random.default_rng(0)
     z = rng.normal(size=(dec.n, 3))
     out, _ = propagate_layer(z, 0, params, oper)
@@ -131,7 +131,7 @@ def test_layer_matches_dense_oracle():
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=2)
     bc = boxcox_fit(dec.shifted_lambdas)
-    oper = PropagationOperator(dec, bc, t=0.7)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.7))
     cfg = ModelConfig(layers=1, width=1, seed=4)
     params = init_params(cfg, 1, 1, q=2)
     params.theta[0] = np.array([0.3, -0.8])
@@ -152,7 +152,7 @@ def test_layer_output_range():
     _, _, dec, bc = spectral_setup(seed=8)
     cfg = ModelConfig(layers=1, width=4, seed=5)
     params = init_params(cfg, 9, 9, q=dec.q)
-    oper = PropagationOperator(dec, bc, t=0.2)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.2))
     z = np.random.default_rng(1).normal(size=(dec.n, 4)) * 3
     out, _ = propagate_layer(z, 0, params, oper)
     assert (out > 0).all() and (out < 1).all()
@@ -162,7 +162,7 @@ def test_layer_shape_mismatch():
     _, _, dec, bc = spectral_setup(seed=8)
     cfg = ModelConfig(layers=1, width=4, seed=5)
     params = init_params(cfg, 9, 9, q=dec.q)
-    oper = PropagationOperator(dec, bc, t=0.2)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.2))
     with pytest.raises(DataError):
         propagate_layer(np.zeros((dec.n + 1, 4)), 0, params, oper)
     with pytest.raises(DataError):
@@ -179,7 +179,7 @@ def test_forward_matches_wavelet_pair_oracle(max_nodes, q):
     rng = np.random.default_rng(3)
     for th in params.theta:
         th += rng.normal(0, 0.5, th.shape)
-    trace = forward(params, PropagationOperator(dec, bc, t=0.5))
+    trace = forward(params, PropagationOperator(dec, bc, ModelConfig(t=0.5)))
     users, items = wavelet_pair_forward(params, dec, bc, 0.5, cfg.layers)
     assert np.abs(concat_users(trace) - users).max() <= 1e-8
     assert np.abs(trace.concat_items - items).max() <= 1e-8
@@ -189,7 +189,7 @@ def test_forward_concatenation_shapes():
     data, lap, dec, bc = spectral_setup(seed=14, max_nodes=40)
     cfg = ModelConfig(layers=3, width=4, seed=7)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
-    oper = PropagationOperator(dec, bc, t=0.3)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.3))
     trace = forward(params, oper)
     assert concat_users(trace).shape == (data.num_users, 16)
     assert trace.concat_items.shape == (data.num_items, 16)
@@ -204,7 +204,7 @@ def test_forward_deterministic():
     data, lap, dec, bc = spectral_setup(seed=15, max_nodes=40)
     cfg = ModelConfig(layers=2, width=3, seed=8)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
-    oper = PropagationOperator(dec, bc, t=0.4)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.4))
     t1 = forward(params, oper)
     t2 = forward(params, oper)
     assert np.array_equal(concat_users(t1), concat_users(t2))
@@ -215,7 +215,7 @@ def test_forward_into_a_trace_overwrites_it():
     data, lap, dec, bc = spectral_setup(seed=15, max_nodes=40)
     cfg = ModelConfig(layers=2, width=3, seed=8)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
-    oper = PropagationOperator(dec, bc, t=0.4)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.4))
     trace = forward(params, oper)
     stale = trace.concat_items
     params.y0 += 0.5

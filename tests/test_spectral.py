@@ -17,6 +17,7 @@ from helpers import (
 )
 
 from waveletcf import bundles
+from waveletcf.config import ModelConfig
 from waveletcf.errors import ConfigError, DataError, NumericalError
 from waveletcf.ingest import dataset_hash
 from waveletcf.spectral import (
@@ -339,7 +340,8 @@ def decomposition(shifted_lambdas):
 def response_at(bc, shifted_lambda, value, t, exponent_mode="power"):
     """filter_response of one eigenvalue whose transformed value is `value`."""
     bc = replace(bc, transformed=np.array([value]))
-    (g,) = filter_response(decomposition([shifted_lambda]), bc, t, exponent_mode)
+    config = ModelConfig(t=t, exponent_mode=exponent_mode)
+    (g,) = filter_response(decomposition([shifted_lambda]), bc, config)
     return g
 
 
@@ -414,7 +416,7 @@ def test_filter_response_matches_closed_form_in_one_call():
             1 + 5 * t / c + sigma]
     bc = make_bc(kappa=kappa, mean=mu, std=sigma, total=c, transformed=y)
     for mode, arg in (("power", lam**kappa), ("boxcox", y)):
-        g = filter_response(decomposition(lam), bc, t, mode)
+        g = filter_response(decomposition(lam), bc, ModelConfig(t=t, exponent_mode=mode))
         expected = [math.exp(-a * mult[k]) for a, k in zip(arg, case)]
         np.testing.assert_allclose(g, expected, rtol=1e-12, atol=0)
 
@@ -423,7 +425,8 @@ def fitted_filter(seed=13, t=0.5, max_nodes=60, exponent_mode="power"):
     lap = laplacian_for(random_bipartite(seed, max_nodes=max_nodes))
     dec = eigensolve(lap, q=lap.n)
     bc = boxcox_fit(dec.shifted_lambdas)
-    return dec, bc, filter_response(dec, bc, t, exponent_mode)
+    config = ModelConfig(t=t, exponent_mode=exponent_mode)
+    return dec, bc, filter_response(dec, bc, config)
 
 
 def test_response_positive_and_monotone():
@@ -442,13 +445,13 @@ def test_response_decreases_with_scale():
 def test_underflowed_response_raises():
     dec, bc, _ = fitted_filter()
     with pytest.raises(NumericalError, match="strictly positive"):
-        filter_response(dec, bc, 1e300)
+        filter_response(dec, bc, ModelConfig(t=1e300))
 
 
 def test_nan_response_raises():
     dec, bc, _ = fitted_filter()
     with pytest.raises(NumericalError, match="strictly positive"):
-        filter_response(dec, replace(bc, kappa=math.nan), 0.5)
+        filter_response(dec, replace(bc, kappa=math.nan), ModelConfig(t=0.5))
 
 
 # ------------------------------------------------------------------ wavelets
@@ -458,8 +461,8 @@ def test_wavelet_t0_two_node_oracle():
     lap = laplacian_for(interaction_set_from_pairs(1, 1, [(0, 0)]))
     dec = eigensolve(lap, q=2)
     bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, t=0.0, drop_threshold=0.0)
-    g = filter_response(dec, bc, 0.0)
+    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.0), drop_threshold=0.0)
+    g = filter_response(dec, bc, ModelConfig(t=0.0))
     oracle = (dec.phi * g) @ dec.phi.T
     np.testing.assert_allclose(pair.psi.toarray(), oracle, atol=1e-12)
     assert np.array_equal(pair.psi.toarray(), pair.psi.toarray().T)
@@ -469,7 +472,7 @@ def test_wavelet_infinite_threshold_drops_everything():
     lap = laplacian_for(interaction_set_from_pairs(1, 1, [(0, 0)]))
     dec = eigensolve(lap, q=2)
     bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, t=0.5, drop_threshold=np.inf)
+    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.5), drop_threshold=np.inf)
     assert pair.psi.nnz == 0
     assert pair.psi_inv.nnz == 0
 
@@ -478,7 +481,7 @@ def test_wavelet_full_spectrum_product_is_identity():
     lap = laplacian_for(random_bipartite(19, max_nodes=80))
     dec = eigensolve(lap, q=lap.n)
     bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, t=0.8, drop_threshold=0.0)
+    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.8), drop_threshold=0.0)
     prod = pair.psi.toarray() @ pair.psi_inv.toarray()
     assert np.abs(prod - np.eye(lap.n)).max() <= 1e-5
 
@@ -488,7 +491,7 @@ def test_wavelet_truncated_product_is_projector():
     q = lap.n // 3
     dec = eigensolve(lap, q=q)
     bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, t=0.8, drop_threshold=0.0)
+    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.8), drop_threshold=0.0)
     prod = pair.psi.toarray() @ pair.psi_inv.toarray()
     proj = dec.phi @ dec.phi.T
     assert np.abs(prod - proj).max() <= 1e-5
@@ -498,8 +501,8 @@ def test_sparsification_stability():
     lap = laplacian_for(random_bipartite(29, max_nodes=80))
     dec = eigensolve(lap, q=lap.n)
     bc = boxcox_fit(dec.shifted_lambdas)
-    dense = build_wavelet_pair(dec, bc, t=0.5, drop_threshold=0.0)
-    sparse = build_wavelet_pair(dec, bc, t=0.5, drop_threshold=1e-7)
+    dense = build_wavelet_pair(dec, bc, ModelConfig(t=0.5), drop_threshold=0.0)
+    sparse = build_wavelet_pair(dec, bc, ModelConfig(t=0.5), drop_threshold=1e-7)
     diff = np.abs(dense.psi.toarray() - sparse.psi.toarray()).max()
     assert diff <= 1e-7
     assert sparse.psi.nnz <= dense.psi.nnz

@@ -178,7 +178,7 @@ def dummy_operator():
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=2)
     bc = boxcox_fit(dec.shifted_lambdas)
-    return PropagationOperator(dec, bc, t=0.0)
+    return PropagationOperator(dec, bc, ModelConfig(t=0.0))
 
 
 def test_depth_zero_gradients_match_closed_form():
@@ -210,7 +210,7 @@ def test_gradients_match_finite_differences_fused():
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=lap.n)
     bc = boxcox_fit(dec.shifted_lambdas)
-    oper = PropagationOperator(dec, bc, t=0.7)
+    oper = PropagationOperator(dec, bc, ModelConfig(t=0.7))
     cfg = ModelConfig(layers=3, width=4, t=0.7, seed=19)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     rng = np.random.default_rng(23)
@@ -295,7 +295,9 @@ def oracle_case(layers, one_triple, seed=43):
         data = random_bipartite(seed, max_nodes=40)
         lap = laplacian_for(data)
         dec = eigensolve(lap, q=lap.n // 2)
-        oper = PropagationOperator(dec, boxcox_fit(dec.shifted_lambdas), t=0.7)
+        oper = PropagationOperator(
+            dec, boxcox_fit(dec.shifted_lambdas), ModelConfig(t=0.7)
+        )
         cfg = ModelConfig(layers=layers, width=4, t=0.7, seed=seed)
         m, k = data.num_users, data.num_items
         params = init_params(cfg, m, k, q=dec.q)
@@ -441,7 +443,7 @@ def test_fit_patience_zero_stops_after_first_non_improvement():
         batch_size=128, learning_rate=0.3, eta=0.0, max_epochs=40, patience=0, seed=8
     )
     result = fit(train, dec, bc, model_cfg, train_cfg)
-    assert result.stopped_early
+    assert result.since_best > train_cfg.patience
     assert result.epoch == result.best_epoch + 1
 
 
@@ -485,18 +487,26 @@ def test_fit_resume_is_bit_exact(tmp_path):
     assert state.read_bytes() == saved
 
 
+@pytest.mark.parametrize("state_path", [None, ""])
+def test_fit_resume_needs_a_state_path(state_path):
+    data, train, test, dec, bc = small_problem(seed=9)
+    with pytest.raises(ConfigError, match="train_state"):
+        fit(train, dec, bc, ModelConfig(layers=1, width=4), TrainConfig(),
+            state_path=state_path, resume=True)
+
+
 def test_train_state_round_trip(tmp_path):
     # a state saved after two steps, loaded and saved again: the same bytes,
     # and every tensor set, counter and the generator come back as saved
     data, train, test, dec, bc = small_problem(seed=25)
     model_cfg = ModelConfig(layers=2, width=4, t=0.5, seed=26)
     train_cfg = TrainConfig(batch_size=64, learning_rate=0.05, eta=0.1)
-    oper = PropagationOperator(dec, bc, t=model_cfg.t)
+    oper = PropagationOperator(dec, bc, model_cfg)
     sizes = (model_cfg, train.num_users, train.num_items, dec.q)
     params = init_params(*sizes)
     state = train_mod.TrainState(
         params, params.map(np.copy), AdamState.init(params), np.random.default_rng(27),
-        patience=3, epoch=2, best_epoch=1, best_recall=0.25, best_ndcg=0.125, since_best=1,
+        epoch=2, best_epoch=1, best_recall=0.25, best_ndcg=0.125, since_best=1,
     )
     trace = None
     for _ in range(2):
@@ -508,7 +518,7 @@ def test_train_state_round_trip(tmp_path):
     first, second = tmp_path / "first.bundle", tmp_path / "second.bundle"
     state.save(first, run_key)
     loaded = train_mod.TrainState.load(
-        first, run_key, param_shapes(*sizes), np.random.default_rng(0), patience=3
+        first, run_key, param_shapes(*sizes), np.random.default_rng(0)
     )
     loaded.save(second, run_key)
     assert first.read_bytes() == second.read_bytes()
@@ -592,7 +602,7 @@ def test_steps_match_reference_step_bitwise(eta):
     data, train, test, dec, bc = small_problem(seed=21)
     model_cfg = ModelConfig(layers=3, width=8, t=0.5, seed=22)
     train_cfg = TrainConfig(batch_size=100, learning_rate=0.05, eta=eta)
-    oper = PropagationOperator(dec, bc, t=model_cfg.t)
+    oper = PropagationOperator(dec, bc, model_cfg)
     params = init_params(model_cfg, train.num_users, train.num_items, dec.q)
     ref_params = params.map(np.copy)
     adam, ref_adam = AdamState.init(params), AdamState.init(ref_params)
@@ -626,7 +636,9 @@ def test_warmed_step_allocates_less_than_one_layer_block():
     # step that reuses its buffers needs far less than one N x P block
     data = synthetic_two_block(num_users=2400, num_items=1000, per_user=10, seed=3)
     dec = eigensolve(laplacian_for(data), q=16)
-    oper = PropagationOperator(dec, boxcox_fit(dec.shifted_lambdas), t=0.5)
+    oper = PropagationOperator(
+        dec, boxcox_fit(dec.shifted_lambdas), ModelConfig(t=0.5)
+    )
     model_cfg = ModelConfig(layers=3, width=64, t=0.5, seed=1)
     train_cfg = TrainConfig(batch_size=32, eta=0.37)
     params = init_params(model_cfg, data.num_users, data.num_items, dec.q)
