@@ -16,6 +16,7 @@ failure. Reports go to stdout, diagnostics to stderr.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import config as config_mod
 from .errors import ConfigError, DataError, NumericalError
@@ -364,8 +365,11 @@ def cmd_cold_start(args, cfg) -> int:
     k_values = cfg["k_values"]
     k = 20 if 20 in k_values else max(k_values)
     model_config = cfg.model_config()
-
-    def trainer(train_set, test_set, cap):
+    rows = []
+    for cap in cfg["cold_start_caps"]:
+        train_set, test_set = ingest.split(
+            data, replace(cfg.split_spec(), per_user_cap=cap)
+        )
         decomp, bc = _solve(cfg, train_set, _resolved_q(cfg, train_set))
         result = train_mod.fit(
             train_set, decomp, bc, model_config, cfg.train_config()
@@ -383,11 +387,7 @@ def cmd_cold_start(args, cfg) -> int:
             f"({report.num_eligible} eligible users)",
             file=sys.stderr,
         )
-        return report.recall[k], report.ndcg[k]
-
-    rows = eval_mod.cold_start_suite(
-        data, list(cfg["cold_start_caps"]), cfg.split_spec(), trainer
-    )
+        rows.append((cap, report.recall[k], report.ndcg[k]))
     print(eval_mod.render_cold_start(rows, k))
     return 0
 

@@ -99,21 +99,25 @@ class ModelConfig:
 class SplitSpec:
     """Per-user train/test split parameters.
 
-    `per_user_cap` further down-samples each user's training items to at
-    most the cap (cold-start protocol); capped-out pairs are discarded.
+    `per_user_cap` above 0 further down-samples each user's training items
+    to at most the cap (cold-start protocol); capped-out pairs are
+    discarded. 0 disables the cap.
     """
 
     train_fraction: float = 0.8
     seed: int = 0
-    per_user_cap: Optional[int] = None
+    per_user_cap: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
+        if self.per_user_cap < 0:
+            raise ConfigError(
+                f"per_user_cap must be >= 0 (0 disables), got {self.per_user_cap}"
+            )
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(
                 f"train_fraction must lie strictly in (0,1), got {self.train_fraction}"
             )
-        if self.per_user_cap is not None and self.per_user_cap < 1:
-            raise ConfigError(f"per_user_cap must be >= 1, got {self.per_user_cap}")
 
 
 @dataclass(frozen=True)
@@ -165,16 +169,13 @@ KEY_SPECS = {
     # ingest thresholds keep only sufficiently active rows/cols
     "min_user_interactions": (_parse_int, 5),
     "min_item_interactions": (_parse_int, 5),
-    # split
-    "train_fraction": (_parse_float, 0.8),
-    "per_user_cap": (_parse_int, 0),  # 0 disables the cap
     # spectral
     "q": (_parse_int, 0),  # 0 means auto (default_q of the graph size)
     "eig_tol": (_parse_float, 1e-9),
-    # model and training: every ModelConfig and TrainConfig field but seed
+    # split, model and training: every field of their configs but seed
     **{
         f.name: (_FIELD_TYPES[f.type][0], f.default)
-        for f in fields(ModelConfig) + fields(TrainConfig)
+        for f in fields(SplitSpec) + fields(ModelConfig) + fields(TrainConfig)
         if f.name != "seed"
     },
     # grid search (unset = plain single fit)
@@ -276,10 +277,6 @@ class RunConfig:
 
     def _validate(self):
         v = self.values
-        if v["per_user_cap"] < 0:
-            raise ConfigError(
-                f"per_user_cap must be >= 0 (0 disables), got {v['per_user_cap']}"
-            )
         self.split_spec()
         if v["q"] < 0 or v["q"] == 1:
             # the power-transform fit needs at least 2 eigenvalues
@@ -332,12 +329,8 @@ class RunConfig:
         return value
 
     def split_spec(self) -> SplitSpec:
-        """The per-user split parameters."""
-        cap = self.values["per_user_cap"]
-        return SplitSpec(
-            train_fraction=self.values["train_fraction"],
-            seed=seeds.child_seed(self.values["seed"], seeds.SPLIT),
-            per_user_cap=None if cap == 0 else cap,
+        return self._stage_config(
+            SplitSpec, seeds.child_seed(self.values["seed"], seeds.SPLIT)
         )
 
     def _stage_config(self, cls, seed: int):

@@ -1,4 +1,4 @@
-"""Top-k ranking metrics, cohort breakdowns, and the cold-start protocol.
+"""Top-k ranking metrics, cohort breakdowns, and their text reports.
 
 All metrics are averaged over eligible test users (users holding at least
 one held-out item). Ties in scores are broken by ascending item index, and
@@ -6,13 +6,13 @@ a user's training positives are masked out before ranking.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import InteractionSet, SplitSpec, split
+from .ingest import InteractionSet
 
 # users scored and ranked per block. Ranking holds a few BLOCK_USERS x
 # num_items arrays; at 256 users they raised the process's peak RSS by
@@ -194,28 +194,6 @@ def machine_lines(report: MetricReport) -> List[str]:
 def popularity_scores(train: InteractionSet) -> np.ndarray:
     """Item training-interaction counts, usable as a baseline score row."""
     return train.item_degrees().astype(np.float64)
-
-
-def cold_start_suite(
-    data: InteractionSet,
-    caps: Sequence[int],
-    split_spec: SplitSpec,
-    trainer: Callable[[InteractionSet, InteractionSet, int], Tuple[float, float]],
-) -> List[Tuple[int, float, float]]:
-    """Re-split with each training cap, retrain, and collect metrics.
-
-    `trainer(train, test, cap)` runs a full training + evaluation cycle and
-    returns (recall@k, ndcg@k) at the one cutoff k it evaluates. Rows come
-    back in the order of `caps`.
-    """
-    if not caps or min(caps) < 1:
-        raise DataError("caps must be positive integers")
-    rows = []
-    for cap in caps:
-        train, test = split(data, replace(split_spec, per_user_cap=int(cap)))
-        recall, ndcg = trainer(train, test, int(cap))
-        rows.append((int(cap), float(recall), float(ndcg)))
-    return rows
 
 
 def render_cold_start(rows: List[Tuple[int, float, float]], k: int) -> str:

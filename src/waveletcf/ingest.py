@@ -203,7 +203,7 @@ def split(data: InteractionSet, spec: SplitSpec):
     Each user's items are randomly permuted under `spec.seed`; the first
     max(1, floor(n * train_fraction)) go to train, the rest to test. A user
     with a single interaction trains on it and contributes no test items.
-    With `per_user_cap` set, each user's training items are further
+    With `per_user_cap` above 0, each user's training items are further
     down-sampled to the cap and the capped-out pairs are discarded.
 
     Items that would end up with no training interaction are repaired so
@@ -223,7 +223,7 @@ def split(data: InteractionSet, spec: SplitSpec):
         order = np.concatenate(perms)
         rank[order] = np.arange(data.num_pairs) - np.repeat(starts, degrees)
     n_train = np.maximum(1, np.floor(degrees * spec.train_fraction).astype(np.int64))
-    cap = n_train if spec.per_user_cap is None else spec.per_user_cap
+    cap = spec.per_user_cap or n_train
     trained = rank < np.repeat(n_train, degrees)
     train = rank < np.repeat(np.minimum(n_train, cap), degrees)
     items = data.pairs[:, 1]

@@ -331,7 +331,7 @@ def fit(
     )
     oper = PropagationOperator(decomp, bc, model_config)
     rng = np.random.default_rng(child_seed(train_config.seed, TRIPLES))
-    if state_path is not None:
+    if state_path:
         # every input the saved state depends on; a resume may extend a run
         # through max_epochs and patience only
         run_key = {
@@ -380,7 +380,7 @@ def fit(
             state.since_best = 0
         else:
             state.since_best += 1
-        if state_path is not None:
+        if state_path:
             state.save(state_path, run_key)
     return state
 

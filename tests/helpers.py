@@ -58,7 +58,7 @@ def reference_split(data: InteractionSet, spec):
     shuffled = data.pairs[np.concatenate(perms)] if perms else data.pairs
     rank = np.arange(data.num_pairs) - np.repeat(starts, degrees)
     n_train = np.maximum(1, np.floor(degrees * spec.train_fraction).astype(np.int64))
-    cap = n_train if spec.per_user_cap is None else spec.per_user_cap
+    cap = spec.per_user_cap or n_train
     trained = rank < np.repeat(n_train, degrees)
     kept = rank < np.repeat(np.minimum(n_train, cap), degrees)
     train, capped, test = shuffled[kept], shuffled[trained & ~kept], shuffled[~trained]

@@ -29,7 +29,6 @@ from helpers import (
 
 from waveletcf import evaluate as evaluate_mod, seeds
 from waveletcf.evaluate import (
-    cold_start_suite,
     evaluate,
     interactions,
     popularity_scores,
@@ -472,21 +471,18 @@ def test_cold_start_metrics_trend_with_cap():
         learning_rate=0.02, eta=0.1, max_epochs=80, patience=20, seed=ROOT_SEED
     )
 
-    def trainer(train_set, test_set, cap):
+    split_seed = seeds.child_seed(ROOT_SEED, seeds.SPLIT)
+    recalls, ndcgs = [], []
+    for cap in [3, 5, 7, 9, 12]:
+        train_set, test_set = split(
+            data, SplitSpec(0.8, seed=split_seed, per_user_cap=cap)
+        )
         trace = _train_synthetic(train_set, model_cfg, train_cfg)
         rep = evaluate(
             lambda u: score_user(trace, u), train_set, test_set, k_values=(20,)
         )
-        return rep.recall[20], rep.ndcg[20]
-
-    rows = cold_start_suite(
-        data,
-        [3, 5, 7, 9, 12],
-        SplitSpec(0.8, seed=seeds.child_seed(ROOT_SEED, seeds.SPLIT)),
-        trainer,
-    )
-    recalls = [r for _, r, _ in rows]
-    ndcgs = [n for _, _, n in rows]
+        recalls.append(rep.recall[20])
+        ndcgs.append(rep.ndcg[20])
     inv_recall = sum(1 for a, b in zip(recalls, recalls[1:]) if b < a)
     inv_ndcg = sum(1 for a, b in zip(ndcgs, ndcgs[1:]) if b < a)
     report(

@@ -1050,6 +1050,25 @@ def test_cold_start_table_names_its_cutoff(pipeline, capsys):
     assert row.split()[1] == recall
 
 
+def test_cold_start_vacuous_cap_is_train_then_evaluate(pipeline, tmp_path, capsys):
+    # the cap-1000 split is the plain split, so the cold-start row is the
+    # stage pipeline's report at k = 20
+    _, cfg = pipeline
+    same = ["--config", cfg, "--set", "max_epochs=2", "--set", "width=8",
+            "--set", f"checkpoint={tmp_path / 'plain.ckpt'}"]
+    assert main(["cold-start", *same, "--set", "cold_start_caps=1000"]) == 0
+    _, row = capsys.readouterr().out.strip().splitlines()
+    assert main(["train", *same]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", *same]) == 0
+    report = {
+        line.split()[0]: float(line.split()[3])
+        for line in capsys.readouterr().out.splitlines()
+        if line.split()[1:3] == ["20", "all"]
+    }
+    assert row.split() == ["1000", f"{report['recall']:.6f}", f"{report['ndcg']:.6f}"]
+
+
 def test_pipeline_is_bitwise_reproducible(pipeline, tmp_path, capsys):
     _, cfg = pipeline
     blobs = []

@@ -72,6 +72,8 @@ def test_value_parsers():
         parse_value("threads", "many")
     with pytest.raises(ConfigError, match="k_values"):
         parse_value("k_values", " , ")
+    with pytest.raises(ConfigError, match="cold_start_caps"):
+        parse_value("cold_start_caps", " , ")
 
 
 @pytest.mark.parametrize("key", ["eig_tol", "t", "learning_rate", "grid_t_values"])
@@ -138,6 +140,7 @@ def test_flag_without_equals():
         ({"adam_eps": float("-inf")}, "adam_eps must be finite"),
         ({"q": 1}, "q must be 0 or >= 2"),
         ({"k_values": (20, 20)}, "k_values entries must be distinct"),
+        ({"cold_start_caps": (0, 3)}, "cold_start_caps"),
     ],
 )
 def test_validation_rejects(values, fragment):
@@ -158,7 +161,7 @@ def test_derived_stage_objects():
          "val_fraction": 0.3}
     )
     spec = cfg.split_spec()
-    assert spec.per_user_cap is None
+    assert spec.per_user_cap == 0
     assert spec.seed == seeds.child_seed(7, seeds.SPLIT)
     model = cfg.model_config()
     assert model.seed == seeds.child_seed(7, seeds.INIT)

@@ -1,4 +1,4 @@
-"""Tests for ranking metrics, aggregation, cohorts, and cold-start plumbing."""
+"""Tests for ranking metrics, aggregation, cohorts, and the report tables."""
 
 import math
 
@@ -14,7 +14,6 @@ from helpers import (
 
 from waveletcf.errors import DataError
 from waveletcf.evaluate import (
-    cold_start_suite,
     evaluate,
     interactions,
     machine_lines,
@@ -266,47 +265,11 @@ def test_render_report():
 # ---------------------------------------------------------------- cold start
 
 
-def test_cold_start_suite_resplits_and_collects():
-    data = synthetic_two_block(num_users=30, num_items=20, per_user=12, noise=0.1, seed=9)
-    seen = []
-
-    def trainer(train, test, cap):
-        degs = train.user_degrees()
-        seen.append((cap, int(degs.max())))
-        return 0.1 * cap, 0.05 * cap
-
-    rows = cold_start_suite(data, [3, 5], SplitSpec(seed=11), trainer)
-    assert rows == [(3, pytest.approx(0.3), pytest.approx(0.15)),
-                    (5, pytest.approx(0.5), pytest.approx(0.25))]
-    # capped splits cannot exceed cap by more than coverage repairs
-    assert seen[0][1] <= 4
-
-
-def test_cold_start_vacuous_cap_matches_unconstrained():
-    data = synthetic_two_block(num_users=30, num_items=20, per_user=12, noise=0.1, seed=9)
-    spec = SplitSpec(seed=13)
-    plain_train, plain_test = split(data, spec)
-
-    captured = {}
-
-    def trainer(train, test, cap):
-        captured[cap] = (train, test)
-        return 0.0, 0.0
-
-    cold_start_suite(data, [1000], spec, trainer)
-    assert captured[1000][0] == plain_train
-    assert captured[1000][1] == plain_test
-
-
 def test_cold_start_single_cap_row_and_render():
-    data = synthetic_two_block(num_users=20, num_items=16, per_user=9, noise=0.1, seed=15)
-    rows = cold_start_suite(
-        data, [3], SplitSpec(seed=17), lambda tr, te, cap: (0.5, 0.25)
-    )
-    assert len(rows) == 1
+    rows = [(3, 0.5, 0.25)]
     text = render_cold_start(rows, 20)
-    assert "cap" in text and "0.5" in text
-    assert text.split()[:3] == ["cap", "recall@20", "ndcg@20"]
+    assert text.splitlines() == [
+        " cap   recall@20     ndcg@20",
+        "   3    0.500000    0.250000",
+    ]
     assert render_cold_start(rows, 10).split()[:3] == ["cap", "recall@10", "ndcg@10"]
-    with pytest.raises(DataError):
-        cold_start_suite(data, [], SplitSpec(seed=1), lambda *a: (0, 0))

@@ -179,7 +179,7 @@ def test_split_matches_the_shuffle_then_sort_oracle():
     for seed in range(12):
         data = random_bipartite(seed, max_nodes=160, density_range=(0.03, 0.3))
         degrees = data.user_degrees()
-        for fraction, cap in ((0.8, None), (0.5, 1), (0.3, 2), (0.8, 3), (0.1, None)):
+        for fraction, cap in ((0.8, 0), (0.5, 1), (0.3, 2), (0.8, 3), (0.1, 0)):
             spec = SplitSpec(train_fraction=fraction, seed=seed + 100, per_user_cap=cap)
             train, test = split(data, spec)
             ref_train, ref_test = reference_split(data, spec)
@@ -215,7 +215,7 @@ def test_filter_and_split_outputs_keep_the_dataset_invariants():
         assert_sorted_unique_in_range(data)
         assert (data.user_degrees() > 0).all() and (data.item_degrees() > 0).all()
         assert (len(data.user_ids), len(data.item_ids)) == (data.num_users, data.num_items)
-        for cap in (None, 1, int(rng.integers(2, 6))):
+        for cap in (0, 1, int(rng.integers(2, 6))):
             spec = SplitSpec(rng.uniform(0.05, 0.95), seed=seed, per_user_cap=cap)
             for part in split(data, spec):
                 assert_sorted_unique_in_range(part)
@@ -223,10 +223,18 @@ def test_filter_and_split_outputs_keep_the_dataset_invariants():
 
 
 def test_split_rejects_bad_fraction():
-    with pytest.raises(ConfigError):
-        SplitSpec(train_fraction=1.0)
-    with pytest.raises(ConfigError):
-        SplitSpec(train_fraction=0.0)
+    bad = [
+        {"train_fraction": 1.0},
+        {"train_fraction": 0.0},
+        {"train_fraction": "0.8"},
+        # 0, not None, disables the cap; a bool is not a count
+        {"per_user_cap": None},
+        {"per_user_cap": True},
+        {"per_user_cap": -1},
+    ]
+    for fields in bad:
+        with pytest.raises(ConfigError):
+            SplitSpec(**fields)
 
 
 def test_roundtrip_identity(tmp_path):

@@ -495,6 +495,16 @@ def test_fit_resume_needs_a_state_path(state_path):
             state_path=state_path, resume=True)
 
 
+def test_fit_with_an_empty_state_path_saves_no_state(tmp_path, monkeypatch):
+    # "" means unset here as for the resume guard: no state is written
+    monkeypatch.chdir(tmp_path)
+    data, train, test, dec, bc = small_problem(seed=9)
+    state = fit(train, dec, bc, ModelConfig(layers=1, width=4),
+                TrainConfig(max_epochs=1), state_path="")
+    assert state.epoch == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_state_round_trip(tmp_path):
     # a state saved after two steps, loaded and saved again: the same bytes,
     # and every tensor set, counter and the generator come back as saved
