@@ -134,55 +134,56 @@ def _resolved_q(cfg, train) -> int:
 
 
 def _solve(cfg, train, q):
-    """Eigendecomposition and fitted power transform of a training graph."""
+    """Eigendecomposition of a training graph, its filter checked."""
     from . import graph, spectral
 
     lap = graph.build_laplacian(
         graph.build_adjacency(train), train.num_users, train.num_items
     )
     decomp = spectral.eigensolve(lap, q, tol=cfg["eig_tol"], seed=cfg.eig_seed())
-    bc = spectral.boxcox_fit(decomp.shifted_lambdas)
-    _check_filter(cfg, decomp, bc)
-    return decomp, bc
+    _check_filter(cfg, decomp)
+    return decomp
 
 
-def _check_filter(cfg, decomp, bc) -> None:
+def _check_filter(cfg, decomp) -> None:
     """Evaluate this run's filter response once, so that a non-positive one
     dies here, not mid-training, and note a fit stopped at its bound."""
     from . import spectral
 
-    g = spectral.filter_response(decomp, bc, cfg.model_config())
-    if bc.at_bound:
-        print(f"note: the power-transform fit stopped at its bound (kappa {bc.kappa:.6f}); "
+    fit = decomp.boxcox
+    g = spectral.filter_response(fit, cfg.model_config())
+    if fit.at_bound:
+        print(f"note: the power-transform fit stopped at its bound (kappa {fit.kappa:.6f}); "
               f"filter response g in [{g.min():.3g}, {g.max():.3g}], "
               f"{(g < 1e-6).sum()} of {len(g)} below 1e-6", file=sys.stderr)
 
 
 def _load_cache(cfg, q, train_hash, fix="rerun `spectral --force` to recompute it"):
-    """The spectral cache as (decomp, bc), if it serves this run. One rule
+    """The spectral cache's decomposition, if it serves this run. One rule
     decides: the loader checks the training split's hash, and its q (the
     run's resolved `q`), eig_tol and eigensolver seed must be the run's.
     `fix` ends the error that names the first one that differs."""
     from . import bundles, spectral
 
     path = cfg.require("spectral_cache")
-    decomp, bc, meta = spectral.load_spectral_cache(path, expected_hash=train_hash)
+    decomp, _, meta = spectral.load_spectral_cache(path, expected_hash=train_hash)
     saved = {"q": decomp.q, "eig_tol": meta["eig_tol"], "eig_seed": meta["eig_seed"]}
     wanted = {"q": q, "eig_tol": cfg["eig_tol"], "eig_seed": cfg.eig_seed()}
     mismatch = bundles.key_mismatch(saved, wanted, "cache")
     if mismatch:
         raise ConfigError(f"{path} exists with different parameters: {mismatch}; {fix}")
-    return decomp, bc
+    return decomp
 
 
-def _spectral_summary(decomp, bc) -> list:
+def _spectral_summary(decomp) -> list:
+    fit = decomp.boxcox
     return [
         f"Q {decomp.q}",
         f"lambda range [{decomp.lambdas.min():.6f}, {decomp.lambdas.max():.6f}]",
-        f"kappa {bc.kappa:.6f}",
-        f"transformed mean {bc.mean:.6f}",
-        f"transformed std {bc.std:.6f}",
-        f"transformed total {bc.total:.6f}",
+        f"kappa {fit.kappa:.6f}",
+        f"transformed mean {fit.mean:.6f}",
+        f"transformed std {fit.std:.6f}",
+        f"transformed total {fit.total:.6f}",
     ]
 
 
@@ -214,22 +215,20 @@ def cmd_spectral(args, cfg) -> int:
 
     if os.path.exists(out) and not args.force:
         try:
-            decomp, bc = _load_cache(cfg, q, train_hash, "pass --force to recompute")
+            decomp = _load_cache(cfg, q, train_hash, "pass --force to recompute")
         except DataError as exc:
             raise ConfigError(
                 f"{out} does not match this run ({exc}); pass --force to recompute"
             ) from exc
         # t is not part of the key: check this run's response too
-        _check_filter(cfg, decomp, bc)
+        _check_filter(cfg, decomp)
         print(f"cache hit {out}")
-        print("\n".join(_spectral_summary(decomp, bc)))
+        print("\n".join(_spectral_summary(decomp)))
         return 0
 
-    decomp, bc = _solve(cfg, train, q)
-    spectral.save_spectral_cache(
-        out, decomp, bc, train_hash, cfg["eig_tol"], cfg.eig_seed()
-    )
-    print("\n".join(_spectral_summary(decomp, bc)))
+    decomp = _solve(cfg, train, q)
+    spectral.save_spectral_cache(out, decomp, train_hash, cfg["eig_tol"], cfg.eig_seed())
+    print("\n".join(_spectral_summary(decomp)))
     print(f"wrote {out}")
     return 0
 
@@ -238,7 +237,7 @@ def cmd_train(args, cfg) -> int:
     from . import model, train as train_mod
 
     train_set, _, train_hash = _load_split(cfg)
-    decomp, bc = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
+    decomp = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
     out = cfg.require("checkpoint")
     if not args.resume:
         _refuse_overwrite(out, args.force)
@@ -259,7 +258,7 @@ def cmd_train(args, cfg) -> int:
             raise ConfigError("resume is not supported together with grid search")
         grid_ts = cfg["grid_t_values"]
         model_config, train_config, result = train_mod.grid_search(
-            train_set, decomp, bc, model_config, train_config,
+            train_set, decomp, model_config, train_config,
             list(grid_lrs), list(grid_ts), log_fn=print,
         )
         print(
@@ -271,7 +270,6 @@ def cmd_train(args, cfg) -> int:
         result = train_mod.fit(
             train_set,
             decomp,
-            bc,
             model_config,
             train_config,
             log_fn=print,
@@ -304,10 +302,10 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _score_trace(decomp, bc, model_config, params):
+def _score_trace(decomp, model_config, params):
     from . import model
 
-    oper = model.PropagationOperator(decomp, bc, model_config)
+    oper = model.PropagationOperator(decomp, model_config)
     return model.forward(params, oper)
 
 
@@ -319,12 +317,12 @@ def _load_trained(cfg):
     from . import model
 
     train_set, test_set, train_hash = _load_split(cfg)
-    decomp, bc = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
+    decomp = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
     ckpt_config, params, _ = model.load_checkpoint(
         cfg.require("checkpoint"), train_set.num_users, train_set.num_items,
         decomp.q, train_hash,
     )
-    trace = _score_trace(decomp, bc, ckpt_config, params)
+    trace = _score_trace(decomp, ckpt_config, params)
     return train_set, test_set, train_hash, decomp, trace
 
 
@@ -370,11 +368,9 @@ def cmd_cold_start(args, cfg) -> int:
         train_set, test_set = ingest.split(
             data, replace(cfg.split_spec(), per_user_cap=cap)
         )
-        decomp, bc = _solve(cfg, train_set, _resolved_q(cfg, train_set))
-        result = train_mod.fit(
-            train_set, decomp, bc, model_config, cfg.train_config()
-        )
-        trace = _score_trace(decomp, bc, model_config, result.best_params)
+        decomp = _solve(cfg, train_set, _resolved_q(cfg, train_set))
+        result = train_mod.fit(train_set, decomp, model_config, cfg.train_config())
+        trace = _score_trace(decomp, model_config, result.best_params)
         report = eval_mod.evaluate(
             lambda u: model.score_user(trace, u),
             train_set,

@@ -20,7 +20,7 @@ import numpy as np
 from . import bundles
 from .config import ModelConfig
 from .errors import ConfigError, DataError
-from .spectral import BoxCoxResult, SpectralDecomposition, filter_response
+from .spectral import SpectralDecomposition, filter_response
 
 CHECKPOINT_VERSION = 2
 BLOCK = 1 << 15  # elements per pass of a blockwise elementwise loop
@@ -128,16 +128,11 @@ class PropagationOperator:
     still sets the gate h = sigma(g * theta).
     """
 
-    def __init__(
-        self,
-        decomp: SpectralDecomposition,
-        bc: BoxCoxResult,
-        config: ModelConfig,
-    ):
+    def __init__(self, decomp: SpectralDecomposition, config: ModelConfig):
         self.phi = decomp.phi
         self.lam = decomp.shifted_lambdas
         self.n = decomp.n
-        self.g = filter_response(decomp, bc, config)
+        self.g = filter_response(decomp.boxcox, config)
 
     def gate(self, theta: np.ndarray) -> np.ndarray:
         """Per-frequency gate h = sigma(g * theta)."""

@@ -7,6 +7,7 @@ statistics parameterize an adaptive low-pass transfer function whose
 response defines the wavelet operator pair.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,11 +51,17 @@ class SpectralDecomposition:
         the propagation rule both consume."""
         return 1.0 + self.lambdas
 
+    @functools.cached_property
+    def boxcox(self) -> "BoxCoxResult":
+        """The power transform fitted to `shifted_lambdas`, fitted once."""
+        return boxcox_fit(self.shifted_lambdas)
+
 
 @dataclass(frozen=True)
 class BoxCoxResult:
     """Fitted power-transform exponent and summary statistics.
 
+    `values` holds the shifted eigenvalues the fit was made on and
     `transformed` holds (lam^kappa - 1)/kappa (log at kappa = 0) for each
     shifted eigenvalue; `std` uses divisor Q-1; `total` is the sum c used in
     the transfer function's scale normalization; an all-equal input
@@ -64,6 +71,7 @@ class BoxCoxResult:
     """
 
     kappa: float
+    values: np.ndarray
     transformed: np.ndarray
     mean: float
     std: float
@@ -207,6 +215,7 @@ def boxcox_result(shifted_lambdas: np.ndarray, kappa: float) -> BoxCoxResult:
     lo, hi = KAPPA_BOUNDS
     return BoxCoxResult(
         kappa=float(kappa),
+        values=np.asarray(shifted_lambdas, dtype=np.float64),
         transformed=y,
         mean=float(y.mean()),
         std=0.0 if degenerate else float(y.std(ddof=1)),
@@ -252,11 +261,7 @@ def boxcox_fit(shifted_lambdas: np.ndarray) -> BoxCoxResult:
     return boxcox_result(values, (a + b) / 2)
 
 
-def filter_response(
-    decomp: SpectralDecomposition,
-    bc: BoxCoxResult,
-    config: ModelConfig,
-) -> np.ndarray:
+def filter_response(bc: BoxCoxResult, config: ModelConfig) -> np.ndarray:
     """Adaptive low-pass response g_t of `config` at every retained eigenvalue.
 
     g = exp(-arg * mult), as the README's "Filter" section states: the
@@ -276,7 +281,7 @@ def filter_response(
     # boundary points belong to the higher (more attenuating) case
     case = sum(y >= mu + k * sigma for k in (0.0, 1.0, 2.0))
     mult = 1.0 + (2.0 + case) * config.t / c + sigma * (case > 0)
-    arg = decomp.shifted_lambdas**bc.kappa if config.exponent_mode == "power" else y
+    arg = bc.values**bc.kappa if config.exponent_mode == "power" else y
     resp = np.exp(-arg * mult)
     if not (resp > 0).all():  # NaN included
         raise NumericalError("filter response must be strictly positive")
@@ -295,7 +300,6 @@ def _materialize(phi: np.ndarray, diag: np.ndarray, drop_threshold: float):
 
 def build_wavelet_pair(
     decomp: SpectralDecomposition,
-    bc: BoxCoxResult,
     config: ModelConfig,
     drop_threshold: float = 1e-7,
 ) -> WaveletPair:
@@ -308,7 +312,7 @@ def build_wavelet_pair(
     """
     if drop_threshold < 0:
         raise ConfigError(f"drop_threshold must be >= 0, got {drop_threshold}")
-    g = filter_response(decomp, bc, config)
+    g = filter_response(decomp.boxcox, config)
     return WaveletPair(
         psi=_materialize(decomp.phi, g, drop_threshold),
         psi_inv=_materialize(decomp.phi, 1.0 / g, drop_threshold),
@@ -321,19 +325,17 @@ def build_wavelet_pair(
 def save_spectral_cache(
     path,
     decomp: SpectralDecomposition,
-    bc: BoxCoxResult,
     dataset_hash: str,
     eig_tol: float,
     eig_seed: int,
 ) -> None:
-    """Persist the eigenpairs and the fitted exponent, keyed on every input
-    they depend on: the training split's hash and the eigensolver's
-    tolerance and seed (q is phi's width)."""
+    """Persist the eigenpairs, keyed on every input they depend on: the
+    training split's hash and the eigensolver's tolerance and seed (q is
+    phi's width)."""
     meta = {
         "dataset_hash": dataset_hash,
         "eig_tol": float(eig_tol),
         "eig_seed": int(eig_seed),
-        "kappa": bc.kappa,
     }
     arrays = {"lambdas": decomp.lambdas, "phi": decomp.phi}
     bundles.save_artifact(path, "spectral-cache", SPECTRAL_CACHE_VERSION, meta, arrays)
@@ -341,21 +343,19 @@ def save_spectral_cache(
 
 def load_spectral_cache(path, expected_hash: str = None):
     """Load a spectral cache; refuses a mismatched dataset hash and stored
-    values that no solve and fit could have produced. The power transform
-    and its statistics are derived from the stored kappa.
+    values that no solve could have produced. The power transform is
+    refitted from the stored eigenvalues, bit for bit the fit of the solve
+    that wrote them; a `kappa` key of an older cache is ignored.
 
-    Returns (decomp, bc, meta).
+    Returns (decomp, decomp.boxcox, meta).
     """
     meta, arrays = bundles.load_artifact(
         path, "spectral-cache", SPECTRAL_CACHE_VERSION, expected_hash
     )
-    lambdas, phi, kappa = arrays["lambdas"], arrays["phi"], meta["kappa"]
+    lambdas, phi = arrays["lambdas"], arrays["phi"]
     if phi.ndim != 2 or phi.shape[1] < 2:
         raise DataError(f"{path}: 'phi' must be 2-D with >= 2 columns, got {phi.shape}")
     if lambdas.shape != (phi.shape[1],) or not ((lambdas >= 0) & (lambdas <= 2)).all():
         raise DataError(f"{path}: 'lambdas' must hold {phi.shape[1]} values in [0, 2]")
-    lo, hi = KAPPA_BOUNDS
-    if type(kappa) not in (int, float) or not lo <= kappa <= hi:  # no bool
-        raise DataError(f"{path}: 'kappa' must be a real in [{lo}, {hi}], got {kappa!r}")
     decomp = SpectralDecomposition(lambdas=lambdas, phi=phi)
-    return decomp, boxcox_result(decomp.shifted_lambdas, kappa), meta
+    return decomp, decomp.boxcox, meta

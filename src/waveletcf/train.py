@@ -32,7 +32,7 @@ from .model import (
     sigmoid,
 )
 from .seeds import TRIPLES, VAL_SPLIT, child_seed
-from .spectral import BoxCoxResult, SpectralDecomposition
+from .spectral import SpectralDecomposition
 
 TRAIN_STATE_VERSION = 3
 
@@ -62,7 +62,8 @@ def sample_triples(
         pairs = pairs[~np.isin(pairs[:, 0], exhausted)]
         if len(pairs) == 0:
             raise DataError("no users with any unobserved item to sample")
-    encoded = np.sort(pairs[:, 0].astype(np.int64) * train.num_items + pairs[:, 1])
+    # ascending already: InteractionSet lexsorts its pairs and the mask keeps order
+    encoded = pairs[:, 0].astype(np.int64) * train.num_items + pairs[:, 1]
 
     def is_positive(users, items):
         key = users * train.num_items + items
@@ -289,7 +290,6 @@ class TrainState:
 def fit(
     train_data: InteractionSet,
     decomp: SpectralDecomposition,
-    bc: BoxCoxResult,
     model_config: ModelConfig,
     train_config: TrainConfig,
     *,
@@ -329,7 +329,7 @@ def fit(
             seed=child_seed(train_config.seed, VAL_SPLIT),
         ),
     )
-    oper = PropagationOperator(decomp, bc, model_config)
+    oper = PropagationOperator(decomp, model_config)
     rng = np.random.default_rng(child_seed(train_config.seed, TRIPLES))
     if state_path:
         # every input the saved state depends on; a resume may extend a run
@@ -388,7 +388,6 @@ def fit(
 def grid_search(
     train_data: InteractionSet,
     decomp: SpectralDecomposition,
-    bc: BoxCoxResult,
     model_config: ModelConfig,
     train_config: TrainConfig,
     learning_rates: List[float],
@@ -408,7 +407,7 @@ def grid_search(
         for t in t_values:
             cell = (replace(model_config, t=float(t)),
                     replace(train_config, learning_rate=float(lr)))
-            result = fit(train_data, decomp, bc, *cell)
+            result = fit(train_data, decomp, *cell)
             log(
                 f"grid lr={lr} t={t} recall@20={result.best_recall:.6f} "
                 f"ndcg@20={result.best_ndcg:.6f} best_epoch={result.best_epoch}"

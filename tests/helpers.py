@@ -249,14 +249,14 @@ def cluster_projector_error(vals, mine, oracle, gap=1e-6):
     return worst
 
 
-def wavelet_pair_forward(params, decomp, bc, t, layers):
+def wavelet_pair_forward(params, decomp, t, layers):
     """Propagation oracle that applies the explicit, unthresholded pair.
 
     Each layer computes sigma(psi Phi diag(lam h) Phi^T psi^-1 z W) with
     psi and psi^-1 assembled as dense N x N matrices. Returns the
     concatenated (users, items) embeddings.
     """
-    pair = build_wavelet_pair(decomp, bc, ModelConfig(t=t), drop_threshold=0.0)
+    pair = build_wavelet_pair(decomp, ModelConfig(t=t), drop_threshold=0.0)
     psi = pair.psi.toarray()
     psi_inv = pair.psi_inv.toarray()
     phi = decomp.phi

@@ -161,22 +161,20 @@ def test_wavelet_pair_inverse_and_sparsification():
     lap = laplacian_for(data)
 
     full = eigensolve(lap, q=lap.n)
-    bc_full = boxcox_fit(full.shifted_lambdas)
-    pair = build_wavelet_pair(full, bc_full, ModelConfig(t=0.5), drop_threshold=0.0)
+    pair = build_wavelet_pair(full, ModelConfig(t=0.5), drop_threshold=0.0)
     identity_err = np.abs(
         pair.psi.toarray() @ pair.psi_inv.toarray() - np.eye(lap.n)
     ).max()
 
     q = lap.n // 2
     trunc = eigensolve(lap, q=q)
-    bc_trunc = boxcox_fit(trunc.shifted_lambdas)
-    tpair = build_wavelet_pair(trunc, bc_trunc, ModelConfig(t=0.5), drop_threshold=0.0)
+    tpair = build_wavelet_pair(trunc, ModelConfig(t=0.5), drop_threshold=0.0)
     projector = trunc.phi @ trunc.phi.T
     projector_err = np.abs(
         tpair.psi.toarray() @ tpair.psi_inv.toarray() - projector
     ).max()
 
-    dropped = build_wavelet_pair(full, bc_full, ModelConfig(t=0.5), drop_threshold=1e-7)
+    dropped = build_wavelet_pair(full, ModelConfig(t=0.5), drop_threshold=1e-7)
     sparse_err = max(
         np.abs(pair.psi.toarray() - dropped.psi.toarray()).max(),
         np.abs(pair.psi_inv.toarray() - dropped.psi_inv.toarray()).max(),
@@ -197,8 +195,7 @@ def _finite_difference_worst():
     data = random_bipartite(seed=41, max_nodes=24)
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=lap.n)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.7))
+    oper = PropagationOperator(dec, ModelConfig(t=0.7))
     cfg = ModelConfig(layers=3, width=4, t=0.7, seed=19)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     rng = np.random.default_rng(23)
@@ -243,9 +240,7 @@ def test_gradients_match_finite_differences():
     trace = make_trace(x, y)
     toy = interaction_set_from_pairs(1, 1, [(0, 0)])
     toy_dec = eigensolve(laplacian_for(toy), q=2)
-    toy_oper = PropagationOperator(
-        toy_dec, boxcox_fit(toy_dec.shifted_lambdas), ModelConfig(t=0.0)
-    )
+    toy_oper = PropagationOperator(toy_dec, ModelConfig(t=0.0))
     eta, (u, i, j) = 0.21, (1, 2, 4)
     grads = backward(trace, np.array([[u, i, j]]), params, toy_oper, eta)
     s = 1.0 / (1.0 + math.exp(-float(x[u] @ (y[i] - y[j]))))
@@ -415,9 +410,8 @@ def _train_synthetic(train_set, model_cfg, train_cfg):
         min(default_q(lap.n), lap.n),
         seed=seeds.child_seed(ROOT_SEED, seeds.EIG),
     )
-    bc = boxcox_fit(dec.shifted_lambdas)
-    result = fit(train_set, dec, bc, model_cfg, train_cfg)
-    oper = PropagationOperator(dec, bc, model_cfg)
+    result = fit(train_set, dec, model_cfg, train_cfg)
+    oper = PropagationOperator(dec, model_cfg)
     trace = forward(result.best_params, oper)
     return trace
 

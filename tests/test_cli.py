@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from helpers import synthetic_two_block
 
-from waveletcf import bundles, cli, model
+from waveletcf import bundles, cli, model, spectral
 from waveletcf.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore:embedding width")
@@ -230,7 +231,7 @@ def test_spectral_notes_a_fit_stopped_at_its_bound(pipeline, tmp_path, capsys):
     # stdout and the cache bytes are those of the fixture's run
     assert "note:" not in captured.out and "kappa 5.000000" in captured.out
     assert out.read_bytes() == (root / "spec.bundle").read_bytes()
-    # a cache hit derives the flag from the stored kappa and notes it too
+    # a cache hit refits kappa from the stored eigenvalues and notes it too
     assert main(["spectral", "--config", cfg, "--set", f"spectral_cache={out}"]) == 0
     hit = capsys.readouterr()
     assert "cache hit" in hit.out
@@ -300,10 +301,6 @@ def test_spectral_cache_of_an_older_version(pipeline, tmp_path, capsys):
         ("lambdas", "nan"),
         ("phi", "1-D"),
         ("phi", "one column"),
-        ("kappa", "5"),
-        ("kappa", True),
-        ("kappa", 5.5),
-        ("kappa", float("nan")),
     ],
 )
 def test_corrupt_spectral_cache_is_a_data_error(
@@ -312,9 +309,7 @@ def test_corrupt_spectral_cache_is_a_data_error(
     root, cfg = pipeline
     meta, arrays = bundles.load_bundle(root / "spec.bundle")
     lambdas, phi = arrays["lambdas"], arrays["phi"]
-    if field == "kappa":
-        meta = {**meta, "kappa": value}
-    elif value == "short":
+    if value == "short":
         arrays = {**arrays, "lambdas": lambdas[:-1]}
     elif value == "above 2":
         arrays = {**arrays, "lambdas": np.append(lambdas[:-1], 2.5)}
@@ -331,6 +326,32 @@ def test_corrupt_spectral_cache_is_a_data_error(
                  "--set", f"checkpoint={tmp_path / 'x.ckpt'}"])
     assert code == 3
     assert f"{damaged}: '{field}' must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["fitted", 5.5, "5"])
+def test_spectral_cache_with_a_stored_kappa_is_refitted(
+    pipeline, tmp_path, capsys, kappa
+):
+    # earlier builds stored the fitted kappa; the loader ignores it and
+    # refits from the stored eigenvalues, whatever value it holds
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "spec.bundle")
+    want = spectral.boxcox_fit(1.0 + arrays["lambdas"])
+    old = tmp_path / "old.spec"
+    bundles.save_bundle(
+        old, {**meta, "kappa": want.kappa if kappa == "fitted" else kappa}, arrays
+    )
+    _, got, _ = spectral.load_spectral_cache(old)
+    for field in fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    blobs = []
+    for cache in (root / "spec.bundle", old):
+        ckpt = tmp_path / f"{cache.stem}.ckpt"
+        assert main(["train", "--config", cfg, "--set", "max_epochs=2",
+                     "--set", f"spectral_cache={cache}",
+                     "--set", f"checkpoint={ckpt}"]) == 0
+        blobs.append(ckpt.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_q_clamped_with_warning(pipeline, tmp_path, capsys):
@@ -462,6 +483,22 @@ def test_train_grid_enumerates_and_reports_best(pipeline, tmp_path, capsys):
     assert float(best_fields["recall@20"]) == max(map(float, recalls))
 
 
+def test_power_transform_is_fitted_once_per_decomposition(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    _, cfg = pipeline
+    fit, calls = spectral.boxcox_fit, []
+    monkeypatch.setattr(spectral, "boxcox_fit", lambda v: calls.append(len(v)) or fit(v))
+    same = ["--config", cfg, "--set", f"checkpoint={tmp_path / 'grid.ckpt'}"]
+    assert main(["train", *same, "--set", "max_epochs=1",
+                 "--set", "grid_learning_rates=0.01,0.05",
+                 "--set", "grid_t_values=0.5,1.0"]) == 0
+    assert "(4 runs)" in capsys.readouterr().out
+    assert calls == [64]
+    assert main(["evaluate", *same]) == 0
+    assert calls == [64, 64]
+
+
 def test_train_resume_round_trip(pipeline, tmp_path, capsys):
     _, cfg = pipeline
     ckpt = tmp_path / "resume.ckpt"
@@ -561,7 +598,6 @@ def test_resume_refuses_a_state_from_another_config(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize(
     "artifact, key",
     [
-        ("spectral_cache", "kappa"),
         ("spectral_cache", "phi"),
         ("checkpoint", "num_w"),
         ("checkpoint", "width"),

@@ -32,7 +32,7 @@ from waveletcf.model import (
     score_user,
     sigmoid,
 )
-from waveletcf.spectral import boxcox_fit, eigensolve
+from waveletcf.spectral import eigensolve
 
 # small random graphs make the width warning fire incidentally
 pytestmark = pytest.mark.filterwarnings("ignore:embedding width")
@@ -42,8 +42,7 @@ def spectral_setup(seed=3, max_nodes=30, q=None):
     data = random_bipartite(seed, max_nodes=max_nodes)
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=q or lap.n)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    return data, lap, dec, bc
+    return data, lap, dec
 
 
 def test_config_validation():
@@ -114,11 +113,11 @@ def test_sigmoid_bitwise_equals_masked_form():
 
 
 def test_gate_saturation_gives_half_output():
-    _, _, dec, bc = spectral_setup()
+    _, _, dec = spectral_setup()
     cfg = ModelConfig(layers=1, width=3, seed=2)
     params = init_params(cfg, 5, 5, q=dec.q)
     params.theta[0] = np.full(dec.q, -1e9)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.5))
+    oper = PropagationOperator(dec, ModelConfig(t=0.5))
     rng = np.random.default_rng(0)
     z = rng.normal(size=(dec.n, 3))
     out, _ = propagate_layer(z, 0, params, oper)
@@ -130,8 +129,7 @@ def test_layer_matches_dense_oracle():
     data = interaction_set_from_pairs(1, 1, [(0, 0)])
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=2)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.7))
+    oper = PropagationOperator(dec, ModelConfig(t=0.7))
     cfg = ModelConfig(layers=1, width=1, seed=4)
     params = init_params(cfg, 1, 1, q=2)
     params.theta[0] = np.array([0.3, -0.8])
@@ -149,20 +147,20 @@ def test_layer_matches_dense_oracle():
 
 
 def test_layer_output_range():
-    _, _, dec, bc = spectral_setup(seed=8)
+    _, _, dec = spectral_setup(seed=8)
     cfg = ModelConfig(layers=1, width=4, seed=5)
     params = init_params(cfg, 9, 9, q=dec.q)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.2))
+    oper = PropagationOperator(dec, ModelConfig(t=0.2))
     z = np.random.default_rng(1).normal(size=(dec.n, 4)) * 3
     out, _ = propagate_layer(z, 0, params, oper)
     assert (out > 0).all() and (out < 1).all()
 
 
 def test_layer_shape_mismatch():
-    _, _, dec, bc = spectral_setup(seed=8)
+    _, _, dec = spectral_setup(seed=8)
     cfg = ModelConfig(layers=1, width=4, seed=5)
     params = init_params(cfg, 9, 9, q=dec.q)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.2))
+    oper = PropagationOperator(dec, ModelConfig(t=0.2))
     with pytest.raises(DataError):
         propagate_layer(np.zeros((dec.n + 1, 4)), 0, params, oper)
     with pytest.raises(DataError):
@@ -173,23 +171,23 @@ def test_layer_shape_mismatch():
     "max_nodes, q", [(40, None), (100, 30)], ids=["full", "truncated"]
 )
 def test_forward_matches_wavelet_pair_oracle(max_nodes, q):
-    data, lap, dec, bc = spectral_setup(seed=12, max_nodes=max_nodes, q=q)
+    data, lap, dec = spectral_setup(seed=12, max_nodes=max_nodes, q=q)
     cfg = ModelConfig(layers=2, width=3, seed=6)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     rng = np.random.default_rng(3)
     for th in params.theta:
         th += rng.normal(0, 0.5, th.shape)
-    trace = forward(params, PropagationOperator(dec, bc, ModelConfig(t=0.5)))
-    users, items = wavelet_pair_forward(params, dec, bc, 0.5, cfg.layers)
+    trace = forward(params, PropagationOperator(dec, ModelConfig(t=0.5)))
+    users, items = wavelet_pair_forward(params, dec, 0.5, cfg.layers)
     assert np.abs(concat_users(trace) - users).max() <= 1e-8
     assert np.abs(trace.concat_items - items).max() <= 1e-8
 
 
 def test_forward_concatenation_shapes():
-    data, lap, dec, bc = spectral_setup(seed=14, max_nodes=40)
+    data, lap, dec = spectral_setup(seed=14, max_nodes=40)
     cfg = ModelConfig(layers=3, width=4, seed=7)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.3))
+    oper = PropagationOperator(dec, ModelConfig(t=0.3))
     trace = forward(params, oper)
     assert concat_users(trace).shape == (data.num_users, 16)
     assert trace.concat_items.shape == (data.num_items, 16)
@@ -201,10 +199,10 @@ def test_forward_concatenation_shapes():
 
 
 def test_forward_deterministic():
-    data, lap, dec, bc = spectral_setup(seed=15, max_nodes=40)
+    data, lap, dec = spectral_setup(seed=15, max_nodes=40)
     cfg = ModelConfig(layers=2, width=3, seed=8)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.4))
+    oper = PropagationOperator(dec, ModelConfig(t=0.4))
     t1 = forward(params, oper)
     t2 = forward(params, oper)
     assert np.array_equal(concat_users(t1), concat_users(t2))
@@ -212,10 +210,10 @@ def test_forward_deterministic():
 
 
 def test_forward_into_a_trace_overwrites_it():
-    data, lap, dec, bc = spectral_setup(seed=15, max_nodes=40)
+    data, lap, dec = spectral_setup(seed=15, max_nodes=40)
     cfg = ModelConfig(layers=2, width=3, seed=8)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.4))
+    oper = PropagationOperator(dec, ModelConfig(t=0.4))
     trace = forward(params, oper)
     stale = trace.concat_items
     params.y0 += 0.5

@@ -1,7 +1,7 @@
 """Tests for the eigensolver, power-transform fit, filter, and wavelets."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -305,6 +305,16 @@ def test_fit_flags_a_kappa_on_its_bound():
     assert not boxcox_fit(np.full(6, 1.7)).at_bound
 
 
+def test_decomposition_fits_its_transform_once():
+    lap = laplacian_for(random_bipartite(11, max_nodes=40))
+    dec = eigensolve(lap, q=lap.n)
+    fit = dec.boxcox
+    assert dec.boxcox is fit
+    want = boxcox_fit(dec.shifted_lambdas)
+    for field in fields(want):
+        assert np.array_equal(getattr(fit, field.name), getattr(want, field.name))
+
+
 def test_transform_monotone_for_fitted_kappa():
     lams = np.sort(1 + np.random.default_rng(3).uniform(0, 2, 30))
     fit = boxcox_fit(lams)
@@ -321,9 +331,12 @@ def test_fit_rejects_bad_input():
 # ------------------------------------------------------------------ filter
 
 
-def make_bc(kappa=1.0, mean=0.5, std=0.2, total=1.7, transformed=(0.0,)):
+def make_bc(
+    kappa=1.0, mean=0.5, std=0.2, total=1.7, transformed=(0.0,), values=(1.0,)
+):
     return BoxCoxResult(
         kappa=kappa,
+        values=np.array(values, dtype=float),
         transformed=np.array(transformed, dtype=float),
         mean=mean,
         std=std,
@@ -331,17 +344,10 @@ def make_bc(kappa=1.0, mean=0.5, std=0.2, total=1.7, transformed=(0.0,)):
     )
 
 
-def decomposition(shifted_lambdas):
-    """A decomposition holding only the given shifted eigenvalues."""
-    lam = np.array(shifted_lambdas, dtype=float)
-    return SpectralDecomposition(lambdas=lam - 1.0, phi=np.eye(len(lam)))
-
-
 def response_at(bc, shifted_lambda, value, t, exponent_mode="power"):
     """filter_response of one eigenvalue whose transformed value is `value`."""
-    bc = replace(bc, transformed=np.array([value]))
-    config = ModelConfig(t=t, exponent_mode=exponent_mode)
-    (g,) = filter_response(decomposition([shifted_lambda]), bc, config)
+    bc = replace(bc, values=np.array([shifted_lambda]), transformed=np.array([value]))
+    (g,) = filter_response(bc, ModelConfig(t=t, exponent_mode=exponent_mode))
     return g
 
 
@@ -414,9 +420,9 @@ def test_filter_response_matches_closed_form_in_one_call():
     lam = np.linspace(1.05, 1.95, len(y))
     mult = [1 + 2 * t / c, 1 + 3 * t / c + sigma, 1 + 4 * t / c + sigma,
             1 + 5 * t / c + sigma]
-    bc = make_bc(kappa=kappa, mean=mu, std=sigma, total=c, transformed=y)
+    bc = make_bc(kappa=kappa, mean=mu, std=sigma, total=c, transformed=y, values=lam)
     for mode, arg in (("power", lam**kappa), ("boxcox", y)):
-        g = filter_response(decomposition(lam), bc, ModelConfig(t=t, exponent_mode=mode))
+        g = filter_response(bc, ModelConfig(t=t, exponent_mode=mode))
         expected = [math.exp(-a * mult[k]) for a, k in zip(arg, case)]
         np.testing.assert_allclose(g, expected, rtol=1e-12, atol=0)
 
@@ -424,34 +430,32 @@ def test_filter_response_matches_closed_form_in_one_call():
 def fitted_filter(seed=13, t=0.5, max_nodes=60, exponent_mode="power"):
     lap = laplacian_for(random_bipartite(seed, max_nodes=max_nodes))
     dec = eigensolve(lap, q=lap.n)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    config = ModelConfig(t=t, exponent_mode=exponent_mode)
-    return dec, bc, filter_response(dec, bc, config)
+    return dec, filter_response(dec.boxcox, ModelConfig(t=t, exponent_mode=exponent_mode))
 
 
 def test_response_positive_and_monotone():
     for t in (0.0, 0.5, 2.0):
-        dec, bc, filt = fitted_filter(t=t)
+        _, filt = fitted_filter(t=t)
         assert (filt > 0).all()
         assert (np.diff(filt) <= 1e-15).all()  # attenuation grows with freq
 
 
 def test_response_decreases_with_scale():
-    dec, bc, f1 = fitted_filter(t=0.5)
-    _, _, f2 = fitted_filter(t=1.0)
+    _, f1 = fitted_filter(t=0.5)
+    _, f2 = fitted_filter(t=1.0)
     assert (f2 < f1).all()
 
 
 def test_underflowed_response_raises():
-    dec, bc, _ = fitted_filter()
+    dec, _ = fitted_filter()
     with pytest.raises(NumericalError, match="strictly positive"):
-        filter_response(dec, bc, ModelConfig(t=1e300))
+        filter_response(dec.boxcox, ModelConfig(t=1e300))
 
 
 def test_nan_response_raises():
-    dec, bc, _ = fitted_filter()
+    dec, _ = fitted_filter()
     with pytest.raises(NumericalError, match="strictly positive"):
-        filter_response(dec, replace(bc, kappa=math.nan), ModelConfig(t=0.5))
+        filter_response(replace(dec.boxcox, kappa=math.nan), ModelConfig(t=0.5))
 
 
 # ------------------------------------------------------------------ wavelets
@@ -460,9 +464,8 @@ def test_nan_response_raises():
 def test_wavelet_t0_two_node_oracle():
     lap = laplacian_for(interaction_set_from_pairs(1, 1, [(0, 0)]))
     dec = eigensolve(lap, q=2)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.0), drop_threshold=0.0)
-    g = filter_response(dec, bc, ModelConfig(t=0.0))
+    pair = build_wavelet_pair(dec, ModelConfig(t=0.0), drop_threshold=0.0)
+    g = filter_response(dec.boxcox, ModelConfig(t=0.0))
     oracle = (dec.phi * g) @ dec.phi.T
     np.testing.assert_allclose(pair.psi.toarray(), oracle, atol=1e-12)
     assert np.array_equal(pair.psi.toarray(), pair.psi.toarray().T)
@@ -471,8 +474,7 @@ def test_wavelet_t0_two_node_oracle():
 def test_wavelet_infinite_threshold_drops_everything():
     lap = laplacian_for(interaction_set_from_pairs(1, 1, [(0, 0)]))
     dec = eigensolve(lap, q=2)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.5), drop_threshold=np.inf)
+    pair = build_wavelet_pair(dec, ModelConfig(t=0.5), drop_threshold=np.inf)
     assert pair.psi.nnz == 0
     assert pair.psi_inv.nnz == 0
 
@@ -480,8 +482,7 @@ def test_wavelet_infinite_threshold_drops_everything():
 def test_wavelet_full_spectrum_product_is_identity():
     lap = laplacian_for(random_bipartite(19, max_nodes=80))
     dec = eigensolve(lap, q=lap.n)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.8), drop_threshold=0.0)
+    pair = build_wavelet_pair(dec, ModelConfig(t=0.8), drop_threshold=0.0)
     prod = pair.psi.toarray() @ pair.psi_inv.toarray()
     assert np.abs(prod - np.eye(lap.n)).max() <= 1e-5
 
@@ -490,8 +491,7 @@ def test_wavelet_truncated_product_is_projector():
     lap = laplacian_for(random_bipartite(21, max_nodes=80))
     q = lap.n // 3
     dec = eigensolve(lap, q=q)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    pair = build_wavelet_pair(dec, bc, ModelConfig(t=0.8), drop_threshold=0.0)
+    pair = build_wavelet_pair(dec, ModelConfig(t=0.8), drop_threshold=0.0)
     prod = pair.psi.toarray() @ pair.psi_inv.toarray()
     proj = dec.phi @ dec.phi.T
     assert np.abs(prod - proj).max() <= 1e-5
@@ -500,9 +500,8 @@ def test_wavelet_truncated_product_is_projector():
 def test_sparsification_stability():
     lap = laplacian_for(random_bipartite(29, max_nodes=80))
     dec = eigensolve(lap, q=lap.n)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    dense = build_wavelet_pair(dec, bc, ModelConfig(t=0.5), drop_threshold=0.0)
-    sparse = build_wavelet_pair(dec, bc, ModelConfig(t=0.5), drop_threshold=1e-7)
+    dense = build_wavelet_pair(dec, ModelConfig(t=0.5), drop_threshold=0.0)
+    sparse = build_wavelet_pair(dec, ModelConfig(t=0.5), drop_threshold=1e-7)
     diff = np.abs(dense.psi.toarray() - sparse.psi.toarray()).max()
     assert diff <= 1e-7
     assert sparse.psi.nnz <= dense.psi.nnz
@@ -515,18 +514,17 @@ def test_spectral_cache_roundtrip(tmp_path):
     data = random_bipartite(31, max_nodes=50)
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=lap.n)
-    bc = boxcox_fit(dec.shifted_lambdas)
     h = dataset_hash(data)
     p = tmp_path / "spec.bundle"
-    save_spectral_cache(p, dec, bc, h, eig_tol=1e-9, eig_seed=0)
-    dec2, bc2, meta = load_spectral_cache(p, expected_hash=h)
+    save_spectral_cache(p, dec, h, eig_tol=1e-9, eig_seed=0)
+    dec2, _, meta = load_spectral_cache(p, expected_hash=h)
     assert np.array_equal(dec.phi, dec2.phi)
     assert np.array_equal(dec.lambdas, dec2.lambdas)
     assert np.array_equal(dec.shifted_lambdas, dec2.shifted_lambdas)
     assert dec2.q == dec.q
     assert meta["eig_tol"] == 1e-9 and meta["eig_seed"] == 0
-    # the cache stores the solve's output and the exponent, nothing derived
-    assert set(meta) == {"dataset_hash", "eig_tol", "eig_seed", "kappa", "kind", "version"}
+    # the cache stores the solve's output, nothing derived
+    assert set(meta) == {"dataset_hash", "eig_tol", "eig_seed", "kind", "version"}
     assert set(bundles.load_bundle(p)[1]) == {"lambdas", "phi"}
 
 
@@ -541,13 +539,15 @@ def test_spectral_cache_roundtrip(tmp_path):
 def test_spectral_cache_derives_the_fitted_transform(
     tmp_path, lambdas, at_bound, all_equal
 ):
-    dec = decomposition(1.0 + np.array(lambdas))
+    dec = SpectralDecomposition(np.array(lambdas, dtype=float), np.eye(len(lambdas)))
     bc = boxcox_fit(dec.shifted_lambdas)
     assert (bc.at_bound, bc.std == 0.0) == (at_bound, all_equal)
     p = tmp_path / "spec.bundle"
-    save_spectral_cache(p, dec, bc, "d" * 64, eig_tol=1e-9, eig_seed=0)
-    _, loaded, _ = load_spectral_cache(p)
-    assert np.array_equal(loaded.transformed, bc.transformed)
+    save_spectral_cache(p, dec, "d" * 64, eig_tol=1e-9, eig_seed=0)
+    loaded_dec, loaded, _ = load_spectral_cache(p)
+    assert loaded is loaded_dec.boxcox
+    for field in ("values", "transformed"):
+        assert np.array_equal(getattr(loaded, field), getattr(bc, field)), field
     for field in ("kappa", "mean", "std", "total", "at_bound"):
         assert getattr(loaded, field) == getattr(bc, field), field
 
@@ -556,9 +556,8 @@ def test_spectral_cache_hash_mismatch(tmp_path):
     data = random_bipartite(31, max_nodes=50)
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=4)
-    bc = boxcox_fit(dec.shifted_lambdas)
     p = tmp_path / "spec.bundle"
-    save_spectral_cache(p, dec, bc, "a" * 64, eig_tol=1e-9, eig_seed=0)
+    save_spectral_cache(p, dec, "a" * 64, eig_tol=1e-9, eig_seed=0)
     with pytest.raises(DataError, match="dataset"):
         load_spectral_cache(p, expected_hash="b" * 64)
 
@@ -567,8 +566,7 @@ def test_spectral_cache_bytes_deterministic(tmp_path):
     data = random_bipartite(37, max_nodes=40)
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=6)
-    bc = boxcox_fit(dec.shifted_lambdas)
     p1, p2 = tmp_path / "a.bundle", tmp_path / "b.bundle"
-    save_spectral_cache(p1, dec, bc, "c" * 64, eig_tol=1e-9, eig_seed=0)
-    save_spectral_cache(p2, dec, bc, "c" * 64, eig_tol=1e-9, eig_seed=0)
+    save_spectral_cache(p1, dec, "c" * 64, eig_tol=1e-9, eig_seed=0)
+    save_spectral_cache(p2, dec, "c" * 64, eig_tol=1e-9, eig_seed=0)
     assert p1.read_bytes() == p2.read_bytes()

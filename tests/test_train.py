@@ -33,7 +33,7 @@ from waveletcf.model import (
     param_shapes,
     score_user,
 )
-from waveletcf.spectral import boxcox_fit, eigensolve
+from waveletcf.spectral import eigensolve
 from waveletcf.train import (
     AdamState,
     TrainConfig,
@@ -99,6 +99,25 @@ def test_sampling_deterministic():
     a = sample_triples(train, 100, np.random.default_rng(7))
     b = sample_triples(train, 100, np.random.default_rng(7))
     assert np.array_equal(a, b)
+
+
+def test_negatives_never_positive_with_an_exhausted_user():
+    # the positive lookup binary-searches the masked pairs' keys without
+    # sorting them, so pairs given in shuffled order must still be found
+    rng = np.random.default_rng(9)
+    m, k = 7, 9
+    pairs = [(u, i) for u in range(m) for i in range(k) if rng.random() < 0.4]
+    pairs += [(3, i) for i in range(k) if (3, i) not in pairs]  # exhausted
+    pairs = [pairs[r] for r in rng.permutation(len(pairs))]
+    train = interaction_set_from_pairs(m, k, pairs)
+    positives = set(map(tuple, train.pairs.tolist()))
+    with pytest.warns(UserWarning, match="every item"):
+        triples = sample_triples(train, 20_000, np.random.default_rng(10))
+    drawn = {(int(u), int(j)) for u, _, j in triples}
+    assert not drawn & positives
+    assert drawn == {
+        (u, j) for u in {u for u, _ in positives} - {3} for j in range(k)
+    } - positives
 
 
 def test_exhausted_user_skipped_with_warning():
@@ -177,8 +196,7 @@ def dummy_operator():
     data = interaction_set_from_pairs(1, 1, [(0, 0)])
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=2)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    return PropagationOperator(dec, bc, ModelConfig(t=0.0))
+    return PropagationOperator(dec, ModelConfig(t=0.0))
 
 
 def test_depth_zero_gradients_match_closed_form():
@@ -209,8 +227,7 @@ def test_gradients_match_finite_differences_fused():
     data = random_bipartite(41, max_nodes=24)
     lap = laplacian_for(data)
     dec = eigensolve(lap, q=lap.n)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    oper = PropagationOperator(dec, bc, ModelConfig(t=0.7))
+    oper = PropagationOperator(dec, ModelConfig(t=0.7))
     cfg = ModelConfig(layers=3, width=4, t=0.7, seed=19)
     params = init_params(cfg, data.num_users, data.num_items, q=dec.q)
     rng = np.random.default_rng(23)
@@ -295,9 +312,7 @@ def oracle_case(layers, one_triple, seed=43):
         data = random_bipartite(seed, max_nodes=40)
         lap = laplacian_for(data)
         dec = eigensolve(lap, q=lap.n // 2)
-        oper = PropagationOperator(
-            dec, boxcox_fit(dec.shifted_lambdas), ModelConfig(t=0.7)
-        )
+        oper = PropagationOperator(dec, ModelConfig(t=0.7))
         cfg = ModelConfig(layers=layers, width=4, t=0.7, seed=seed)
         m, k = data.num_users, data.num_items
         params = init_params(cfg, m, k, q=dec.q)
@@ -383,18 +398,17 @@ def small_problem(seed=0):
     train, test = split(data, SplitSpec(train_fraction=0.8, seed=seed))
     lap = laplacian_for(train)
     dec = eigensolve(lap, q=lap.n, seed=seed)
-    bc = boxcox_fit(dec.shifted_lambdas)
-    return data, train, test, dec, bc
+    return data, train, test, dec
 
 
 def test_fit_beats_popularity_and_logs(capsys):
-    data, train, test, dec, bc = small_problem()
+    data, train, test, dec = small_problem()
     model_cfg = ModelConfig(layers=2, width=8, t=0.5, seed=1)
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.05, eta=0.5, max_epochs=30, patience=5, seed=2
     )
     lines = []
-    result = fit(train, dec, bc, model_cfg, train_cfg, log_fn=lines.append)
+    result = fit(train, dec, model_cfg, train_cfg, log_fn=lines.append)
     assert result.epoch <= 30
     assert len(lines) == result.epoch
     for n, line in enumerate(lines, start=1):
@@ -424,31 +438,31 @@ def test_fit_beats_popularity_and_logs(capsys):
 
 
 def test_fit_loss_mostly_decreasing():
-    data, train, test, dec, bc = small_problem(seed=3)
+    data, train, test, dec = small_problem(seed=3)
     model_cfg = ModelConfig(layers=1, width=8, t=0.5, seed=4)
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.02, eta=0.1, max_epochs=5, patience=10, seed=5
     )
     lines = []
-    fit(train, dec, bc, model_cfg, train_cfg, log_fn=lines.append)
+    fit(train, dec, model_cfg, train_cfg, log_fn=lines.append)
     losses = [float(line.split()[1]) for line in lines]
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
     assert drops >= 3  # documented flakiness budget: 4 of 5 steps, one spare
 
 
 def test_fit_patience_zero_stops_after_first_non_improvement():
-    data, train, test, dec, bc = small_problem(seed=6)
+    data, train, test, dec = small_problem(seed=6)
     model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=7)
     train_cfg = TrainConfig(
         batch_size=128, learning_rate=0.3, eta=0.0, max_epochs=40, patience=0, seed=8
     )
-    result = fit(train, dec, bc, model_cfg, train_cfg)
+    result = fit(train, dec, model_cfg, train_cfg)
     assert result.since_best > train_cfg.patience
     assert result.epoch == result.best_epoch + 1
 
 
 def test_fit_resume_is_bit_exact(tmp_path):
-    data, train, test, dec, bc = small_problem(seed=9)
+    data, train, test, dec = small_problem(seed=9)
     model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=10)
 
     def cfg(max_epochs):
@@ -462,13 +476,13 @@ def test_fit_resume_is_bit_exact(tmp_path):
         )
 
     full_lines, resumed_lines = [], []
-    full = fit(train, dec, bc, model_cfg, cfg(6), log_fn=full_lines.append)
+    full = fit(train, dec, model_cfg, cfg(6), log_fn=full_lines.append)
 
     state = tmp_path / "state.bundle"
-    fit(train, dec, bc, model_cfg, cfg(3), state_path=state,
+    fit(train, dec, model_cfg, cfg(3), state_path=state,
         log_fn=resumed_lines.append)
     resumed = fit(
-        train, dec, bc, model_cfg, cfg(6), state_path=state, resume=True,
+        train, dec, model_cfg, cfg(6), state_path=state, resume=True,
         log_fn=resumed_lines.append,
     )
     for (_, ta), (_, tb) in zip(
@@ -483,23 +497,23 @@ def test_fit_resume_is_bit_exact(tmp_path):
     other, _ = split(data, SplitSpec(train_fraction=0.8, seed=99))
     saved = state.read_bytes()
     with pytest.raises(ConfigError, match="dataset_hash"):
-        fit(other, dec, bc, model_cfg, cfg(8), state_path=state, resume=True)
+        fit(other, dec, model_cfg, cfg(8), state_path=state, resume=True)
     assert state.read_bytes() == saved
 
 
 @pytest.mark.parametrize("state_path", [None, ""])
 def test_fit_resume_needs_a_state_path(state_path):
-    data, train, test, dec, bc = small_problem(seed=9)
+    data, train, test, dec = small_problem(seed=9)
     with pytest.raises(ConfigError, match="train_state"):
-        fit(train, dec, bc, ModelConfig(layers=1, width=4), TrainConfig(),
+        fit(train, dec, ModelConfig(layers=1, width=4), TrainConfig(),
             state_path=state_path, resume=True)
 
 
 def test_fit_with_an_empty_state_path_saves_no_state(tmp_path, monkeypatch):
     # "" means unset here as for the resume guard: no state is written
     monkeypatch.chdir(tmp_path)
-    data, train, test, dec, bc = small_problem(seed=9)
-    state = fit(train, dec, bc, ModelConfig(layers=1, width=4),
+    data, train, test, dec = small_problem(seed=9)
+    state = fit(train, dec, ModelConfig(layers=1, width=4),
                 TrainConfig(max_epochs=1), state_path="")
     assert state.epoch == 1
     assert list(tmp_path.iterdir()) == []
@@ -508,10 +522,10 @@ def test_fit_with_an_empty_state_path_saves_no_state(tmp_path, monkeypatch):
 def test_train_state_round_trip(tmp_path):
     # a state saved after two steps, loaded and saved again: the same bytes,
     # and every tensor set, counter and the generator come back as saved
-    data, train, test, dec, bc = small_problem(seed=25)
+    data, train, test, dec = small_problem(seed=25)
     model_cfg = ModelConfig(layers=2, width=4, t=0.5, seed=26)
     train_cfg = TrainConfig(batch_size=64, learning_rate=0.05, eta=0.1)
-    oper = PropagationOperator(dec, bc, model_cfg)
+    oper = PropagationOperator(dec, model_cfg)
     sizes = (model_cfg, train.num_users, train.num_items, dec.q)
     params = init_params(*sizes)
     state = train_mod.TrainState(
@@ -550,7 +564,7 @@ def test_train_state_round_trip(tmp_path):
 
 def test_train_state_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
     # two identical runs whose epochs take different wall-clock times
-    data, train, test, dec, bc = small_problem(seed=15)
+    data, train, test, dec = small_problem(seed=15)
     model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=16)
     train_cfg = TrainConfig(
         batch_size=128, learning_rate=0.05, eta=0.1, max_epochs=2, patience=5, seed=17
@@ -563,7 +577,7 @@ def test_train_state_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
         )
         lines = []
         state = tmp_path / f"state{len(states)}.bundle"
-        fit(train, dec, bc, model_cfg, train_cfg, state_path=state,
+        fit(train, dec, model_cfg, train_cfg, state_path=state,
             log_fn=lines.append)
         states.append(state.read_bytes())
         assert int(lines[0].split()[4]) == round(1000 * tick)
@@ -571,7 +585,7 @@ def test_train_state_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
 
 
 def test_grid_search_small():
-    data, train, test, dec, bc = small_problem(seed=12)
+    data, train, test, dec = small_problem(seed=12)
     model_cfg = ModelConfig(layers=1, width=4, t=0.5, seed=13)
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.05, eta=0.1, max_epochs=2, patience=10, seed=14
@@ -580,7 +594,6 @@ def test_grid_search_small():
     best_model, best_train, best_fit = grid_search(
         train,
         dec,
-        bc,
         model_cfg,
         train_cfg,
         learning_rates=[0.01, 0.05],
@@ -591,7 +604,7 @@ def test_grid_search_small():
     # each cell refitted on its own: the returned cell is the first best one
     cells = [(lr, t) for lr in (0.01, 0.05) for t in (0.2, 1.0)]
     recalls = [
-        fit(train, dec, bc, replace(model_cfg, t=t),
+        fit(train, dec, replace(model_cfg, t=t),
             replace(train_cfg, learning_rate=lr)).best_recall
         for lr, t in cells
     ]
@@ -601,7 +614,7 @@ def test_grid_search_small():
     assert replace(best_model, t=model_cfg.t) == model_cfg
     assert replace(best_train, learning_rate=train_cfg.learning_rate) == train_cfg
     with pytest.raises(ConfigError):
-        grid_search(train, dec, bc, model_cfg, train_cfg, [], [1.0])
+        grid_search(train, dec, model_cfg, train_cfg, [], [1.0])
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.37])
@@ -609,10 +622,10 @@ def test_steps_match_reference_step_bitwise(eta):
     # two epochs of the training loop's steps against the step as it ran
     # before the reused workspace: every loss, parameter and Adam moment
     # must agree to the bit
-    data, train, test, dec, bc = small_problem(seed=21)
+    data, train, test, dec = small_problem(seed=21)
     model_cfg = ModelConfig(layers=3, width=8, t=0.5, seed=22)
     train_cfg = TrainConfig(batch_size=100, learning_rate=0.05, eta=eta)
-    oper = PropagationOperator(dec, bc, model_cfg)
+    oper = PropagationOperator(dec, model_cfg)
     params = init_params(model_cfg, train.num_users, train.num_items, dec.q)
     ref_params = params.map(np.copy)
     adam, ref_adam = AdamState.init(params), AdamState.init(ref_params)
@@ -646,9 +659,7 @@ def test_warmed_step_allocates_less_than_one_layer_block():
     # step that reuses its buffers needs far less than one N x P block
     data = synthetic_two_block(num_users=2400, num_items=1000, per_user=10, seed=3)
     dec = eigensolve(laplacian_for(data), q=16)
-    oper = PropagationOperator(
-        dec, boxcox_fit(dec.shifted_lambdas), ModelConfig(t=0.5)
-    )
+    oper = PropagationOperator(dec, ModelConfig(t=0.5))
     model_cfg = ModelConfig(layers=3, width=64, t=0.5, seed=1)
     train_cfg = TrainConfig(batch_size=32, eta=0.37)
     params = init_params(model_cfg, data.num_users, data.num_items, dec.q)
