@@ -2,9 +2,10 @@
 
 Raw logs are delimiter-separated text with columns user, item, and
 optionally rating and timestamp. Ratings and timestamps are checked while
-parsing, then dropped; from the activity filter on, a dataset is integer
-(user, item) index pairs on a user-item bipartite graph, plus the tuples
-of external ids.
+parsing, then dropped: a parsed log is its rows with ids coded as
+integers. From the activity filter on, a dataset is integer (user, item)
+index pairs on a user-item bipartite graph, plus the tuples of external
+ids.
 """
 
 import hashlib
@@ -25,8 +26,8 @@ class InteractionSet:
     """Binarized interaction matrix plus its id <-> index maps.
 
     `pairs` is an (nnz, 2) int64 array of (user, item) indices, sorted
-    lexicographically and free of duplicates. `user_ids[u]` / `item_ids[i]`
-    recover the external identifiers.
+    lexicographically; a repeated pair is a DataError. `user_ids[u]` /
+    `item_ids[i]` recover the external identifiers.
     """
 
     num_users: int
@@ -38,10 +39,12 @@ class InteractionSet:
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
         du, di = np.diff(pairs[:, 0]), np.diff(pairs[:, 1])
-        if np.all((du > 0) | ((du == 0) & (di >= 0))):  # already sorted
+        if np.all((du > 0) | ((du == 0) & (di > 0))):  # sorted, none repeated
             pairs = pairs.copy()
         else:
             pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            if np.all(pairs[1:] == pairs[:-1], axis=1).any():
+                raise DataError("duplicate (user, item) pairs")
         pairs.setflags(write=False)
         self.pairs = pairs
 
@@ -65,8 +68,8 @@ class InteractionSet:
         return np.split(self.pairs[:, 1].copy(), bounds)
 
     def validate(self) -> None:
-        """Check index-range, duplicate and coverage invariants: every user
-        and item index occurs in at least one pair."""
+        """Check index-range and coverage invariants: every user and item
+        index occurs in at least one pair."""
         if self.num_users < 1 or self.num_items < 1 or self.num_pairs == 0:
             raise DataError("dataset fully filtered")
         if len(self.user_ids) != self.num_users or len(self.item_ids) != self.num_items:
@@ -75,8 +78,6 @@ class InteractionSet:
             raise DataError("user index out of range")
         if self.pairs[:, 1].min() < 0 or self.pairs[:, 1].max() >= self.num_items:
             raise DataError("item index out of range")
-        if np.all(self.pairs[1:] == self.pairs[:-1], axis=1).any():
-            raise DataError("duplicate (user, item) pairs")
         if (self.user_degrees() == 0).any() or (self.item_degrees() == 0).any():
             raise DataError("orphan user or item index after filtering")
 
@@ -92,67 +93,287 @@ class InteractionSet:
         )
 
 
-def _read(path) -> str:
-    """Text of `path`; a file that cannot be read or is not UTF-8 is a
+@dataclass(eq=False)
+class InteractionLog:
+    """The rows of a raw log, ids coded as integers.
+
+    `users[r]` / `items[r]` are the int64 codes of row r, rows in file
+    order; `user_ids[c]` / `item_ids[c]` is the external id of code c,
+    codes numbered in order of first appearance.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    user_ids: tuple
+    item_ids: tuple
+
+    @classmethod
+    def from_rows(cls, rows) -> "InteractionLog":
+        """Code a list of (user_id, item_id) rows."""
+        user_codes, item_codes = {}, {}
+        n = len(rows)
+        users = np.fromiter(
+            (user_codes.setdefault(u, len(user_codes)) for u, _ in rows), np.int64, n
+        )
+        items = np.fromiter(
+            (item_codes.setdefault(i, len(item_codes)) for _, i in rows), np.int64, n
+        )
+        return cls(users, items, tuple(user_codes), tuple(item_codes))
+
+    def __eq__(self, other):
+        if not isinstance(other, InteractionLog):
+            return NotImplemented
+        return (
+            np.array_equal(self.users, other.users)
+            and np.array_equal(self.items, other.items)
+            and self.user_ids == other.user_ids
+            and self.item_ids == other.item_ids
+        )
+
+
+def _read(path) -> bytes:
+    """Bytes of `path`; a file that cannot be read or is not UTF-8 is a
     DataError naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    return raw
 
 
-def load_interactions(path) -> list:
-    """Parse a delimiter-separated interaction log into (user_id, item_id)
-    string pairs in file order.
-
-    The first data line sets the delimiter for the whole file: tab if it
-    holds one, else comma. Lines starting with '#' are skipped. Each data
-    row needs user and item columns; a third column must parse as a float
-    rating and a fourth as an integer timestamp. Both are checked, then
-    dropped: the interactions are binary.
-    """
-    delim = None
-    rows = []
-    for lineno, line in enumerate(_read(path).split("\n"), start=1):
-        line = line.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if delim is None:
-            delim = "\t" if "\t" in line else ","
-        cols = line.split(delim)
-        if len(cols) < 2:
-            raise DataError(f"{path}: line {lineno}: expected at least 2 columns")
-        user_id, item_id = cols[0].strip(), cols[1].strip()
-        if not user_id or not item_id:
-            raise DataError(f"{path}: line {lineno}: empty user or item id")
-        for col, kind, parse in ((2, "rating", float), (3, "timestamp", int)):
-            if len(cols) > col and cols[col].strip():
-                try:
-                    parse(cols[col])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: unparseable {kind} {cols[col]!r}"
-                    ) from None
-        rows.append((user_id, item_id))
-    return rows
+def _text_lines(raw: bytes) -> list:
+    """The lines of UTF-8 `raw` as text mode reads them: a CR LF or a lone
+    CR ends a line, as an LF does."""
+    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _first_appearance(codes: np.ndarray):
-    """Distinct values of `codes` in order of first appearance, and each
-    entry of `codes` relabelled by that order."""
-    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+def _span_lines(raw: bytes, start: int, end: int) -> list:
+    """The text lines of `raw[start:end]`, which ends where an LF or the
+    file does: a CR at its end ends its last line, not another one."""
+    return _text_lines(raw[start:end] + b"\n")[:-1]
+
+
+def _is_data(line: str) -> bool:
+    """Whether a text line holds data: it is neither blank nor a comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
+def _parse_line(path, lineno: int, line: str, delim: str) -> tuple:
+    """The (user_id, item_id) of one data line; a line that breaks a rule
+    is a DataError naming its number."""
+    cols = line.split(delim)
+    if len(cols) < 2:
+        raise DataError(f"{path}: line {lineno}: expected at least 2 columns")
+    user_id, item_id = cols[0].strip(), cols[1].strip()
+    if not user_id or not item_id:
+        raise DataError(f"{path}: line {lineno}: empty user or item id")
+    for col, kind, parse in ((2, "rating", float), (3, "timestamp", int)):
+        if len(cols) > col and cols[col].strip():
+            try:
+                parse(cols[col])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: unparseable {kind} {cols[col]!r}"
+                ) from None
+    return user_id, item_id
+
+
+# int() refuses longer digit strings when its digit limit is set low, and
+# it cannot be set below this
+PLAIN_TIMESTAMP_DIGITS = 640
+
+
+def _spans(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray):
+    """(rows, block) for each distinct width: `rows` ascending, `block`
+    their spans as an (n, width) uint8 array."""
+    order = np.argsort(widths, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(widths[order])) + 1):
+        if len(rows):
+            windows = np.lib.stride_tricks.sliding_window_view(buf, widths[rows[0]])
+            yield rows, windows[starts[rows]]
+
+
+def _numbers(buf, starts, ends, dots: int) -> np.ndarray:
+    """Whether each span is digits, at least one, with at most `dots` '.'."""
+    ok = np.zeros(len(starts), dtype=bool)
+    for rows, block in _spans(buf, starts, ends - starts):
+        digit = block - np.uint8(ord("0")) <= 9
+        dot = block == ord(".")
+        ok[rows] = (digit | dot).all(1) & (dot.sum(1) <= dots) & digit.any(1)
+    return ok
+
+
+def _distinct(keys: np.ndarray):
+    """Dense codes of `keys`, equal keys sharing a code, and the index of
+    each code's first entry."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    codes = np.empty(len(keys), dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(keys) else order
+    return codes, first
+
+
+def _by_first_appearance(codes: np.ndarray, first: np.ndarray):
+    """`codes` renumbered in the order of their first entries `first`,
+    and those first entries in that order."""
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return uniq[order], rank[inverse]
+    return rank[codes], first[order]
 
 
-def filter_by_activity(rows, min_user: int, min_item: int) -> InteractionSet:
-    """Binarize (user_id, item_id) rows and drop low-activity users/items
-    to a fixed point.
+def _first_appearance(keys: np.ndarray):
+    """`keys` coded in order of first appearance, and the index of each
+    code's first entry."""
+    return _by_first_appearance(*_distinct(keys))
+
+
+def _code(buf, starts, widths):
+    """Codes of the byte spans in order of first appearance, and the
+    distinct spans decoded."""
+    codes = np.empty(len(starts), dtype=np.int64)
+    firsts = [np.zeros(0, dtype=np.int64)]
+    for rows, block in _spans(buf, starts, widths):
+        local, first = _distinct(block.view(f"S{block.shape[1]}").ravel())
+        codes[rows] = local + sum(map(len, firsts))
+        firsts.append(rows[first])
+    codes, first = _by_first_appearance(codes, np.concatenate(firsts))
+    ids = tuple(
+        buf[s: s + w].tobytes().decode("utf-8")
+        for s, w in zip(starts[first].tolist(), widths[first].tolist())
+    )
+    return codes, ids
+
+
+def _merge(codes, ids: tuple, more: list, order: np.ndarray):
+    """Rows coded `codes` over `ids`, then rows of the ids `more`, all put
+    in `order` and coded again in order of first appearance."""
+    index = dict(zip(ids, range(len(ids))))
+    coded = np.append(codes, [index.setdefault(i, len(index)) for i in more])[order]
+    codes, first = _first_appearance(coded)
+    ids = tuple(index)
+    return codes, tuple(ids[c] for c in coded[first].tolist())
+
+
+def _delimiter(raw: bytes, starts, ends, lines):
+    """The delimiter that the first data line among `lines` sets, or None
+    when they hold no data line."""
+    for r in lines:
+        for line in _span_lines(raw, starts[r], ends[r]):
+            if _is_data(line):
+                return "\t" if "\t" in line else ","
+    return None
+
+
+def _plain_lines(buf, starts, ends, newlines, candidates, delim: str):
+    """The lines among `candidates` (a mask) that the bulk check vouches
+    for, and where each one's user and item fields end. A line's text runs
+    from its start to its end, before its LF or CR LF."""
+    marks = np.append(np.flatnonzero(buf == ord(delim)), len(buf))
+    # bytes a plain line cannot hold: all but printable ASCII and delimiters
+    odd = buf - np.uint8(ord("!")) > ord("~") - ord("!")
+    odd[newlines] = False
+    odd[ends[:-1]] = False  # the CR of a CR LF
+    odd[marks[:-1]] = False
+    candidates = candidates.copy()
+    candidates[np.searchsorted(newlines, np.flatnonzero(odd))] = False
+    del odd
+    lines = np.flatnonzero(candidates)
+    s, e = starts[lines], ends[lines]
+    first_mark = np.searchsorted(marks, s)
+    n_marks = np.searchsorted(marks, e) - first_mark
+    # each of the first four fields ends at its delimiter, else the line's end
+    e0, e1, e2, e3 = (
+        np.where(n_marks > j, marks[np.minimum(first_mark + j, len(marks) - 1)], e)
+        for j in range(4)
+    )
+    ok = (n_marks >= 1) & (e0 > s) & (e1 > e0 + 1)
+    rated, stamped = n_marks >= 2, n_marks >= 3
+    ok[rated] &= _numbers(buf, e1[rated] + 1, e2[rated], dots=1)
+    ok[stamped] &= _numbers(buf, e2[stamped] + 1, e3[stamped], dots=0)
+    ok[stamped] &= (e3 - e2 - 1 <= PLAIN_TIMESTAMP_DIGITS)[stamped]
+    return lines[ok], e0[ok], e1[ok]
+
+
+def _parsed_lines(path, raw: bytes, starts, ends, lines, delim: str):
+    """The rows of `lines` as `_parse_line` reads them, and the rows' ids,
+    two per row. A row's line is the first of its run of adjacent lines."""
+    row_lines, ids, shift = [], [], 0
+    for run in np.split(lines, np.flatnonzero(np.diff(lines) > 1) + 1):
+        if len(run):
+            first = int(run[0])
+            texts = _span_lines(raw, starts[first], ends[run[-1]])
+            for k, line in enumerate(texts):
+                if _is_data(line):
+                    ids += _parse_line(path, first + 1 + shift + k, line, delim)
+                    row_lines.append(first)
+            shift += len(texts) - len(run)  # each lone CR ends a line
+    return row_lines, ids
+
+
+def load_interactions(path) -> InteractionLog:
+    """Parse a delimiter-separated interaction log into coded (user, item)
+    rows in file order.
+
+    The first data line sets the delimiter for the whole file: tab if it
+    holds one, else comma. Blank lines and lines starting with '#' are
+    skipped. Each data row needs user and item columns; a third column
+    must parse as a float rating and a fourth as an integer timestamp.
+    Both are checked, then dropped: the interactions are binary.
+
+    The file is read once as bytes. A plain line (printable ASCII ids, a
+    rating of digits with at most one '.', a timestamp of digits) is
+    checked and coded in bulk; every other line is parsed by `_parse_line`
+    to the same row or the same error.
+    """
+    raw = _read(path)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, len(buf))
+    # a line's text ends before its CR LF; any other CR ends a line too
+    cr = buf == ord("\r")
+    text_ends = ends - np.append(cr[newlines - 1] & (newlines > 0), False)
+    cr[text_ends[:-1]] = False
+    # every line but blank ones and comments that no lone CR splits
+    candidates = text_ends > starts
+    candidates[candidates] = buf[starts[candidates]] != ord("#")
+    candidates[np.searchsorted(newlines, np.flatnonzero(cr))] = True
+    del cr
+    delim = _delimiter(raw, starts, ends, np.flatnonzero(candidates))
+    if delim is None:
+        return InteractionLog.from_rows([])
+
+    plain, user_end, item_end = _plain_lines(
+        buf, starts, text_ends, newlines, candidates, delim
+    )
+    candidates[plain] = False
+    slow, ids = _parsed_lines(
+        path, raw, starts, ends, np.flatnonzero(candidates), delim
+    )
+    users, user_ids = _code(buf, starts[plain], user_end - starts[plain])
+    items, item_ids = _code(buf, user_end + 1, item_end - user_end - 1)
+    if slow:  # the rows read line by line join the rest in file order
+        order = np.argsort(np.append(plain, slow), kind="stable")
+        users, user_ids = _merge(users, user_ids, ids[0::2], order)
+        items, item_ids = _merge(items, item_ids, ids[1::2], order)
+    return InteractionLog(users, items, user_ids, item_ids)
+
+
+def filter_by_activity(
+    log: InteractionLog, min_user: int, min_item: int
+) -> InteractionSet:
+    """Binarize a log's rows and drop low-activity users/items to a fixed
+    point.
 
     Users with fewer than `min_user` distinct items and items with fewer
     than `min_item` distinct users are removed; removals can cascade, so
@@ -162,22 +383,14 @@ def filter_by_activity(rows, min_user: int, min_item: int) -> InteractionSet:
     """
     if min_user < 1 or min_item < 1:
         raise DataError("activity thresholds must be >= 1")
-    user_codes, item_codes = {}, {}
-    n = len(rows)
-    users = np.fromiter(
-        (user_codes.setdefault(u, len(user_codes)) for u, _ in rows), np.int64, n
-    )
-    items = np.fromiter(
-        (item_codes.setdefault(i, len(item_codes)) for _, i in rows), np.int64, n
-    )
+    num_users, num_items = len(log.user_ids), len(log.item_ids)
     # distinct pairs, kept in order of first appearance
-    _, first = np.unique(users * len(item_codes) + items, return_index=True)
-    first.sort()
-    users, items = users[first], items[first]
+    _, first = _first_appearance(log.users * num_items + log.items)
+    users, items = log.users[first], log.items[first]
 
     while True:
-        low_users = np.bincount(users, minlength=len(user_codes)) < min_user
-        low_items = np.bincount(items, minlength=len(item_codes)) < min_item
+        low_users = np.bincount(users, minlength=num_users) < min_user
+        low_items = np.bincount(items, minlength=num_items) < min_item
         keep = ~(low_users[users] | low_items[items])
         if keep.all():
             break
@@ -185,15 +398,17 @@ def filter_by_activity(rows, min_user: int, min_item: int) -> InteractionSet:
     if len(users) == 0:
         raise DataError("dataset fully filtered")
 
-    user_ids, item_ids = list(user_codes), list(item_codes)
-    user_order, users = _first_appearance(users)
-    item_order, items = _first_appearance(items)
+    user_index, user_first = _first_appearance(users)
+    item_index, item_first = _first_appearance(items)
+    num_items = len(item_first)
+    # handed over sorted, so InteractionSet need not sort them
+    keys = np.sort(user_index * num_items + item_index)
     return InteractionSet(
-        num_users=len(user_order),
-        num_items=len(item_order),
-        pairs=np.column_stack((users, items)),
-        user_ids=tuple(user_ids[c] for c in user_order),
-        item_ids=tuple(item_ids[c] for c in item_order),
+        num_users=len(user_first),
+        num_items=num_items,
+        pairs=np.column_stack(np.divmod(keys, num_items)),
+        user_ids=tuple(log.user_ids[c] for c in users[user_first].tolist()),
+        item_ids=tuple(log.item_ids[c] for c in items[item_first].tolist()),
     )
 
 
@@ -329,7 +544,7 @@ def _parse_pairs(path, lines: list) -> np.ndarray:
 
 def load_canonical(path) -> InteractionSet:
     """Read a canonical dataset file; exact inverse of `persist`."""
-    lines = _read(path).split("\n")
+    lines = _text_lines(_read(path))
     if not lines[0]:
         raise DataError(f"{path}: empty file")
     head = _header(path, lines[0])

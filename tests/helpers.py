@@ -31,6 +31,39 @@ def interaction_set_from_pairs(num_users, num_items, pairs):
     )
 
 
+def reference_rows(path) -> list:
+    """Log parser oracle: the per-line rules applied to every line of the
+    file as text mode reads it, giving (user_id, item_id) rows in file
+    order or the first line's DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    delim, rows = None, []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if delim is None:
+            delim = "\t" if "\t" in line else ","
+        cols = line.split(delim)
+        if len(cols) < 2:
+            raise DataError(f"{path}: line {lineno}: expected at least 2 columns")
+        user_id, item_id = cols[0].strip(), cols[1].strip()
+        if not user_id or not item_id:
+            raise DataError(f"{path}: line {lineno}: empty user or item id")
+        for col, kind, parse in ((2, "rating", float), (3, "timestamp", int)):
+            if len(cols) > col and cols[col].strip():
+                try:
+                    parse(cols[col])
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {lineno}: unparseable {kind} {cols[col]!r}"
+                    ) from None
+        rows.append((user_id, item_id))
+    return rows
+
+
 def reference_serialize(data: InteractionSet, seed: int) -> bytes:
     """Writer oracle: the canonical dataset text written one f-string per
     pair line and per id, then encoded as UTF-8."""

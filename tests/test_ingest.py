@@ -5,10 +5,18 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import canonical_header, random_bipartite, reference_serialize, reference_split
+from helpers import (
+    canonical_header,
+    random_bipartite,
+    reference_rows,
+    reference_serialize,
+    reference_split,
+)
 
+from waveletcf import ingest
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.ingest import (
+    InteractionLog,
     InteractionSet,
     SplitSpec,
     dataset_hash,
@@ -24,16 +32,16 @@ from waveletcf.ingest import (
 def test_load_three_line_tsv(tmp_path):
     p = tmp_path / "log.tsv"
     p.write_text("u1\ti1\nu1\ti2\nu2\ti1\n")
-    rows = load_interactions(p)
-    assert len(rows) == 3
-    assert rows[0] == ("u1", "i1")
-    assert rows[2][1] == "i1"
+    log = load_interactions(p)
+    assert log == InteractionLog.from_rows([("u1", "i1"), ("u1", "i2"), ("u2", "i1")])
+    assert log.users.tolist() == [0, 0, 1] and log.items.tolist() == [0, 1, 0]
+    assert (log.user_ids, log.item_ids) == (("u1", "u2"), ("i1", "i2"))
 
 
 def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")
-    assert load_interactions(p) == []
+    assert load_interactions(p) == InteractionLog.from_rows([])
 
 
 def test_load_one_column_row_errors_with_line_number(tmp_path):
@@ -46,7 +54,8 @@ def test_load_one_column_row_errors_with_line_number(tmp_path):
 def test_load_csv_with_rating_and_timestamp(tmp_path):
     p = tmp_path / "log.csv"
     p.write_text("# comment\nu1,i1,4.0,100\nu2,i2,,200\n")
-    assert load_interactions(p) == [("u1", "i1"), ("u2", "i2")]
+    want = InteractionLog.from_rows([("u1", "i1"), ("u2", "i2")])
+    assert load_interactions(p) == want
 
 
 def test_load_unparseable_rating(tmp_path):
@@ -68,36 +77,138 @@ def test_load_missing_file():
         load_interactions("/nonexistent/path.tsv")
 
 
+def random_log(rng) -> bytes:
+    """A log that mixes plain lines with every kind the bulk check leaves to
+    the per-line rules: odd rating, timestamp and id forms, comments,
+    blank lines, lone CR line ends, ragged and malformed rows, now and then
+    a byte that is not UTF-8. Short and long ids, and CR LF ends, occur
+    on both kinds of line."""
+    delim = "\t" if rng.random() < 0.5 else ","
+    # forms a column may take in place of a plain value, some plain too
+    forms = {
+        "id": ["a b", " u1", "u1 ", "é", "ü2", "\ufeffu0", "#u", "x\x00", ""]
+        + [" user-00000001", "user-00000002 ", "üser-00000003", "a long id"],
+        "rating": ["", " ", "4.0", ".5", "5.", "1_0", "1e3", "+5", "nan", "x", "4..0"],
+        "timestamp": ["", "1_0", "+5", " 7", "1e3", "1.5", "noon", "-3"],
+    }
+    lines = []
+    for _ in range(rng.integers(1, 30)):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(rng.choice(["# comment", "  # indented", "#\tc,x", "", "  "]))
+            continue
+        # ids of 2 bytes and of 13 or 14, longer than one 8-byte word
+        cols = [
+            f"{rng.choice(['u', 'user-0000000'])}{rng.integers(6)}",
+            f"{rng.choice(['i', 'item-00000000'])}{rng.integers(6)}",
+        ]
+        cols += [str(rng.integers(1, 6)), str(978300000 + rng.integers(10**6)), "x"][
+            : rng.integers(0, 4)
+        ]
+        if kind < 0.3:  # one column in another form
+            j = int(rng.integers(len(cols)))
+            other = forms[("id", "id", "rating", "timestamp", "rating")[j]]
+            cols[j] = other[rng.integers(len(other))]
+        elif kind < 0.33:
+            cols = cols[:1]
+        lines.append(delim.join(cols))
+    ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines), p=[0.85, 0.1, 0.05])
+    text = "".join(map(str.__add__, lines, ends))
+    if rng.random() < 0.3:  # the last line without its end
+        text = text[:-1]
+    return text.encode("utf-8") + (b"\xff" if rng.random() < 0.02 else b"")
+
+
+def test_bulk_parse_matches_the_per_line_rules(tmp_path, monkeypatch):
+    per_line = []
+    parse_line = ingest._parse_line
+    monkeypatch.setattr(
+        ingest, "_parse_line", lambda *a: per_line.append(a) or parse_line(*a)
+    )
+    outcomes = {"log": 0, "error": 0}
+    rows = {"bulk": 0, "per line": 0}
+    rng = np.random.default_rng(0)
+    # lone CRs next to a CR LF or at the end of the file, then random logs
+    logs = [
+        b"\nu1\ti1\r",
+        b"u1\ti1\r\r\nu2\ti2\nu3\ti3\tbad\n",
+        b"\r\n#c\r\nu1,i1\r\n\ru2,i2,x\r\n",
+    ]
+    for n in range(303):
+        p = tmp_path / f"log{n}.txt"
+        p.write_bytes(logs[n] if n < len(logs) else random_log(rng))
+        try:
+            want = InteractionLog.from_rows(reference_rows(p))
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_interactions(p)
+            assert str(got.value) == str(exc)
+            outcomes["error"] += 1
+        else:
+            per_line.clear()
+            assert load_interactions(p) == want
+            outcomes["log"] += 1
+            rows["bulk"] += len(want.users) - len(per_line)
+            rows["per line"] += len(per_line)
+    assert min(outcomes.values()) > 50
+    assert min(rows.values()) > 200
+
+
+def test_plain_log_takes_no_per_line_step(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a plain line was parsed line by line")
+
+    monkeypatch.setattr(ingest, "_parse_line", refuse)
+    rng = np.random.default_rng(1)
+    # ids of 2 or 3 bytes mixed with ids of 14 or 17
+    rows = [
+        (f"u{u}" if u % 3 else f"user-{u:012d}", f"i{i}" if i % 2 else f"item-{i:09d}")
+        for u, i in rng.integers(0, 50, (400, 2))
+    ]
+    tails = ["", "\t5", "\t4.5\t978300000", "\t3.\t1\textra", "\t.5\t0"]
+    lines = [f"{u}\t{i}{tails[k % 5]}" for k, (u, i) in enumerate(rows)]
+    p = tmp_path / "log.tsv"
+    p.write_text("# user\titem\trating\ttimestamp\n" + "\n".join(lines) + "\n\n")
+    assert load_interactions(p) == InteractionLog.from_rows(rows)
+    p.write_text("#,comment\n" + "\n".join(lines).replace("\t", ","))
+    assert load_interactions(p) == InteractionLog.from_rows(rows)
+    p.write_bytes(("# CR LF ends\r\n" + "\r\n".join(lines) + "\r\n\r\n").encode())
+    assert load_interactions(p) == InteractionLog.from_rows(rows)
+
+
 def test_filter_thresholds_vacuous():
-    data = filter_by_activity([("a", "x"), ("a", "y"), ("b", "x")], 1, 1)
+    log = InteractionLog.from_rows([("a", "x"), ("a", "y"), ("b", "x")])
+    data = filter_by_activity(log, 1, 1)
     assert data.num_users == 2 and data.num_items == 2
     assert data.num_pairs == 3
 
 
 def test_filter_cascade_to_empty():
+    log = InteractionLog.from_rows([("a", "x"), ("a", "y"), ("b", "x")])
     with pytest.raises(DataError, match="fully filtered"):
-        filter_by_activity([("a", "x"), ("a", "y"), ("b", "x")], 2, 2)
+        filter_by_activity(log, 2, 2)
 
 
 def test_filter_collapses_duplicates():
-    data = filter_by_activity([("a", "x"), ("a", "x"), ("a", "y")], 1, 1)
+    log = InteractionLog.from_rows([("a", "x"), ("a", "x"), ("a", "y")])
+    data = filter_by_activity(log, 1, 1)
     assert data.num_pairs == 2
 
 
 def test_filter_idempotent():
     rng = np.random.default_rng(0)
     rows = [(f"u{rng.integers(30)}", f"i{rng.integers(40)}") for _ in range(400)]
-    once = filter_by_activity(rows, 3, 3)
-    again = filter_by_activity(
-        [(once.user_ids[u], once.item_ids[i]) for u, i in once.pairs], 3, 3
-    )
+    once = filter_by_activity(InteractionLog.from_rows(rows), 3, 3)
+    kept = [(once.user_ids[u], once.item_ids[i]) for u, i in once.pairs]
+    again = filter_by_activity(InteractionLog.from_rows(kept), 3, 3)
     assert once.num_users == again.num_users
     assert once.num_items == again.num_items
     assert once.num_pairs == again.num_pairs
 
 
 def test_filter_first_appearance_order():
-    data = filter_by_activity([("b", "y"), ("a", "x"), ("b", "x")], 1, 1)
+    log = InteractionLog.from_rows([("b", "y"), ("a", "x"), ("b", "x")])
+    data = filter_by_activity(log, 1, 1)
     assert data.user_ids == ("b", "a")
     assert data.item_ids == ("y", "x")
     assert data.user_index == {"b": 0, "a": 1}
@@ -109,14 +220,14 @@ def grid_dataset(num_users=12, num_items=9, degree=4, seed=5):
     for u in range(num_users):
         for i in rng.choice(num_items, size=degree, replace=False):
             rows.append((f"u{u}", f"i{int(i)}"))
-    return filter_by_activity(rows, 1, 1)
+    return filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
 
 
 def test_split_exact_ratio():
     # five users sharing one catalog so every item keeps train coverage
     # without repair promotions that would distort the 8/2 ratio
     rows = [(f"u{u}", f"i{j}") for u in range(5) for j in range(10)]
-    data = filter_by_activity(rows, 1, 1)
+    data = filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
     train, test = split(data, SplitSpec(train_fraction=0.8, seed=1))
     for u in range(5):
         assert np.count_nonzero(train.pairs[:, 0] == u) == 8
@@ -143,7 +254,7 @@ def test_split_deterministic():
 
 def test_split_single_interaction_user_goes_to_train():
     rows = [("solo", "i0")] + [("u", f"i{j}") for j in range(5)]
-    data = filter_by_activity(rows, 1, 1)
+    data = filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
     train, test = split(data, SplitSpec(seed=0))
     solo = data.user_index["solo"]
     assert np.count_nonzero(train.pairs[:, 0] == solo) == 1
@@ -152,7 +263,7 @@ def test_split_single_interaction_user_goes_to_train():
 
 def test_split_cap_retains_cap_items():
     rows = [("u", f"i{j}") for j in range(10)] + [("v", f"i{j}") for j in range(10)]
-    data = filter_by_activity(rows, 1, 1)
+    data = filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
     train, _ = split(data, SplitSpec(seed=4, per_user_cap=3))
     # both users keep >= 1 via floor rule; cap truncates 8 -> 3, repairs may
     # promote a held-out pair for an item that lost all training coverage
@@ -211,7 +322,8 @@ def test_filter_and_split_outputs_keep_the_dataset_invariants():
         n = int(rng.integers(200, 600))
         users, items = rng.integers(0, 40, n), rng.integers(0, 30, n)
         rows = [(f"u{u}", f"i{i}") for u, i in zip(users, items)]
-        data = filter_by_activity(rows, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        log = InteractionLog.from_rows(rows)
+        data = filter_by_activity(log, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         assert_sorted_unique_in_range(data)
         assert (data.user_degrees() > 0).all() and (data.item_degrees() > 0).all()
         assert (len(data.user_ids), len(data.item_ids)) == (data.num_users, data.num_items)
@@ -411,7 +523,7 @@ def test_writer_hash_and_persist_match_oracle_on_random_set(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "order", ["sorted", "reversed", "shuffled", "duplicates", "single", "empty"]
+    "order", ["sorted", "reversed", "shuffled", "single", "empty"]
 )
 def test_interaction_set_sorts_only_a_copy(order):
     rng = np.random.default_rng(4)
@@ -420,7 +532,6 @@ def test_interaction_set_sorts_only_a_copy(order):
         "sorted": pairs,
         "reversed": pairs[::-1],
         "shuffled": rng.permutation(pairs),
-        "duplicates": rng.permutation(np.vstack((pairs, pairs[::3]))),
         "single": pairs[:1],
         "empty": pairs[:0],
     }[order].copy()
@@ -435,6 +546,26 @@ def test_interaction_set_sorts_only_a_copy(order):
     assert given.flags.writeable
     assert not np.shares_memory(data.pairs, given)
     np.testing.assert_array_equal(given, snapshot)
+
+
+def test_interaction_set_refuses_duplicate_pairs(tmp_path):
+    rng = np.random.default_rng(4)
+    pairs = np.unique(rng.integers(0, 9, (60, 2)), axis=0)
+    for given in (
+        [[0, 1], [0, 1], [1, 0]],  # sorted: this built with user degrees [2, 1]
+        rng.permutation(np.vstack((pairs, pairs[::3]))),
+    ):
+        with pytest.raises(DataError, match="duplicate"):
+            InteractionSet(
+                num_users=9, num_items=9, pairs=given, user_ids=(), item_ids=()
+            )
+    # a canonical file with a repeated pair line is refused on load
+    p = tmp_path / "data.txt"
+    persist(grid_dataset(), p)
+    head, first, second, rest = p.read_text().split("\n", 3)
+    p.write_text("\n".join((head, first, first, rest)))
+    with pytest.raises(DataError, match="duplicate"):
+        load_canonical(p)
 
 
 def pinned_log():
@@ -454,8 +585,9 @@ def pinned_log():
 
 def test_filter_and_split_bytes_are_pinned():
     rows = pinned_log()
-    core = filter_by_activity(rows, 2, 2)
-    full = filter_by_activity(rows, 1, 1)
+    log = InteractionLog.from_rows(rows)
+    core = filter_by_activity(log, 2, 2)
+    full = filter_by_activity(log, 1, 1)
     assert full.num_pairs == len(set(rows)) < len(rows)
     assert not {"c1", "c2"} & set(core.user_ids)
     assert not {"rare1", "rare2"} & set(core.item_ids)
