@@ -9,6 +9,7 @@ ids.
 """
 
 import hashlib
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,21 +148,25 @@ def _read(path) -> bytes:
     return raw
 
 
-def _text_lines(raw: bytes) -> list:
-    """The lines of UTF-8 `raw` as text mode reads them: a CR LF or a lone
-    CR ends a line, as an LF does."""
-    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
-def _span_lines(raw: bytes, start: int, end: int) -> list:
-    """The text lines of `raw[start:end]`, which ends where an LF or the
-    file does: a CR at its end ends its last line, not another one."""
-    return _text_lines(raw[start:end] + b"\n")[:-1]
+def _newlines(raw: bytes) -> bytes:
+    """`raw` with the line ends text mode reads: each CR LF and each lone CR
+    becomes an LF. No multi-byte UTF-8 sequence holds a CR or an LF byte."""
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def _is_data(line: str) -> bool:
     """Whether a text line holds data: it is neither blank nor a comment."""
     return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
+DIGIT_GROUPS = re.compile(r"\d+(?:_\d+)*")
+
+
+def _timestamp(text: str) -> int:
+    """Check `text` as `int()` reads it with no digit limit: each run of
+    digit groups is read as 0, so the digit limit, which the interpreter's
+    settings fix, never decides whether a timestamp parses."""
+    return int(DIGIT_GROUPS.sub("0", text))
 
 
 def _parse_line(path, lineno: int, line: str, delim: str) -> tuple:
@@ -173,7 +178,7 @@ def _parse_line(path, lineno: int, line: str, delim: str) -> tuple:
     user_id, item_id = cols[0].strip(), cols[1].strip()
     if not user_id or not item_id:
         raise DataError(f"{path}: line {lineno}: empty user or item id")
-    for col, kind, parse in ((2, "rating", float), (3, "timestamp", int)):
+    for col, kind, parse in ((2, "rating", float), (3, "timestamp", _timestamp)):
         if len(cols) > col and cols[col].strip():
             try:
                 parse(cols[col])
@@ -182,11 +187,6 @@ def _parse_line(path, lineno: int, line: str, delim: str) -> tuple:
                     f"{path}: line {lineno}: unparseable {kind} {cols[col]!r}"
                 ) from None
     return user_id, item_id
-
-
-# int() refuses longer digit strings when its digit limit is set low, and
-# it cannot be set below this
-PLAIN_TIMESTAMP_DIGITS = 640
 
 
 def _spans(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray):
@@ -268,24 +268,23 @@ def _delimiter(raw: bytes, starts, ends, lines):
     """The delimiter that the first data line among `lines` sets, or None
     when they hold no data line."""
     for r in lines:
-        for line in _span_lines(raw, starts[r], ends[r]):
-            if _is_data(line):
-                return "\t" if "\t" in line else ","
+        line = raw[starts[r]: ends[r]].decode("utf-8")
+        if _is_data(line):
+            return "\t" if "\t" in line else ","
     return None
 
 
-def _plain_lines(buf, starts, ends, newlines, candidates, delim: str):
+def _plain_lines(buf, starts, ends, candidates, delim: str):
     """The lines among `candidates` (a mask) that the bulk check vouches
     for, and where each one's user and item fields end. A line's text runs
-    from its start to its end, before its LF or CR LF."""
+    from its start to its end, before its LF."""
     marks = np.append(np.flatnonzero(buf == ord(delim)), len(buf))
     # bytes a plain line cannot hold: all but printable ASCII and delimiters
     odd = buf - np.uint8(ord("!")) > ord("~") - ord("!")
-    odd[newlines] = False
-    odd[ends[:-1]] = False  # the CR of a CR LF
+    odd[ends[:-1]] = False  # the LF of each line
     odd[marks[:-1]] = False
     candidates = candidates.copy()
-    candidates[np.searchsorted(newlines, np.flatnonzero(odd))] = False
+    candidates[np.searchsorted(ends, np.flatnonzero(odd))] = False
     del odd
     lines = np.flatnonzero(candidates)
     s, e = starts[lines], ends[lines]
@@ -300,23 +299,18 @@ def _plain_lines(buf, starts, ends, newlines, candidates, delim: str):
     rated, stamped = n_marks >= 2, n_marks >= 3
     ok[rated] &= _numbers(buf, e1[rated] + 1, e2[rated], dots=1)
     ok[stamped] &= _numbers(buf, e2[stamped] + 1, e3[stamped], dots=0)
-    ok[stamped] &= (e3 - e2 - 1 <= PLAIN_TIMESTAMP_DIGITS)[stamped]
     return lines[ok], e0[ok], e1[ok]
 
 
 def _parsed_lines(path, raw: bytes, starts, ends, lines, delim: str):
-    """The rows of `lines` as `_parse_line` reads them, and the rows' ids,
-    two per row. A row's line is the first of its run of adjacent lines."""
-    row_lines, ids, shift = [], [], 0
-    for run in np.split(lines, np.flatnonzero(np.diff(lines) > 1) + 1):
-        if len(run):
-            first = int(run[0])
-            texts = _span_lines(raw, starts[first], ends[run[-1]])
-            for k, line in enumerate(texts):
-                if _is_data(line):
-                    ids += _parse_line(path, first + 1 + shift + k, line, delim)
-                    row_lines.append(first)
-            shift += len(texts) - len(run)  # each lone CR ends a line
+    """The rows of `lines` as `_parse_line` reads them: the line of each
+    row, and the rows' ids, two per row."""
+    row_lines, ids = [], []
+    for r, s, e in zip(lines.tolist(), starts[lines].tolist(), ends[lines].tolist()):
+        line = raw[s:e].decode("utf-8")
+        if _is_data(line):
+            ids += _parse_line(path, r + 1, line, delim)
+            row_lines.append(r)
     return row_lines, ids
 
 
@@ -324,38 +318,32 @@ def load_interactions(path) -> InteractionLog:
     """Parse a delimiter-separated interaction log into coded (user, item)
     rows in file order.
 
-    The first data line sets the delimiter for the whole file: tab if it
-    holds one, else comma. Blank lines and lines starting with '#' are
-    skipped. Each data row needs user and item columns; a third column
-    must parse as a float rating and a fourth as an integer timestamp.
-    Both are checked, then dropped: the interactions are binary.
+    Line ends are read as text mode reads them: a CR LF or a lone CR ends
+    a line, as an LF does. The first data line sets the delimiter for the
+    whole file: tab if it holds one, else comma. Blank lines and lines
+    starting with '#' are skipped. Each data row needs user and item
+    columns; a third column must parse as a float rating and a fourth as
+    an integer timestamp, of any number of digits. Both are checked, then
+    dropped: the interactions are binary.
 
     The file is read once as bytes. A plain line (printable ASCII ids, a
     rating of digits with at most one '.', a timestamp of digits) is
     checked and coded in bulk; every other line is parsed by `_parse_line`
     to the same row or the same error.
     """
-    raw = _read(path)
+    raw = _newlines(_read(path))
     buf = np.frombuffer(raw, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], newlines + 1))
     ends = np.append(newlines, len(buf))
-    # a line's text ends before its CR LF; any other CR ends a line too
-    cr = buf == ord("\r")
-    text_ends = ends - np.append(cr[newlines - 1] & (newlines > 0), False)
-    cr[text_ends[:-1]] = False
-    # every line but blank ones and comments that no lone CR splits
-    candidates = text_ends > starts
+    # every line but blank ones and comments
+    candidates = ends > starts
     candidates[candidates] = buf[starts[candidates]] != ord("#")
-    candidates[np.searchsorted(newlines, np.flatnonzero(cr))] = True
-    del cr
     delim = _delimiter(raw, starts, ends, np.flatnonzero(candidates))
     if delim is None:
         return InteractionLog.from_rows([])
 
-    plain, user_end, item_end = _plain_lines(
-        buf, starts, text_ends, newlines, candidates, delim
-    )
+    plain, user_end, item_end = _plain_lines(buf, starts, ends, candidates, delim)
     candidates[plain] = False
     slow, ids = _parsed_lines(
         path, raw, starts, ends, np.flatnonzero(candidates), delim
@@ -544,7 +532,7 @@ def _parse_pairs(path, lines: list) -> np.ndarray:
 
 def load_canonical(path) -> InteractionSet:
     """Read a canonical dataset file; exact inverse of `persist`."""
-    lines = _text_lines(_read(path))
+    lines = _newlines(_read(path)).decode("utf-8").split("\n")
     if not lines[0]:
         raise DataError(f"{path}: empty file")
     head = _header(path, lines[0])

@@ -1,7 +1,9 @@
 """Tests for parsing, activity filtering, splitting, and the canonical format."""
 
 import builtins
+import contextlib
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +176,59 @@ def test_plain_log_takes_no_per_line_step(tmp_path, monkeypatch):
     assert load_interactions(p) == InteractionLog.from_rows(rows)
     p.write_bytes(("# CR LF ends\r\n" + "\r\n".join(lines) + "\r\n\r\n").encode())
     assert load_interactions(p) == InteractionLog.from_rows(rows)
+    p.write_bytes(("# lone CR ends\r" + "\r".join(lines) + "\r\r").encode())
+    assert load_interactions(p) == InteractionLog.from_rows(rows)
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """`int()`'s digit limit set to `digits` (0: none), restored after;
+    interpreters before 3.10.7 have no limit to set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_timestamp_check_is_int_without_a_digit_limit(tmp_path):
+    # digits of several scripts, digit separators, signs, spaces int()
+    # strips and characters it does not, and runs of digits over the limit
+    tokens = ["0", "7", "\u0663", "\uff15", "\U0001d7d9", "_", "__", "+", "-", " "]
+    tokens += ["\xa0", "\u2003", "\x1c", "\x00", "a", ".", "e"]
+    tokens += ["9" * 700, "1_" * 400, "\u0663" * 700]
+    rng = np.random.default_rng(2)
+    texts = ["".join(rng.choice(tokens, size=rng.integers(1, 6))) for _ in range(20000)]
+
+    def accepted(parse, text) -> bool:
+        try:
+            parse(text)
+        except (ValueError, DataError):
+            return False
+        return True
+
+    def timestamp_column(text):
+        ingest._parse_line("log", 1, f"u\ti\t4\t{text}", "\t")
+
+    with int_digit_limit(0):
+        want = [not t.strip() or accepted(int, t) for t in texts]
+    with int_digit_limit(640):
+        got = [accepted(timestamp_column, t) for t in texts]
+    assert got == want
+    assert min(sum(want), len(want) - sum(want)) > 3000
+
+    # a 5000-digit timestamp on a plain line and on one read line by line
+    stamp = "1" * 5000
+    p = tmp_path / "log.csv"
+    p.write_text(f"u1,i1,4,{stamp}\nu2, i2, 4, {stamp}\n")
+    want = InteractionLog.from_rows([("u1", "i1"), ("u2", "i2")])
+    for digits in (640, 0):
+        with int_digit_limit(digits):
+            assert load_interactions(p) == want
 
 
 def test_filter_thresholds_vacuous():
