@@ -283,6 +283,7 @@ def cmd_train(args, cfg) -> int:
         model_config,
         result.best_params,
         train_hash,
+        decomp.fingerprint,
         extra_meta={
             "best_epoch": result.best_epoch,
             "best_recall": result.best_recall,
@@ -310,18 +311,24 @@ def _score_trace(decomp, model_config, params):
 
 
 def _load_trained(cfg):
-    """Split, spectral cache and checkpoint of a trained run, scored.
+    """Split, spectral cache and checkpoint of a trained run, scored. A
+    checkpoint trained on another eigenbasis than the cache's is refused.
 
     Returns (train, test, train hash, decomposition, forward trace).
     """
-    from . import model
+    from . import bundles, model
 
     train_set, test_set, train_hash = _load_split(cfg)
     decomp = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
-    ckpt_config, params, _ = model.load_checkpoint(
-        cfg.require("checkpoint"), train_set.num_users, train_set.num_items,
-        decomp.q, train_hash,
+    path = cfg.require("checkpoint")
+    ckpt_config, params, meta = model.load_checkpoint(
+        path, train_set.num_users, train_set.num_items, decomp.q, train_hash
     )
+    mismatch = bundles.key_mismatch(
+        {"basis": meta["basis"]}, {"basis": decomp.fingerprint}, "checkpoint"
+    )
+    if mismatch:
+        raise ConfigError(f"{path}: {mismatch}; rerun `train`")
     trace = _score_trace(decomp, ckpt_config, params)
     return train_set, test_set, train_hash, decomp, trace
 

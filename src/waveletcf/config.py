@@ -124,9 +124,6 @@ class SplitSpec:
 class TrainConfig:
     batch_size: int = 1024
     learning_rate: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     eta: float = 0.01
     max_epochs: int = 200
     patience: int = 10
@@ -148,8 +145,6 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.eta < 0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in (0, 1)")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError(
                 f"val_fraction must lie strictly in (0,1), got {self.val_fraction}"

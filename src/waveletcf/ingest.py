@@ -531,7 +531,9 @@ def _parse_pairs(path, lines: list) -> np.ndarray:
 
 
 def load_canonical(path) -> InteractionSet:
-    """Read a canonical dataset file; exact inverse of `persist`."""
+    """Read a canonical dataset file. Every file `persist` writes reads back
+    as the dataset written; a pair line that spells its integers otherwise
+    (`00`, `+0`, a space beside a field) loads as well."""
     lines = _newlines(_read(path)).decode("utf-8").split("\n")
     if not lines[0]:
         raise DataError(f"{path}: empty file")

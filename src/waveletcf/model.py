@@ -22,7 +22,7 @@ from .config import ModelConfig
 from .errors import ConfigError, DataError
 from .spectral import SpectralDecomposition, filter_response
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 BLOCK = 1 << 15  # elements per pass of a blockwise elementwise loop
 
 
@@ -140,21 +140,13 @@ class PropagationOperator:
 
 
 @dataclass
-class LayerCache:
-    """Intermediates of one layer needed for reverse-mode gradients."""
-
-    h: np.ndarray  # Q gate values
-    coeff: np.ndarray  # Q x P eigenbasis coefficients of the layer input
-
-
-@dataclass
 class ForwardTrace:
     """Layer activations, layer-major: zs[l] is layer l's N x P block
     (zs[0] = initial embeddings, users in the first M rows). A row's final
     embedding concatenates its rows of every layer, in layer order."""
 
     zs: np.ndarray  # (L+1) x N x P
-    caches: List[LayerCache]
+    coeffs: List[np.ndarray]  # L blocks Phi^T zs[l], each Q x P
     num_users: int  # M
     grad: np.ndarray  # N x P scratch of `train.backward`, filled only there
 
@@ -174,7 +166,7 @@ class ForwardTrace:
 def propagate_layer(
     z: np.ndarray, layer: int, params: ModelParams, oper: PropagationOperator, out=None
 ):
-    """One propagation step; returns (activation, cache), the activation
+    """One propagation step; returns (activation, coeff), the activation
     written into `out` when given.
 
     sigmoid(Phi diag(d) Phi^T z W), d = lam * h, is computed as
@@ -189,7 +181,7 @@ def propagate_layer(
     h = oper.gate(params.theta[layer])
     coeff = oper.phi.T @ z
     pre = np.matmul(oper.phi, ((oper.lam * h)[:, None] * coeff) @ w, out=out)
-    return sigmoid(pre, out=pre), LayerCache(h=h, coeff=coeff)
+    return sigmoid(pre, out=pre), coeff
 
 
 def forward(params: ModelParams, oper: PropagationOperator, out=None) -> ForwardTrace:
@@ -204,7 +196,7 @@ def forward(params: ModelParams, oper: PropagationOperator, out=None) -> Forward
     vars(out).pop("concat_items", None)
     np.concatenate([params.x0, params.y0], out=out.zs[0])
     for i in range(layers):
-        out.caches[i] = propagate_layer(out.zs[i], i, params, oper, out=out.zs[i + 1])[1]
+        out.coeffs[i] = propagate_layer(out.zs[i], i, params, oper, out=out.zs[i + 1])[1]
     return out
 
 
@@ -219,11 +211,15 @@ def save_checkpoint(
     config: ModelConfig,
     params: ModelParams,
     dataset_hash: str,
+    basis: str,
     extra_meta: dict = None,
 ) -> None:
-    """Persist config + parameters keyed by the dataset content hash."""
+    """Persist config + parameters keyed by the dataset content hash and
+    the `SpectralDecomposition.fingerprint` of the eigenbasis they were
+    trained on."""
     meta = {
         "dataset_hash": dataset_hash,
+        "basis": basis,
         "config": asdict(config),
         "num_w": len(params.w),
         **(extra_meta or {}),

@@ -8,6 +8,7 @@ response defines the wavelet operator pair.
 """
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,14 @@ class SpectralDecomposition:
     def boxcox(self) -> "BoxCoxResult":
         """The power transform fitted to `shifted_lambdas`, fitted once."""
         return boxcox_fit(self.shifted_lambdas)
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """sha256 of the eigenvalues' and eigenvectors' bytes, which names
+        the eigenbasis a trained model belongs to."""
+        digest = hashlib.sha256(np.ascontiguousarray(self.lambdas))
+        digest.update(np.ascontiguousarray(self.phi))
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)

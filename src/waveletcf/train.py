@@ -34,7 +34,8 @@ from .model import (
 from .seeds import TRIPLES, VAL_SPLIT, child_seed
 from .spectral import SpectralDecomposition
 
-TRAIN_STATE_VERSION = 3
+TRAIN_STATE_VERSION = 4
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def sample_triples(
@@ -160,7 +161,7 @@ def backward(
     d_next.fill(0.0)
     for layer in range(layers, -1, -1):
         if layer < layers:
-            h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
+            h, coeff = oper.gate(params.theta[layer]), trace.coeffs[layer]
             act = trace.zs[layer + 1]
             for part in row_blocks(*d_next.shape):
                 d_next[part] *= act[part]
@@ -207,10 +208,10 @@ class AdamState:
 def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, config: TrainConfig
 ) -> None:
-    """Standard bias-corrected Adam update of `params` and `state`, in
-    place, through a scratch pair sized to the largest tensor."""
+    """Bias-corrected Adam update of `params` and `state` by the ADAM_*
+    constants, in place, through a scratch pair sized to the largest tensor."""
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     if state.scratch is None:
@@ -224,7 +225,18 @@ def adam_step(
         v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
         np.multiply(np.divide(m, c1, out=s), config.learning_rate, out=s)
         np.sqrt(np.divide(v, c2, out=t), out=t)
-        tensor -= np.divide(s, np.add(t, config.adam_eps, out=t), out=s)
+        tensor -= np.divide(s, np.add(t, ADAM_EPS, out=t), out=s)
+
+
+def step(trace, batch, params, oper, adam, config: TrainConfig):
+    """One training step on `batch`: forward into `trace` (a new one when
+    None), loss, gradients and the in-place Adam update. Returns (trace, loss)."""
+    trace = forward(params, oper, out=trace)
+    rows = BatchRows(trace, batch)
+    loss = bpr_loss(trace, batch, config.eta, rows)
+    grads = backward(trace, batch, params, oper, config.eta, rows)
+    adam_step(params, grads, adam, config)
+    return trace, loss
 
 
 @dataclass
@@ -310,10 +322,10 @@ def fit(
     init, train_config.seed (as a root) drives the validation split and
     triple sampling via labeled child seeds. `state_path` enables per-epoch
     state saves; `resume=True` continues from such a save bit-exactly, and
-    refuses one saved for another dataset or config (only max_epochs and
-    patience may change); resuming a run that already stopped trains no
-    further. `dataset_hash` is `train_data`'s `ingest.dataset_hash`,
-    computed here if a state is saved and it is not given.
+    refuses one saved for another dataset, eigenbasis or config (only
+    max_epochs and patience may change); resuming a run that already
+    stopped trains no further. `dataset_hash` is `train_data`'s
+    `ingest.dataset_hash`, computed here if a state is saved without it.
     """
     if resume and not state_path:
         raise ConfigError(
@@ -337,6 +349,7 @@ def fit(
         run_key = {
             "dataset_hash": dataset_hash or ingest.dataset_hash(train_data),
             "q": int(decomp.q),
+            "basis": decomp.fingerprint,
             **{f"model.{k}": v for k, v in asdict(model_config).items()},
             **{f"train.{k}": v for k, v in asdict(train_config).items()
                if k not in ("max_epochs", "patience")},
@@ -358,11 +371,8 @@ def fit(
         total = 0.0
         for lo in range(0, count, train_config.batch_size):
             batch = triples[lo: lo + train_config.batch_size]
-            trace = forward(params, oper, out=trace)
-            rows = BatchRows(trace, batch)
-            total += bpr_loss(trace, batch, train_config.eta, rows)
-            grads = backward(trace, batch, params, oper, train_config.eta, rows)
-            adam_step(params, grads, state.adam, train_config)
+            trace, loss = step(trace, batch, params, oper, state.adam, train_config)
+            total += loss
         loss = total / count
 
         trace = forward(params, oper, out=trace)

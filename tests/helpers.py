@@ -19,6 +19,7 @@ from waveletcf.spectral import (
     boxcox_transform,
     build_wavelet_pair,
 )
+from waveletcf.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def interaction_set_from_pairs(num_users, num_items, pairs):
@@ -340,7 +341,7 @@ def make_trace(cu, ci):
     cu = np.asarray(cu, dtype=np.float64)
     ci = np.asarray(ci, dtype=np.float64)
     zs = np.vstack([cu, ci])[None]
-    return ForwardTrace(zs=zs, caches=[], num_users=len(cu), grad=np.empty(zs.shape[1:]))
+    return ForwardTrace(zs=zs, coeffs=[], num_users=len(cu), grad=np.empty(zs.shape[1:]))
 
 
 def concat_users(trace: ForwardTrace):
@@ -391,7 +392,7 @@ def reference_backward(trace, batch, params, oper, eta):
     grad_theta = [None] * layers
     d_next = d_concat[:, layers * width:]
     for layer in range(layers - 1, -1, -1):
-        h, coeff = trace.caches[layer].h, trace.caches[layer].coeff
+        h, coeff = oper.gate(params.theta[layer]), trace.coeffs[layer]
         act = trace.zs[layer + 1]
         e = oper.phi.T @ (d_next * act * (1.0 - act))
         d = (oper.lam * h)[:, None]
@@ -477,7 +478,7 @@ def reference_step(params, oper, layers, batch, adam, config):
 
     # Adam
     adam.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**adam.step
     c2 = 1.0 - b2**adam.step
     for (_, tensor), (_, g), (_, mom), (_, var) in zip(
@@ -487,5 +488,5 @@ def reference_step(params, oper, layers, batch, adam, config):
         mom += (1 - b1) * g
         var *= b2
         var += (1 - b2) * g * g
-        tensor -= config.learning_rate * (mom / c1) / (np.sqrt(var / c2) + config.adam_eps)
+        tensor -= config.learning_rate * (mom / c1) / (np.sqrt(var / c2) + ADAM_EPS)
     return loss

@@ -644,6 +644,37 @@ def test_checkpoint_scored_against_a_cache_of_another_q(pipeline, tmp_path, caps
         )
 
 
+def test_a_re_solved_cache_refuses_the_trained_model(pipeline, tmp_path, capsys):
+    # at q = 8 the solve is iterative, so its eigenvectors move with
+    # eig_tol: a model trained on one eigenbasis is neither scored nor
+    # resumed on another of the same q and dataset
+    _, cfg = pipeline
+    spec, ckpt, state = (tmp_path / name for name in ("q8.spec", "q8.ckpt", "q8.state"))
+    args = ["--config", cfg, "--set", "q=8", "--set", f"spectral_cache={spec}",
+            "--set", f"checkpoint={ckpt}", "--set", f"train_state={state}"]
+    assert main(["spectral", *args]) == 0
+    assert main(["train", *args, "--set", "max_epochs=2"]) == 0
+    trained_on = spectral.load_spectral_cache(spec)[0]
+    args += ["--set", "eig_tol=1e-4"]
+    assert main(["spectral", *args, "--force"]) == 0
+    assert not np.array_equal(spectral.load_spectral_cache(spec)[0].phi, trained_on.phi)
+    before = (ckpt.read_bytes(), state.read_bytes())
+    capsys.readouterr()
+    for command, saved, fix in (
+        (["evaluate"], f"{ckpt}: the saved checkpoint", "; rerun `train`"),
+        (["recommend", "--users", "u3"], f"{ckpt}: the saved checkpoint", "; rerun `train`"),
+        (["train", "--resume"], f"{state}: the saved state", "; a resume may change"),
+    ):
+        assert main([*command, *args]) == 2
+        captured = capsys.readouterr()
+        assert f"{saved} has basis='{trained_on.fingerprint}', this run has basis=" in (
+            captured.err
+        )
+        assert fix in captured.err
+        assert "wrote" not in captured.out
+    assert (ckpt.read_bytes(), state.read_bytes()) == before
+
+
 def test_unwritable_output_is_a_data_error(pipeline, tmp_path, capsys):
     _, cfg = pipeline
     missing = tmp_path / "no" / "such" / "dir" / "x.ds"
@@ -700,7 +731,7 @@ def test_evaluate_checkpoint_for_other_dataset(pipeline, tmp_path, capsys):
 
     rogue = tmp_path / "rogue.ckpt"
     config = ModelConfig(layers=1, width=4, seed=0)
-    save_checkpoint(rogue, config, init_params(config, 60, 40, 64), "0" * 64)
+    save_checkpoint(rogue, config, init_params(config, 60, 40, 64), "0" * 64, "0" * 64)
     code = main(["evaluate", "--config", cfg, "--set", f"checkpoint={rogue}"])
     assert code == 3
     assert "checkpoint" in capsys.readouterr().err
@@ -866,25 +897,25 @@ def test_checkpoint_with_invalid_stored_config_is_a_data_error(
 def test_old_artifact_versions_are_data_errors(pipeline, tmp_path, capsys):
     root, cfg = pipeline
     meta, arrays = bundles.load_bundle(root / "model.ckpt")
-    meta["version"] = 1
-    old_ckpt = tmp_path / "v1.ckpt"
+    meta["version"] = 2
+    old_ckpt = tmp_path / "v2.ckpt"
     bundles.save_bundle(old_ckpt, meta, arrays)
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg, "--set", f"checkpoint={old_ckpt}"]) == 3
-    assert f"{old_ckpt}: model-checkpoint version 1 unsupported" in (
+    assert f"{old_ckpt}: model-checkpoint version 2 unsupported" in (
         capsys.readouterr().err
     )
 
-    state = tmp_path / "v2.state"
+    state = tmp_path / "v3.state"
     args = ["train", "--config", cfg, "--set", f"checkpoint={tmp_path / 'r.ckpt'}",
             "--set", f"train_state={state}"]
     assert main([*args, "--set", "max_epochs=1"]) == 0
     meta, arrays = bundles.load_bundle(state)
-    meta["version"] = 2
+    meta["version"] = 3
     bundles.save_bundle(state, meta, arrays)
     capsys.readouterr()
     assert main([*args, "--resume"]) == 3
-    assert f"{state}: train-state version 2 unsupported" in capsys.readouterr().err
+    assert f"{state}: train-state version 3 unsupported" in capsys.readouterr().err
 
 
 def test_scoring_uses_the_checkpoint_filter(pipeline, tmp_path, capsys):
@@ -964,6 +995,7 @@ def test_recommend_forced_choice(tmp_path, capsys):
         model_config,
         init_params(model_config, train.num_users, train.num_items, 5),
         dataset_hash(train),
+        spectral.load_spectral_cache(tmp_path / "toy.spec")[0].fingerprint,
     )
     capsys.readouterr()
     assert main(["recommend", "--config", str(cfg), "--users", "u0", "--k", "1"]) == 0

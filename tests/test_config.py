@@ -137,7 +137,8 @@ def test_flag_without_equals():
         ({"t": float("nan")}, "t must be finite"),
         ({"learning_rate": float("nan")}, "learning_rate must be finite"),
         ({"eta": float("inf")}, "eta must be finite"),
-        ({"adam_eps": float("-inf")}, "adam_eps must be finite"),
+        # Adam's constants are train.ADAM_*, not keys
+        ({"adam_beta1": 0.9}, "unknown config key 'adam_beta1'"),
         ({"q": 1}, "q must be 0 or >= 2"),
         ({"k_values": (20, 20)}, "k_values entries must be distinct"),
         ({"cold_start_caps": (0, 3)}, "cold_start_caps"),
@@ -151,8 +152,8 @@ def test_validation_rejects(values, fragment):
 def test_nested_validation_surfaces_as_config_error():
     # nested dataclass validation fires during RunConfig construction, not
     # mid-pipeline
-    with pytest.raises(ConfigError, match="betas"):
-        RunConfig({"adam_beta1": 1.5})
+    with pytest.raises(ConfigError, match="patience must be >= 0"):
+        RunConfig({"patience": -1})
 
 
 def test_derived_stage_objects():
@@ -203,6 +204,6 @@ def test_readme_documents_exactly_the_config_keys():
     documented = set()
     for line in section.splitlines():
         if line.startswith("| `"):
-            # the first cell may name several keys, e.g. the Adam row
+            # the first cell may name several keys
             documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
     assert documented == set(KEY_SPECS)

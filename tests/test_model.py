@@ -252,10 +252,11 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg = ModelConfig(layers=2, width=3, seed=11)
     params = init_params(cfg, 12, 9, q=5)
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, cfg, params, dataset_hash="d" * 64, extra_meta={"epoch": 4})
+    save_checkpoint(p, cfg, params, dataset_hash="d" * 64, basis="b" * 64,
+                    extra_meta={"epoch": 4})
     cfg2, params2, meta = load_checkpoint(p, 12, 9, 5, expected_dataset_hash="d" * 64)
     assert cfg2 == cfg
-    assert meta["epoch"] == 4
+    assert (meta["epoch"], meta["basis"]) == (4, "b" * 64)
     for (_, ta), (_, tb) in zip(params.tensors(), params2.tensors()):
         assert np.array_equal(ta, tb)
 
@@ -273,11 +274,12 @@ def test_checkpoint_with_num_theta_still_loads(tmp_path):
     cfg = ModelConfig(layers=2, width=3, seed=11)
     params = init_params(cfg, 12, 9, q=5)
     fresh, old = tmp_path / "fresh.ckpt", tmp_path / "old.ckpt"
-    save_checkpoint(fresh, cfg, params, dataset_hash="d" * 64)
+    save_checkpoint(fresh, cfg, params, dataset_hash="d" * 64, basis="b" * 64)
     assert "num_theta" not in load_bundle(fresh)[0]
     # checkpoints of older builds also record the gate count
     save_checkpoint(
-        old, cfg, params, dataset_hash="d" * 64, extra_meta={"num_theta": 2}
+        old, cfg, params, dataset_hash="d" * 64, basis="b" * 64,
+        extra_meta={"num_theta": 2},
     )
     assert load_bundle(old)[0]["num_theta"] == 2
     cfg2, params2, _ = load_checkpoint(old, 12, 9, 5, expected_dataset_hash="d" * 64)
@@ -290,6 +292,6 @@ def test_checkpoint_hash_refusal(tmp_path):
     cfg = ModelConfig(layers=1, width=2, seed=0)
     params = init_params(cfg, 6, 6, q=3)
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, cfg, params, dataset_hash="d" * 64)
+    save_checkpoint(p, cfg, params, dataset_hash="d" * 64, basis="b" * 64)
     with pytest.raises(DataError, match="dataset"):
         load_checkpoint(p, 6, 6, 3, expected_dataset_hash="e" * 64)

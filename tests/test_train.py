@@ -33,7 +33,8 @@ from waveletcf.model import (
     param_shapes,
     score_user,
 )
-from waveletcf.spectral import eigensolve
+from waveletcf.seeds import VAL_SPLIT, child_seed
+from waveletcf.spectral import SpectralDecomposition, eigensolve
 from waveletcf.train import (
     AdamState,
     TrainConfig,
@@ -55,8 +56,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(adam_beta1=1.0)
     with pytest.raises(ConfigError, match="batch_size must be int, got True"):
         TrainConfig(batch_size=True)
     with pytest.raises(ConfigError, match="eta must be float, got '0.1'"):
@@ -501,6 +500,43 @@ def test_fit_resume_is_bit_exact(tmp_path):
     assert state.read_bytes() == saved
 
 
+def test_fit_resume_refuses_another_eigenbasis(tmp_path):
+    # a state trained on one eigenbasis is refused on a basis that differs
+    # in one bit of one entry of Phi, even at the same q and dataset
+    data, train, test, dec = small_problem(seed=9)
+    model_cfg = ModelConfig(layers=1, width=4)
+    state = tmp_path / "state.bundle"
+    fit(train, dec, model_cfg, TrainConfig(max_epochs=1), state_path=state)
+    saved = state.read_bytes()
+    phi = dec.phi.copy()
+    phi[0, 0] = np.nextafter(phi[0, 0], np.inf)
+    other = SpectralDecomposition(dec.lambdas, phi)
+    with pytest.raises(ConfigError, match="saved state has basis="):
+        fit(train, other, model_cfg, TrainConfig(max_epochs=2), state_path=state,
+            resume=True)
+    assert state.read_bytes() == saved
+
+
+def test_fit_runs_train_step_once_per_batch(monkeypatch):
+    # fit's batch loop is `train.step`, the step the bitwise and allocation
+    # gates below run: one call per batch of each epoch's triples
+    data, train, test, dec = small_problem(seed=9)
+    train_cfg = TrainConfig(batch_size=100, max_epochs=2, patience=5, seed=3)
+    inner, _ = split(train, SplitSpec(train_fraction=1.0 - train_cfg.val_fraction,
+                                      seed=child_seed(train_cfg.seed, VAL_SPLIT)))
+    sizes, real_step = [], train_mod.step
+
+    def counted(trace, batch, *args):
+        sizes.append(len(batch))
+        return real_step(trace, batch, *args)
+
+    monkeypatch.setattr(train_mod, "step", counted)
+    state = fit(train, dec, ModelConfig(layers=1, width=4), train_cfg)
+    assert state.epoch == 2
+    assert len(sizes) == 2 * math.ceil(inner.num_pairs / train_cfg.batch_size)
+    assert sum(sizes) == 2 * inner.num_pairs
+
+
 @pytest.mark.parametrize("state_path", [None, ""])
 def test_fit_resume_needs_a_state_path(state_path):
     data, train, test, dec = small_problem(seed=9)
@@ -535,9 +571,7 @@ def test_train_state_round_trip(tmp_path):
     trace = None
     for _ in range(2):
         batch = sample_triples(train, train_cfg.batch_size, state.rng)
-        trace = forward(params, oper, out=trace)
-        grads = backward(trace, batch, params, oper, train_cfg.eta)
-        adam_step(params, grads, state.adam, train_cfg)
+        trace, _ = train_mod.step(trace, batch, params, oper, state.adam, train_cfg)
     run_key = {"q": dec.q, "model.seed": model_cfg.seed}
     first, second = tmp_path / "first.bundle", tmp_path / "second.bundle"
     state.save(first, run_key)
@@ -635,11 +669,7 @@ def test_steps_match_reference_step_bitwise(eta):
         triples = sample_triples(train, train.num_pairs, rng)
         for lo in range(0, len(triples), train_cfg.batch_size):
             batch = triples[lo: lo + train_cfg.batch_size]
-            trace = forward(params, oper, out=trace)
-            rows = train_mod.BatchRows(trace, batch)
-            loss = bpr_loss(trace, batch, eta, rows)
-            grads = backward(trace, batch, params, oper, eta, rows)
-            adam_step(params, grads, adam, train_cfg)
+            trace, loss = train_mod.step(trace, batch, params, oper, adam, train_cfg)
             want = reference_step(ref_params, oper, 3, batch, ref_adam, train_cfg)
             assert loss == want
             batches.append(batch)
@@ -665,20 +695,11 @@ def test_warmed_step_allocates_less_than_one_layer_block():
     params = init_params(model_cfg, data.num_users, data.num_items, dec.q)
     adam = AdamState.init(params)
     triples = sample_triples(data, 64, np.random.default_rng(2))
-    trace = None
-
-    def step(batch):
-        nonlocal trace
-        trace = forward(params, oper, out=trace)
-        rows = train_mod.BatchRows(trace, batch)
-        bpr_loss(trace, batch, train_cfg.eta, rows)
-        grads = backward(trace, batch, params, oper, train_cfg.eta, rows)
-        adam_step(params, grads, adam, train_cfg)
-
-    step(triples[:32])  # allocates the trace and Adam's scratch
+    # the first step allocates the trace and Adam's scratch
+    trace, _ = train_mod.step(None, triples[:32], params, oper, adam, train_cfg)
     tracemalloc.start()
     try:
-        step(triples[32:])
+        train_mod.step(trace, triples[32:], params, oper, adam, train_cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
