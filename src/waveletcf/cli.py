@@ -244,13 +244,21 @@ def cmd_train(args, cfg) -> int:
 
     model_config = cfg.model_config()
     train_config = cfg.train_config()
-    print(
+    header = (
         f"train batch_size={train_config.batch_size} "
         f"layers={model_config.layers} width={model_config.width} "
         f"learning_rate={train_config.learning_rate} t={model_config.t} "
         f"eta={train_config.eta} q={decomp.q} seed={cfg['seed']} "
         f"dataset_hash={train_hash}"
     )
+
+    def log(line):
+        """Print `line`, after the header if first: a refused resume prints nothing."""
+        nonlocal header
+        if header:
+            print(header)
+            header = None
+        print(line)
 
     grid_lrs = cfg["grid_learning_rates"]
     if grid_lrs is not None:
@@ -259,9 +267,9 @@ def cmd_train(args, cfg) -> int:
         grid_ts = cfg["grid_t_values"]
         model_config, train_config, result = train_mod.grid_search(
             train_set, decomp, model_config, train_config,
-            list(grid_lrs), list(grid_ts), log_fn=print,
+            list(grid_lrs), list(grid_ts), log_fn=log,
         )
-        print(
+        log(
             f"grid best lr={train_config.learning_rate} t={model_config.t} "
             f"recall@20={result.best_recall:.6f} ndcg@20={result.best_ndcg:.6f} "
             f"({len(grid_lrs) * len(grid_ts)} runs)"
@@ -272,7 +280,7 @@ def cmd_train(args, cfg) -> int:
             decomp,
             model_config,
             train_config,
-            log_fn=print,
+            log_fn=log,
             state_path=cfg["train_state"],
             resume=args.resume,
             dataset_hash=train_hash,
@@ -294,7 +302,7 @@ def cmd_train(args, cfg) -> int:
             "root_seed": cfg["seed"],
         },
     )
-    print(
+    log(
         f"best epoch {result.best_epoch} "
         f"val_recall@20 {result.best_recall:.6f} "
         f"val_ndcg@20 {result.best_ndcg:.6f}"

@@ -11,6 +11,7 @@ ids.
 import hashlib
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class InteractionSet:
     @property
     def num_pairs(self) -> int:
         return int(self.pairs.shape[0])
+
+    @cached_property
+    def pair_block(self) -> bytes:
+        """The pair lines of the canonical text, built once for both
+        `persist` and `dataset_hash`."""
+        return _pair_block(self.pairs)
 
     @property
     def user_index(self) -> dict:
@@ -192,7 +199,8 @@ def _parse_line(path, lineno: int, line: str, delim: str) -> tuple:
 def _spans(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray):
     """(rows, block) for each distinct width: `rows` ascending, `block`
     their spans as an (n, width) uint8 array."""
-    order = np.argsort(widths, kind="stable")
+    narrow = widths.astype(np.min_scalar_type(widths.max(initial=0)))
+    order = np.argsort(narrow, kind="stable")  # a radix sort up to 16 bits
     for rows in np.split(order, np.flatnonzero(np.diff(widths[order])) + 1):
         if len(rows):
             windows = np.lib.stride_tricks.sliding_window_view(buf, widths[rows[0]])
@@ -210,12 +218,13 @@ def _numbers(buf, starts, ends, dots: int) -> np.ndarray:
 
 
 def _distinct(keys: np.ndarray):
-    """Dense codes of `keys`, equal keys sharing a code, and the index of
-    each code's first entry."""
-    order = np.argsort(keys)
+    """Dense codes of `keys`, equal keys (equal rows, if 2-D) sharing a
+    code, and the index of each code's first entry."""
+    keys = keys[:, None] if keys.ndim == 1 else keys
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
     ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
+    new[1:] = (ordered[1:] != ordered[:-1]).any(1)
     codes = np.empty(len(keys), dtype=np.int64)
     codes[order] = np.cumsum(new) - 1
     first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(keys) else order
@@ -243,7 +252,10 @@ def _code(buf, starts, widths):
     codes = np.empty(len(starts), dtype=np.int64)
     firsts = [np.zeros(0, dtype=np.int64)]
     for rows, block in _spans(buf, starts, widths):
-        local, first = _distinct(block.view(f"S{block.shape[1]}").ravel())
+        # each span zero-padded to whole 8-byte words: one uint64 key per word
+        words = np.zeros((len(rows), -(-block.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, : block.shape[1]] = block
+        local, first = _distinct(words.view(np.uint64))
         codes[rows] = local + sum(map(len, firsts))
         firsts.append(rows[first])
     codes, first = _by_first_appearance(codes, np.concatenate(firsts))
@@ -479,7 +491,7 @@ def _serialize(data: InteractionSet, seed: int) -> bytes:
         f"{data.num_items} {data.num_pairs} {seed}\n"
     )
     ids = "\n".join(["#users", *data.user_ids, "#items", *data.item_ids, ""])
-    return head.encode("utf-8") + _pair_block(data.pairs) + ids.encode("utf-8")
+    return head.encode("utf-8") + data.pair_block + ids.encode("utf-8")
 
 
 def dataset_hash(data: InteractionSet) -> str:
@@ -507,37 +519,53 @@ def _header(path, line: str) -> dict:
     return {"version": head[1], **dict(zip(keys, counts))}
 
 
-def _pair_rows(lines: list):
-    """`lines` as an int64 array of shape (len(lines), 2), or None."""
-    if not all(lines):  # loadtxt would skip a blank line
-        return None
-    try:
-        rows = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return rows if rows.shape == (len(lines), 2) else None
-
-
-def _parse_pairs(path, lines: list) -> np.ndarray:
-    """The (nnz, 2) int64 pair block; the first malformed line (numbered
-    from the file's start) is a DataError."""
-    rows = _pair_rows(lines)
-    if rows is None:
-        lineno = next(
-            n for n, line in enumerate(lines, start=2) if _pair_rows([line]) is None
-        )
-        raise DataError(f"{path}: line {lineno}: malformed pair")
-    return rows
+def _parse_pairs(path, buf: np.ndarray, start: int, ends) -> np.ndarray:
+    """The (nnz, 2) int64 pairs of the lines of `buf` from `start` whose
+    LFs are `ends`. Each line must be exactly what `_pair_block` writes:
+    two runs of 1 to 19 digits with no leading zero, each at most int64's
+    maximum, joined by a tab. The first line that is not (numbered from
+    the file's start, the pair block starting on line 2) is a DataError."""
+    zero = np.uint8(ord("0"))
+    # each field stops at the next byte that is not a digit: while the
+    # lines before line r are well formed, its stops are its tab and its LF
+    stops = np.flatnonzero(buf[start: ends[-1] + 1] - zero > 9) + start
+    stops = np.resize(stops, 2 * len(ends))  # too few or many only past one
+    gaps = np.diff(stops, prepend=start - 1)  # a field's width plus one
+    good = (gaps >= 2) & (gaps <= 20)
+    widths = gaps.clip(2, 20).astype(np.uint8) - np.uint8(1)
+    good &= (buf[stops - widths] != zero) | (widths == 1)
+    # the digit k places before a stop is buf[top - 1 - k:][base]; nine
+    # digits at a time fit a uint32, and 19 never wrap a uint64
+    top = int(widths.max(initial=0))
+    base = stops - top
+    parts = []
+    for lo in range(0, top, 9):
+        part = np.zeros(len(stops), dtype=np.uint32)
+        for k in range(lo, min(lo + 9, top)):
+            digit = (buf[top - 1 - k:][base] - zero) * (widths > k)
+            part += digit.astype(np.uint32) * 10 ** (k - lo)
+        parts.append(part.astype(np.uint64) * 10**lo)
+    values = sum(parts)
+    good &= values <= np.iinfo(np.int64).max
+    ok = good[0::2] & good[1::2] & (buf[stops[0::2]] == ord("\t")) & (stops[1::2] == ends)
+    if not ok.all():
+        raise DataError(f"{path}: line {np.argmin(ok) + 2}: malformed pair")
+    return values.view(np.int64).reshape(-1, 2)
 
 
 def load_canonical(path) -> InteractionSet:
     """Read a canonical dataset file. Every file `persist` writes reads back
-    as the dataset written; a pair line that spells its integers otherwise
-    (`00`, `+0`, a space beside a field) loads as well."""
-    lines = _newlines(_read(path)).decode("utf-8").split("\n")
-    if not lines[0]:
+    as the dataset written. A pair line must be exactly what `persist`
+    writes; one that spells its integers otherwise (`00`, `+0`, a space
+    beside a field) is a DataError naming its line. The pair block is
+    parsed in bulk, as bytes."""
+    raw = _newlines(_read(path))
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # the LF of every line but the last
+    head_end = ends[0] if len(ends) else len(raw)
+    if not head_end:
         raise DataError(f"{path}: empty file")
-    head = _header(path, lines[0])
+    head = _header(path, raw[:head_end].decode("utf-8"))
     if head["version"] != CANONICAL_VERSION:
         raise DataError(
             f"{path}: version mismatch: file has {head['version']!r}, "
@@ -546,17 +574,20 @@ def load_canonical(path) -> InteractionSet:
     m, k, nnz = head["num_users"], head["num_items"], head["num_pairs"]
     if m < 1 or k < 1 or nnz < 1:
         raise DataError("dataset fully filtered")
-    expected = 1 + nnz + 1 + m + 1 + k
-    body = lines[1:]
-    if len(body) < expected - 1 or (len(body) >= expected and body[expected - 1] != ""):
+    # the header, the pair lines, `#users`, m ids, `#items` and k ids, then
+    # nothing or an empty line
+    if len(ends) < nnz + m + k + 2:
         raise DataError(f"{path}: truncated or trailing content")
-    pairs = _parse_pairs(path, body[:nnz])
-    if body[nnz] != "#users":
+    tail = raw[ends[nnz] + 1:].decode("utf-8").split("\n")
+    if len(tail) > m + k + 2 and tail[m + k + 2] != "":
+        raise DataError(f"{path}: truncated or trailing content")
+    pairs = _parse_pairs(path, buf, ends[0] + 1, ends[1: nnz + 1])
+    if tail[0] != "#users":
         raise DataError(f"{path}: missing #users section")
-    user_ids = tuple(body[nnz + 1: nnz + 1 + m])
-    if body[nnz + 1 + m] != "#items":
+    user_ids = tuple(tail[1: 1 + m])
+    if tail[1 + m] != "#items":
         raise DataError(f"{path}: missing #items section")
-    item_ids = tuple(body[nnz + 2 + m: nnz + 2 + m + k])
+    item_ids = tuple(tail[2 + m: 2 + m + k])
     out = InteractionSet(
         num_users=m, num_items=k, pairs=pairs, user_ids=user_ids, item_ids=item_ids
     )

@@ -76,10 +76,10 @@ def sample_triples(
     out[:, 0] = pairs[picks, 0]
     out[:, 1] = pairs[picks, 1]
     js = rng.integers(0, train.num_items, count)
-    bad = is_positive(out[:, 0], js)
-    while bad.any():
-        js[bad] = rng.integers(0, train.num_items, int(bad.sum()))
-        bad = is_positive(out[:, 0], js)
+    bad = np.flatnonzero(is_positive(out[:, 0], js))
+    while bad.size:  # redraw, then re-test, only the rejected negatives
+        js[bad] = rng.integers(0, train.num_items, bad.size)
+        bad = bad[is_positive(out[bad, 0], js[bad])]
     out[:, 2] = js
     return out
 

@@ -327,6 +327,32 @@ def expected_uniform_recall(
     return float(np.mean(vals))
 
 
+def reference_triples(train: InteractionSet, count: int, rng) -> np.ndarray:
+    """Sampler oracle: `train.sample_triples` with its rejection loop
+    re-testing every negative each round, exhausted users skipped with no
+    warning."""
+    degrees = train.user_degrees()
+    pairs = train.pairs[~np.isin(train.pairs[:, 0], np.flatnonzero(degrees >= train.num_items))]
+    encoded = pairs[:, 0] * train.num_items + pairs[:, 1]
+
+    def is_positive(users, items):
+        key = users * train.num_items + items
+        idx = np.clip(np.searchsorted(encoded, key), 0, len(encoded) - 1)
+        return encoded[idx] == key
+
+    picks = rng.integers(0, len(pairs), count)
+    out = np.empty((count, 3), dtype=np.int64)
+    out[:, 0] = pairs[picks, 0]
+    out[:, 1] = pairs[picks, 1]
+    js = rng.integers(0, train.num_items, count)
+    bad = is_positive(out[:, 0], js)
+    while bad.any():
+        js[bad] = rng.integers(0, train.num_items, int(bad.sum()))
+        bad = is_positive(out[:, 0], js)
+    out[:, 2] = js
+    return out
+
+
 def reference_topk(scores, seen, k):
     """Ranking oracle: each whole row sorted stably by descending score,
     its `seen` items set to -inf first; (ranked, lengths) as `topk`."""

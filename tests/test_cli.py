@@ -115,12 +115,15 @@ def test_non_utf8_input_is_a_data_error(
 
 @pytest.mark.parametrize(
     "line",
-    ["x1\t2", "1", "1\t2\t3", "99999999999999999999\t1", "", "1_0\t2", "\uff11\t2"],
+    ["x1\t2", "1", "1\t2\t3", "99999999999999999999\t1", "", "1_0\t2", "\uff11\t2",
+     # the pair it replaces, spelled otherwise than `persist` writes it
+     "0{u}\t{i}", "+{u}\t{i}", " {u}\t{i}", "{u}\t{i} ", "{u} \t{i}", "-1\t2"],
 )
 def test_malformed_pair_line_is_a_data_error(pipeline, tmp_path, capsys, line):
     root, cfg = pipeline
     lines = (root / "data.ds").read_text(encoding="utf-8").split("\n")
-    lines[2] = line
+    u, i = lines[2].split("\t")
+    lines[2] = line.format(u=u, i=i)
     bad = tmp_path / "data.ds"
     bad.write_text("\n".join(lines), encoding="utf-8")
     code = main(
@@ -671,7 +674,7 @@ def test_a_re_solved_cache_refuses_the_trained_model(pipeline, tmp_path, capsys)
             captured.err
         )
         assert fix in captured.err
-        assert "wrote" not in captured.out
+        assert captured.out == ""  # not even `train`'s header
     assert (ckpt.read_bytes(), state.read_bytes()) == before
 
 

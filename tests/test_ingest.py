@@ -44,6 +44,8 @@ def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")
     assert load_interactions(p) == InteractionLog.from_rows([])
+    with pytest.raises(DataError, match="fully filtered"):
+        filter_by_activity(load_interactions(p), 1, 1)
 
 
 def test_load_one_column_row_errors_with_line_number(tmp_path):
@@ -99,10 +101,13 @@ def random_log(rng) -> bytes:
         if kind < 0.08:
             lines.append(rng.choice(["# comment", "  # indented", "#\tc,x", "", "  "]))
             continue
-        # ids of 2 bytes and of 13 or 14, longer than one 8-byte word
+        # ids of 2 bytes and of 8, 9, 13, 14, 16 or 17: one, two and three
+        # 8-byte words, ending at a word boundary or one byte past it
         cols = [
-            f"{rng.choice(['u', 'user-0000000'])}{rng.integers(6)}",
-            f"{rng.choice(['i', 'item-00000000'])}{rng.integers(6)}",
+            f"{rng.choice(['u', 'user-00', 'user-0000000', 'user-0000000000'])}"
+            f"{rng.integers(6)}",
+            f"{rng.choice(['i', 'item-000', 'item-00000000', 'item-00000000000'])}"
+            f"{rng.integers(6)}",
         ]
         cols += [str(rng.integers(1, 6)), str(978300000 + rng.integers(10**6)), "x"][
             : rng.integers(0, 4)

@@ -17,6 +17,7 @@ from helpers import (
     random_bipartite,
     reference_backward,
     reference_step,
+    reference_triples,
     synthetic_two_block,
 )
 
@@ -87,6 +88,9 @@ def test_negatives_never_positive_and_uniform():
 
     triples = sample_triples(train, 200_000, np.random.default_rng(3))
     assert not any(int(j) in positives for j in triples[:, 2])
+    # redrawing and re-testing only the rejected negatives, round by round,
+    # draws what re-testing every negative each round draws
+    assert np.array_equal(triples, reference_triples(train, 200_000, np.random.default_rng(3)))
     counts = np.bincount(triples[:, 2], minlength=200)
     negatives = np.array(sorted(set(range(200)) - positives))
     expected = 200_000 / 100
@@ -112,6 +116,7 @@ def test_negatives_never_positive_with_an_exhausted_user():
     positives = set(map(tuple, train.pairs.tolist()))
     with pytest.warns(UserWarning, match="every item"):
         triples = sample_triples(train, 20_000, np.random.default_rng(10))
+    assert np.array_equal(triples, reference_triples(train, 20_000, np.random.default_rng(10)))
     drawn = {(int(u), int(j)) for u, _, j in triples}
     assert not drawn & positives
     assert drawn == {
