@@ -196,12 +196,12 @@ def cmd_ingest(args, cfg) -> int:
     data = ingest.filter_by_activity(
         raw, cfg["min_user_interactions"], cfg["min_item_interactions"]
     )
-    ingest.persist(data, out, seed=cfg["seed"])
+    digest = ingest.persist(data, out, seed=cfg["seed"])
     sparsity = 100.0 * (1.0 - data.num_pairs / (data.num_users * data.num_items))
     print(f"{data.num_pairs} interactions")
     print(f"{data.num_users} users, {data.num_items} items")
     print(f"sparsity {sparsity:.2f}%")
-    print(f"dataset hash {ingest.dataset_hash(data)}")
+    print(f"dataset hash {digest}")
     print(f"wrote {out}")
     return 0
 

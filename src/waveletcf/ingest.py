@@ -11,7 +11,6 @@ ids.
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -53,12 +52,6 @@ class InteractionSet:
     @property
     def num_pairs(self) -> int:
         return int(self.pairs.shape[0])
-
-    @cached_property
-    def pair_block(self) -> bytes:
-        """The pair lines of the canonical text, built once for both
-        `persist` and `dataset_hash`."""
-        return _pair_block(self.pairs)
 
     @property
     def user_index(self) -> dict:
@@ -114,19 +107,6 @@ class InteractionLog:
     items: np.ndarray
     user_ids: tuple
     item_ids: tuple
-
-    @classmethod
-    def from_rows(cls, rows) -> "InteractionLog":
-        """Code a list of (user_id, item_id) rows."""
-        user_codes, item_codes = {}, {}
-        n = len(rows)
-        users = np.fromiter(
-            (user_codes.setdefault(u, len(user_codes)) for u, _ in rows), np.int64, n
-        )
-        items = np.fromiter(
-            (item_codes.setdefault(i, len(item_codes)) for _, i in rows), np.int64, n
-        )
-        return cls(users, items, tuple(user_codes), tuple(item_codes))
 
     def __eq__(self, other):
         if not isinstance(other, InteractionLog):
@@ -266,24 +246,11 @@ def _code(buf, starts, widths):
     return codes, ids
 
 
-def _merge(codes, ids: tuple, more: list, order: np.ndarray):
-    """Rows coded `codes` over `ids`, then rows of the ids `more`, all put
-    in `order` and coded again in order of first appearance."""
-    index = dict(zip(ids, range(len(ids))))
-    coded = np.append(codes, [index.setdefault(i, len(index)) for i in more])[order]
-    codes, first = _first_appearance(coded)
-    ids = tuple(index)
-    return codes, tuple(ids[c] for c in coded[first].tolist())
-
-
-def _delimiter(raw: bytes, starts, ends, lines):
-    """The delimiter that the first data line among `lines` sets, or None
-    when they hold no data line."""
-    for r in lines:
-        line = raw[starts[r]: ends[r]].decode("utf-8")
-        if _is_data(line):
-            return "\t" if "\t" in line else ","
-    return None
+def _delimiter(raw: bytes, starts, ends, lines) -> str:
+    """The delimiter that the first data line among `lines` sets: tab if it
+    holds one, else comma, also when there is no data line."""
+    decoded = (raw[starts[r]: ends[r]].decode("utf-8") for r in lines)
+    return "\t" if "\t" in next(filter(_is_data, decoded), "") else ","
 
 
 def _plain_lines(buf, starts, ends, candidates, delim: str):
@@ -316,14 +283,20 @@ def _plain_lines(buf, starts, ends, candidates, delim: str):
 
 def _parsed_lines(path, raw: bytes, starts, ends, lines, delim: str):
     """The rows of `lines` as `_parse_line` reads them: the line of each
-    row, and the rows' ids, two per row."""
-    row_lines, ids = [], []
+    row, and where its user and item ids start in `raw` and their widths
+    in bytes. A stripped id starts with a character that is not space, so
+    the first match of its bytes past the start of its field is it."""
+    rows, mark = [], delim.encode()
     for r, s, e in zip(lines.tolist(), starts[lines].tolist(), ends[lines].tolist()):
         line = raw[s:e].decode("utf-8")
         if _is_data(line):
-            ids += _parse_line(path, r + 1, line, delim)
-            row_lines.append(r)
-    return row_lines, ids
+            user, item = _parse_line(path, r + 1, line, delim)
+            user, item = user.encode(), item.encode()
+            u = raw.index(user, s)
+            i = raw.index(item, raw.index(mark, u) + 1)  # in the item field
+            rows += (r, u, len(user), i, len(item))
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    return rows[:, 0], rows[:, 1:].T
 
 
 def load_interactions(path) -> InteractionLog:
@@ -340,8 +313,9 @@ def load_interactions(path) -> InteractionLog:
 
     The file is read once as bytes. A plain line (printable ASCII ids, a
     rating of digits with at most one '.', a timestamp of digits) is
-    checked and coded in bulk; every other line is parsed by `_parse_line`
-    to the same row or the same error.
+    checked in bulk; every other line is parsed by `_parse_line` to the
+    same row or the same error. The ids of all rows are then coded
+    together, as byte spans, in file order.
     """
     raw = _newlines(_read(path))
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -352,20 +326,22 @@ def load_interactions(path) -> InteractionLog:
     candidates = ends > starts
     candidates[candidates] = buf[starts[candidates]] != ord("#")
     delim = _delimiter(raw, starts, ends, np.flatnonzero(candidates))
-    if delim is None:
-        return InteractionLog.from_rows([])
-
     plain, user_end, item_end = _plain_lines(buf, starts, ends, candidates, delim)
     candidates[plain] = False
-    slow, ids = _parsed_lines(
+    # the start and width of each line's user id, then of its item id; no
+    # row's id is empty, so the rows are the lines with a user id width
+    spans = np.zeros((4, len(starts)), dtype=np.int64)
+    spans[0, plain] = starts[plain]
+    spans[1, plain] = user_end - starts[plain]
+    spans[2, plain] = user_end + 1
+    spans[3, plain] = item_end - user_end - 1
+    slow, slow_spans = _parsed_lines(
         path, raw, starts, ends, np.flatnonzero(candidates), delim
     )
-    users, user_ids = _code(buf, starts[plain], user_end - starts[plain])
-    items, item_ids = _code(buf, user_end + 1, item_end - user_end - 1)
-    if slow:  # the rows read line by line join the rest in file order
-        order = np.argsort(np.append(plain, slow), kind="stable")
-        users, user_ids = _merge(users, user_ids, ids[0::2], order)
-        items, item_ids = _merge(items, item_ids, ids[1::2], order)
+    spans[:, slow] = slow_spans
+    user_at, user_width, item_at, item_width = spans.compress(spans[1] > 0, axis=1)
+    users, user_ids = _code(buf, user_at, user_width)
+    items, item_ids = _code(buf, item_at, item_width)
     return InteractionLog(users, items, user_ids, item_ids)
 
 
@@ -479,32 +455,48 @@ def _pair_block(pairs: np.ndarray) -> bytes:
     return block[block != 0].tobytes()
 
 
-def _serialize(data: InteractionSet, seed: int) -> bytes:
+def _head(data: InteractionSet, seed: int) -> bytes:
+    """The header line of the canonical text."""
+    return (
+        f"{CANONICAL_MAGIC} {CANONICAL_VERSION} {data.num_users} "
+        f"{data.num_items} {data.num_pairs} {seed}\n"
+    ).encode("utf-8")
+
+
+def _body(data: InteractionSet) -> bytes:
+    """The canonical text after its header: the pair lines, then the ids."""
     for ids, kind in ((data.user_ids, "user"), (data.item_ids, "item")):
         for ident in ids:
             if "\n" in ident or "\t" in ident or "\r" in ident:
                 raise DataError(
                     f"{kind} id {ident!r} contains a tab, newline or carriage return"
                 )
-    head = (
-        f"{CANONICAL_MAGIC} {CANONICAL_VERSION} {data.num_users} "
-        f"{data.num_items} {data.num_pairs} {seed}\n"
-    )
     ids = "\n".join(["#users", *data.user_ids, "#items", *data.item_ids, ""])
-    return head.encode("utf-8") + data.pair_block + ids.encode("utf-8")
+    return _pair_block(data.pairs) + ids.encode("utf-8")
+
+
+def _digest(data: InteractionSet, body: bytes) -> str:
+    """The hash of the canonical text whose header has seed 0 and whose rest
+    is `body`."""
+    digest = hashlib.sha256(_head(data, seed=0))
+    digest.update(body)
+    return digest.hexdigest()
 
 
 def dataset_hash(data: InteractionSet) -> str:
     """Content hash of a dataset, independent of any split seed."""
-    return hashlib.sha256(_serialize(data, seed=0)).hexdigest()
+    return _digest(data, _body(data))
 
 
-def persist(data: InteractionSet, path, seed: int = 0) -> None:
-    """Write the canonical dataset format (see README for the layout).
+def persist(data: InteractionSet, path, seed: int = 0) -> str:
+    """Write the canonical dataset format (see README for the layout), and
+    return `dataset_hash(data)`, hashed from the text written.
 
     The file is replaced atomically, so a crash mid-write leaves any
     earlier dataset at `path` intact."""
-    write_atomic(path, [_serialize(data, seed)])
+    body = _body(data)
+    write_atomic(path, [_head(data, seed), body])
+    return _digest(data, body)
 
 
 def _header(path, line: str) -> dict:
@@ -574,13 +566,11 @@ def load_canonical(path) -> InteractionSet:
     m, k, nnz = head["num_users"], head["num_items"], head["num_pairs"]
     if m < 1 or k < 1 or nnz < 1:
         raise DataError("dataset fully filtered")
-    # the header, the pair lines, `#users`, m ids, `#items` and k ids, then
-    # nothing or an empty line
-    if len(ends) < nnz + m + k + 2:
+    # the header, the pair lines, `#users`, m ids, `#items` and k ids, each
+    # line ended by an LF but the last, whose LF may be missing
+    if len(ends) - raw.endswith(b"\n") != nnz + m + k + 2:
         raise DataError(f"{path}: truncated or trailing content")
     tail = raw[ends[nnz] + 1:].decode("utf-8").split("\n")
-    if len(tail) > m + k + 2 and tail[m + k + 2] != "":
-        raise DataError(f"{path}: truncated or trailing content")
     pairs = _parse_pairs(path, buf, ends[0] + 1, ends[1: nnz + 1])
     if tail[0] != "#users":
         raise DataError(f"{path}: missing #users section")

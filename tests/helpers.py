@@ -11,7 +11,13 @@ import scipy.sparse.csgraph as csgraph
 from waveletcf.config import ModelConfig
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.graph import build_adjacency, build_laplacian
-from waveletcf.ingest import CANONICAL_MAGIC, CANONICAL_VERSION, InteractionSet, _header
+from waveletcf.ingest import (
+    CANONICAL_MAGIC,
+    CANONICAL_VERSION,
+    InteractionLog,
+    InteractionSet,
+    _header,
+)
 from waveletcf.model import ForwardTrace, ModelParams, sigmoid
 from waveletcf.spectral import (
     KAPPA_BOUNDS,
@@ -30,6 +36,20 @@ def interaction_set_from_pairs(num_users, num_items, pairs):
         user_ids=tuple(f"u{u}" for u in range(num_users)),
         item_ids=tuple(f"i{i}" for i in range(num_items)),
     )
+
+
+def from_rows(rows) -> InteractionLog:
+    """Id-coding oracle: a list of (user_id, item_id) rows as a log, each
+    column's ids numbered through a dict in order of first appearance."""
+    user_codes, item_codes = {}, {}
+    n = len(rows)
+    users = np.fromiter(
+        (user_codes.setdefault(u, len(user_codes)) for u, _ in rows), np.int64, n
+    )
+    items = np.fromiter(
+        (item_codes.setdefault(i, len(item_codes)) for _, i in rows), np.int64, n
+    )
+    return InteractionLog(users, items, tuple(user_codes), tuple(item_codes))
 
 
 def reference_rows(path) -> list:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from waveletcf import seeds
+from waveletcf.cli import main
 from waveletcf.config import (
     KEY_SPECS,
     RunConfig,
@@ -55,9 +56,16 @@ def test_file_line_without_equals_names_line(tmp_path):
         load_config_file(path)
 
 
-def test_missing_config_file():
+def test_missing_config_file(tmp_path, capsys):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config_file("/nonexistent/run.cfg")
+    # a file that is not UTF-8 is a config error naming it, exit 2
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed=1\n# \xff\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))} is not UTF-8"):
+        load_config_file(path)
+    assert main(["ingest", "--config", str(path)]) == 2
+    assert f"{path} is not UTF-8" in capsys.readouterr().err
 
 
 def test_value_parsers():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from helpers import (
     canonical_header,
+    from_rows,
     random_bipartite,
     reference_rows,
     reference_serialize,
@@ -18,14 +19,12 @@ from helpers import (
 from waveletcf import ingest
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.ingest import (
-    InteractionLog,
     InteractionSet,
     SplitSpec,
     dataset_hash,
     filter_by_activity,
     load_canonical,
     load_interactions,
-    _serialize,
     persist,
     split,
 )
@@ -35,7 +34,7 @@ def test_load_three_line_tsv(tmp_path):
     p = tmp_path / "log.tsv"
     p.write_text("u1\ti1\nu1\ti2\nu2\ti1\n")
     log = load_interactions(p)
-    assert log == InteractionLog.from_rows([("u1", "i1"), ("u1", "i2"), ("u2", "i1")])
+    assert log == from_rows([("u1", "i1"), ("u1", "i2"), ("u2", "i1")])
     assert log.users.tolist() == [0, 0, 1] and log.items.tolist() == [0, 1, 0]
     assert (log.user_ids, log.item_ids) == (("u1", "u2"), ("i1", "i2"))
 
@@ -43,7 +42,7 @@ def test_load_three_line_tsv(tmp_path):
 def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")
-    assert load_interactions(p) == InteractionLog.from_rows([])
+    assert load_interactions(p) == from_rows([])
     with pytest.raises(DataError, match="fully filtered"):
         filter_by_activity(load_interactions(p), 1, 1)
 
@@ -58,7 +57,7 @@ def test_load_one_column_row_errors_with_line_number(tmp_path):
 def test_load_csv_with_rating_and_timestamp(tmp_path):
     p = tmp_path / "log.csv"
     p.write_text("# comment\nu1,i1,4.0,100\nu2,i2,,200\n")
-    want = InteractionLog.from_rows([("u1", "i1"), ("u2", "i2")])
+    want = from_rows([("u1", "i1"), ("u2", "i2")])
     assert load_interactions(p) == want
 
 
@@ -127,11 +126,12 @@ def random_log(rng) -> bytes:
 
 
 def test_bulk_parse_matches_the_per_line_rules(tmp_path, monkeypatch):
-    per_line = []
-    parse_line = ingest._parse_line
+    per_line, coded = [], []
+    parse_line, code = ingest._parse_line, ingest._code
     monkeypatch.setattr(
         ingest, "_parse_line", lambda *a: per_line.append(a) or parse_line(*a)
     )
+    monkeypatch.setattr(ingest, "_code", lambda *a: coded.append(a) or code(*a))
     outcomes = {"log": 0, "error": 0}
     rows = {"bulk": 0, "per line": 0}
     rng = np.random.default_rng(0)
@@ -140,12 +140,15 @@ def test_bulk_parse_matches_the_per_line_rules(tmp_path, monkeypatch):
         b"\nu1\ti1\r",
         b"u1\ti1\r\r\nu2\ti2\nu3\ti3\tbad\n",
         b"\r\n#c\r\nu1,i1\r\n\ru2,i2,x\r\n",
+        # plain and per-line rows of the same ids, ids first seen on a
+        # per-line row, and a per-line item id after a two-byte user id
+        " u2\t i1 \nu1\ti1\n u1\t i1 \nu2\ti2\né \tü2\nu1\ti3 \nu3\ti3\n".encode(),
     ]
-    for n in range(303):
+    for n in range(304):
         p = tmp_path / f"log{n}.txt"
         p.write_bytes(logs[n] if n < len(logs) else random_log(rng))
         try:
-            want = InteractionLog.from_rows(reference_rows(p))
+            want = from_rows(reference_rows(p))
         except DataError as exc:
             with pytest.raises(DataError) as got:
                 load_interactions(p)
@@ -153,7 +156,9 @@ def test_bulk_parse_matches_the_per_line_rules(tmp_path, monkeypatch):
             outcomes["error"] += 1
         else:
             per_line.clear()
+            coded.clear()
             assert load_interactions(p) == want
+            assert len(coded) == 2  # one `_code` call per column
             outcomes["log"] += 1
             rows["bulk"] += len(want.users) - len(per_line)
             rows["per line"] += len(per_line)
@@ -176,13 +181,13 @@ def test_plain_log_takes_no_per_line_step(tmp_path, monkeypatch):
     lines = [f"{u}\t{i}{tails[k % 5]}" for k, (u, i) in enumerate(rows)]
     p = tmp_path / "log.tsv"
     p.write_text("# user\titem\trating\ttimestamp\n" + "\n".join(lines) + "\n\n")
-    assert load_interactions(p) == InteractionLog.from_rows(rows)
+    assert load_interactions(p) == from_rows(rows)
     p.write_text("#,comment\n" + "\n".join(lines).replace("\t", ","))
-    assert load_interactions(p) == InteractionLog.from_rows(rows)
+    assert load_interactions(p) == from_rows(rows)
     p.write_bytes(("# CR LF ends\r\n" + "\r\n".join(lines) + "\r\n\r\n").encode())
-    assert load_interactions(p) == InteractionLog.from_rows(rows)
+    assert load_interactions(p) == from_rows(rows)
     p.write_bytes(("# lone CR ends\r" + "\r".join(lines) + "\r\r").encode())
-    assert load_interactions(p) == InteractionLog.from_rows(rows)
+    assert load_interactions(p) == from_rows(rows)
 
 
 @contextlib.contextmanager
@@ -230,27 +235,27 @@ def test_timestamp_check_is_int_without_a_digit_limit(tmp_path):
     stamp = "1" * 5000
     p = tmp_path / "log.csv"
     p.write_text(f"u1,i1,4,{stamp}\nu2, i2, 4, {stamp}\n")
-    want = InteractionLog.from_rows([("u1", "i1"), ("u2", "i2")])
+    want = from_rows([("u1", "i1"), ("u2", "i2")])
     for digits in (640, 0):
         with int_digit_limit(digits):
             assert load_interactions(p) == want
 
 
 def test_filter_thresholds_vacuous():
-    log = InteractionLog.from_rows([("a", "x"), ("a", "y"), ("b", "x")])
+    log = from_rows([("a", "x"), ("a", "y"), ("b", "x")])
     data = filter_by_activity(log, 1, 1)
     assert data.num_users == 2 and data.num_items == 2
     assert data.num_pairs == 3
 
 
 def test_filter_cascade_to_empty():
-    log = InteractionLog.from_rows([("a", "x"), ("a", "y"), ("b", "x")])
+    log = from_rows([("a", "x"), ("a", "y"), ("b", "x")])
     with pytest.raises(DataError, match="fully filtered"):
         filter_by_activity(log, 2, 2)
 
 
 def test_filter_collapses_duplicates():
-    log = InteractionLog.from_rows([("a", "x"), ("a", "x"), ("a", "y")])
+    log = from_rows([("a", "x"), ("a", "x"), ("a", "y")])
     data = filter_by_activity(log, 1, 1)
     assert data.num_pairs == 2
 
@@ -258,16 +263,16 @@ def test_filter_collapses_duplicates():
 def test_filter_idempotent():
     rng = np.random.default_rng(0)
     rows = [(f"u{rng.integers(30)}", f"i{rng.integers(40)}") for _ in range(400)]
-    once = filter_by_activity(InteractionLog.from_rows(rows), 3, 3)
+    once = filter_by_activity(from_rows(rows), 3, 3)
     kept = [(once.user_ids[u], once.item_ids[i]) for u, i in once.pairs]
-    again = filter_by_activity(InteractionLog.from_rows(kept), 3, 3)
+    again = filter_by_activity(from_rows(kept), 3, 3)
     assert once.num_users == again.num_users
     assert once.num_items == again.num_items
     assert once.num_pairs == again.num_pairs
 
 
 def test_filter_first_appearance_order():
-    log = InteractionLog.from_rows([("b", "y"), ("a", "x"), ("b", "x")])
+    log = from_rows([("b", "y"), ("a", "x"), ("b", "x")])
     data = filter_by_activity(log, 1, 1)
     assert data.user_ids == ("b", "a")
     assert data.item_ids == ("y", "x")
@@ -280,14 +285,14 @@ def grid_dataset(num_users=12, num_items=9, degree=4, seed=5):
     for u in range(num_users):
         for i in rng.choice(num_items, size=degree, replace=False):
             rows.append((f"u{u}", f"i{int(i)}"))
-    return filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
+    return filter_by_activity(from_rows(rows), 1, 1)
 
 
 def test_split_exact_ratio():
     # five users sharing one catalog so every item keeps train coverage
     # without repair promotions that would distort the 8/2 ratio
     rows = [(f"u{u}", f"i{j}") for u in range(5) for j in range(10)]
-    data = filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
+    data = filter_by_activity(from_rows(rows), 1, 1)
     train, test = split(data, SplitSpec(train_fraction=0.8, seed=1))
     for u in range(5):
         assert np.count_nonzero(train.pairs[:, 0] == u) == 8
@@ -314,7 +319,7 @@ def test_split_deterministic():
 
 def test_split_single_interaction_user_goes_to_train():
     rows = [("solo", "i0")] + [("u", f"i{j}") for j in range(5)]
-    data = filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
+    data = filter_by_activity(from_rows(rows), 1, 1)
     train, test = split(data, SplitSpec(seed=0))
     solo = data.user_index["solo"]
     assert np.count_nonzero(train.pairs[:, 0] == solo) == 1
@@ -323,7 +328,7 @@ def test_split_single_interaction_user_goes_to_train():
 
 def test_split_cap_retains_cap_items():
     rows = [("u", f"i{j}") for j in range(10)] + [("v", f"i{j}") for j in range(10)]
-    data = filter_by_activity(InteractionLog.from_rows(rows), 1, 1)
+    data = filter_by_activity(from_rows(rows), 1, 1)
     train, _ = split(data, SplitSpec(seed=4, per_user_cap=3))
     # both users keep >= 1 via floor rule; cap truncates 8 -> 3, repairs may
     # promote a held-out pair for an item that lost all training coverage
@@ -382,7 +387,7 @@ def test_filter_and_split_outputs_keep_the_dataset_invariants():
         n = int(rng.integers(200, 600))
         users, items = rng.integers(0, 40, n), rng.integers(0, 30, n)
         rows = [(f"u{u}", f"i{i}") for u, i in zip(users, items)]
-        log = InteractionLog.from_rows(rows)
+        log = from_rows(rows)
         data = filter_by_activity(log, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         assert_sorted_unique_in_range(data)
         assert (data.user_degrees() > 0).all() and (data.item_degrees() > 0).all()
@@ -435,6 +440,13 @@ def test_truncated_file_errors(tmp_path):
     p.write_bytes(body[: len(body) // 2])
     with pytest.raises(DataError):
         load_canonical(p)
+    # after the last item id, only the LF that `persist` writes, or nothing
+    p.write_bytes(body[:-1])
+    assert load_canonical(p) == data
+    for tail in (b"\nfoo", b"\n\n", b"\n\nfoo", b"\n\n\n"):
+        p.write_bytes(body[:-1] + tail)
+        with pytest.raises(DataError, match="truncated or trailing content"):
+            load_canonical(p)
 
 
 def test_version_mismatch_errors(tmp_path):
@@ -555,10 +567,12 @@ BOUNDARIES = sorted(
     ],
     ids=["digit-boundaries", "zero-row", "wide-user", "wide-item", "empty"],
 )
-def test_writer_matches_per_pair_oracle(pairs):
+def test_writer_matches_per_pair_oracle(pairs, tmp_path):
     data = writer_case(pairs)
+    oracle_hash = hashlib.sha256(reference_serialize(data, 0)).hexdigest()
     for seed in (0, 42):
-        assert _serialize(data, seed) == reference_serialize(data, seed)
+        assert persist(data, tmp_path / "data.txt", seed) == oracle_hash
+        assert (tmp_path / "data.txt").read_bytes() == reference_serialize(data, seed)
 
 
 def test_writer_hash_and_persist_match_oracle_on_random_set(tmp_path):
@@ -573,13 +587,11 @@ def test_writer_hash_and_persist_match_oracle_on_random_set(tmp_path):
         item_ids=tuple(f"#{i}" for i in range(1_000)),
     )
     assert data.num_pairs > 40_000
-    expected = reference_serialize(data, seed=3)
-    assert _serialize(data, 3) == expected
     oracle_hash = hashlib.sha256(reference_serialize(data, 0)).hexdigest()
     assert dataset_hash(data) == oracle_hash
     p = tmp_path / "data.txt"
-    persist(data, p, seed=3)
-    assert p.read_bytes() == expected
+    assert persist(data, p, seed=3) == oracle_hash
+    assert p.read_bytes() == reference_serialize(data, seed=3)
 
 
 @pytest.mark.parametrize(
@@ -645,7 +657,7 @@ def pinned_log():
 
 def test_filter_and_split_bytes_are_pinned():
     rows = pinned_log()
-    log = InteractionLog.from_rows(rows)
+    log = from_rows(rows)
     core = filter_by_activity(log, 2, 2)
     full = filter_by_activity(log, 1, 1)
     assert full.num_pairs == len(set(rows)) < len(rows)
