@@ -17,7 +17,7 @@ from tokenize import TokenError
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 MAGIC = b"waveletcf-bundle v1\n"
 
@@ -159,12 +159,12 @@ def load_artifact(path, kind: str, version: int, dataset_hash: str = None):
     return meta, arrays
 
 
-def key_mismatch(saved: dict, wanted: dict, what: str):
-    """The first key k, in sorted order, on which two run keys differ (a
-    key that one lacks counts as None there), as "the saved <what> has
-    k=<saved value>, this run has k=<wanted value>"; None if they agree."""
+def refuse_mismatch(lead, saved: dict, wanted: dict, what: str, fix: str) -> None:
+    """Raise ConfigError "<lead>: the saved <what> has k=<saved value>,
+    this run has k=<wanted value>; <fix>" for the first key k, in sorted
+    order, on which two run keys differ (a key that one lacks counts as
+    None there); return if they agree."""
     for key in sorted(set(saved) | set(wanted)):
         if saved.get(key) != wanted.get(key):
-            return (f"the saved {what} has {key}={saved.get(key)!r}, "
-                    f"this run has {key}={wanted.get(key)!r}")
-    return None
+            raise ConfigError(f"{lead}: the saved {what} has {key}={saved.get(key)!r}, "
+                              f"this run has {key}={wanted.get(key)!r}; {fix}")

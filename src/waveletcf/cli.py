@@ -169,22 +169,9 @@ def _load_cache(cfg, q, train_hash, fix="rerun `spectral --force` to recompute i
     decomp, _, meta = spectral.load_spectral_cache(path, expected_hash=train_hash)
     saved = {"q": decomp.q, "eig_tol": meta["eig_tol"], "eig_seed": meta["eig_seed"]}
     wanted = {"q": q, "eig_tol": cfg["eig_tol"], "eig_seed": cfg.eig_seed()}
-    mismatch = bundles.key_mismatch(saved, wanted, "cache")
-    if mismatch:
-        raise ConfigError(f"{path} exists with different parameters: {mismatch}; {fix}")
+    bundles.refuse_mismatch(f"{path} exists with different parameters",
+                            saved, wanted, "cache", fix)
     return decomp
-
-
-def _spectral_summary(decomp) -> list:
-    fit = decomp.boxcox
-    return [
-        f"Q {decomp.q}",
-        f"lambda range [{decomp.lambdas.min():.6f}, {decomp.lambdas.max():.6f}]",
-        f"kappa {fit.kappa:.6f}",
-        f"transformed mean {fit.mean:.6f}",
-        f"transformed std {fit.std:.6f}",
-        f"transformed total {fit.total:.6f}",
-    ]
 
 
 def cmd_ingest(args, cfg) -> int:
@@ -213,7 +200,8 @@ def cmd_spectral(args, cfg) -> int:
     q = _resolved_q(cfg, train)
     out = cfg.require("spectral_cache")
 
-    if os.path.exists(out) and not args.force:
+    hit = os.path.exists(out) and not args.force
+    if hit:
         try:
             decomp = _load_cache(cfg, q, train_hash, "pass --force to recompute")
         except DataError as exc:
@@ -223,13 +211,18 @@ def cmd_spectral(args, cfg) -> int:
         # t is not part of the key: check this run's response too
         _check_filter(cfg, decomp)
         print(f"cache hit {out}")
-        print("\n".join(_spectral_summary(decomp)))
-        return 0
-
-    decomp = _solve(cfg, train, q)
-    spectral.save_spectral_cache(out, decomp, train_hash, cfg["eig_tol"], cfg.eig_seed())
-    print("\n".join(_spectral_summary(decomp)))
-    print(f"wrote {out}")
+    else:
+        decomp = _solve(cfg, train, q)
+        spectral.save_spectral_cache(out, decomp, train_hash, cfg["eig_tol"], cfg.eig_seed())
+    fit = decomp.boxcox
+    print(f"Q {decomp.q}")
+    print(f"lambda range [{decomp.lambdas.min():.6f}, {decomp.lambdas.max():.6f}]")
+    print(f"kappa {fit.kappa:.6f}")
+    print(f"transformed mean {fit.mean:.6f}")
+    print(f"transformed std {fit.std:.6f}")
+    print(f"transformed total {fit.total:.6f}")
+    if not hit:
+        print(f"wrote {out}")
     return 0
 
 
@@ -260,19 +253,17 @@ def cmd_train(args, cfg) -> int:
             header = None
         print(line)
 
-    grid_lrs = cfg["grid_learning_rates"]
-    if grid_lrs is not None:
+    cells = cfg.grid_cells()
+    if cells:
         if args.resume:
             raise ConfigError("resume is not supported together with grid search")
-        grid_ts = cfg["grid_t_values"]
         model_config, train_config, result = train_mod.grid_search(
-            train_set, decomp, model_config, train_config,
-            list(grid_lrs), list(grid_ts), log_fn=log,
+            train_set, decomp, cells, log_fn=log
         )
         log(
             f"grid best lr={train_config.learning_rate} t={model_config.t} "
             f"recall@20={result.best_recall:.6f} ndcg@20={result.best_ndcg:.6f} "
-            f"({len(grid_lrs) * len(grid_ts)} runs)"
+            f"({len(cells)} runs)"
         )
     else:
         result = train_mod.fit(
@@ -332,11 +323,8 @@ def _load_trained(cfg):
     ckpt_config, params, meta = model.load_checkpoint(
         path, train_set.num_users, train_set.num_items, decomp.q, train_hash
     )
-    mismatch = bundles.key_mismatch(
-        {"basis": meta["basis"]}, {"basis": decomp.fingerprint}, "checkpoint"
-    )
-    if mismatch:
-        raise ConfigError(f"{path}: {mismatch}; rerun `train`")
+    bundles.refuse_mismatch(path, {"basis": meta["basis"]},
+                            {"basis": decomp.fingerprint}, "checkpoint", "rerun `train`")
     trace = _score_trace(decomp, ckpt_config, params)
     return train_set, test_set, train_hash, decomp, trace
 
@@ -347,20 +335,19 @@ def cmd_evaluate(args, cfg) -> int:
     report_path = cfg["report"]
     _refuse_overwrite(report_path, args.force)
     train_set, test_set, train_hash, decomp, trace = _load_trained(cfg)
-    notes = [f"per-user holdout split (train fraction {cfg['train_fraction']})"]
-    if decomp.q < decomp.n:
-        notes.append(f"spectrum truncated to Q={decomp.q} of N={decomp.n}")
     report = eval_mod.evaluate(
         lambda u: model.score_user(trace, u),
         train_set,
         test_set,
         k_values=tuple(cfg["k_values"]),
         cohort_boundaries=tuple(cfg["cohort_boundaries"]),
-        notes=tuple(notes),
     )
 
     lines = [f"dataset hash {train_hash}"]
     lines += [f"config {line}" for line in cfg.echo_lines()]
+    lines.append(f"# per-user holdout split (train fraction {cfg['train_fraction']})")
+    if decomp.q < decomp.n:
+        lines.append(f"# spectrum truncated to Q={decomp.q} of N={decomp.n}")
     text = "\n".join(lines) + "\n" + eval_mod.render_report(report)
     sys.stdout.write(text)
 

@@ -16,9 +16,9 @@ the CLI pins BLAS threads from the resolved config before numpy loads.
 import difflib
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import seeds
 from .errors import ConfigError
@@ -298,20 +298,9 @@ class RunConfig:
             raise ConfigError(
                 "grid_learning_rates and grid_t_values must be set together"
             )
-        if v["grid_learning_rates"] is not None:
-            # reject dead grid cells up front, before any training runs
-            if any(lr <= 0 for lr in v["grid_learning_rates"]):
-                raise ConfigError(
-                    "grid_learning_rates must all be positive, got "
-                    f"{v['grid_learning_rates']}"
-                )
-            if any(t < 0 for t in v["grid_t_values"]):
-                raise ConfigError(
-                    f"grid_t_values must all be >= 0, got {v['grid_t_values']}"
-                )
-        # nested configs validate their own fields
-        self.model_config()
-        self.train_config()
+        # the stage configs, and each grid cell's, validate their own fields,
+        # so a dead grid cell dies here, before any training runs
+        self.grid_cells()
 
     # -- derived stage objects -------------------------------------------
 
@@ -343,6 +332,22 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return self._stage_config(TrainConfig, self.values["seed"])
+
+    def grid_cells(self) -> List[Tuple[ModelConfig, TrainConfig]]:
+        """Each grid cell's `model_config()` and `train_config()` with the
+        cell's `t` and `learning_rate`, in (learning_rate, t) order; empty
+        without a grid. A bad cell's ConfigError names its grid values."""
+        model_config, train_config = self.model_config(), self.train_config()
+        cells = []
+        for lr in self.values["grid_learning_rates"] or ():
+            for t in self.values["grid_t_values"]:
+                try:
+                    cells.append((replace(model_config, t=float(t)),
+                                  replace(train_config, learning_rate=float(lr))))
+                except ConfigError as exc:
+                    raise ConfigError(f"grid cell grid_learning_rates={lr}, "
+                                      f"grid_t_values={t}: {exc}") from None
+        return cells
 
     def eig_seed(self) -> int:
         return seeds.child_seed(self.values["seed"], seeds.EIG)

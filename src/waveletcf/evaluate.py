@@ -79,7 +79,6 @@ class MetricReport:
     eligible_users: np.ndarray
     # k -> cohort label -> (recall, ndcg, count)
     cohorts: Dict[int, Dict[str, Tuple[float, float, int]]]
-    notes: Tuple[str, ...] = ()
 
 
 def evaluate(
@@ -88,7 +87,6 @@ def evaluate(
     test: InteractionSet,
     k_values: Sequence[int] = (20,),
     cohort_boundaries: Sequence[int] = (),
-    notes: Sequence[str] = (),
 ) -> MetricReport:
     """Score every eligible test user and aggregate ranking metrics.
 
@@ -158,14 +156,12 @@ def evaluate(
         per_user_ndcg=per_ndcg,
         eligible_users=eligible,
         cohorts=cohorts,
-        notes=tuple(notes),
     )
 
 
 def render_report(report: MetricReport) -> str:
     """Aligned plain-text table followed by machine-readable lines."""
-    out = [f"# {note}" for note in report.notes]
-    out.append(f"eligible test users: {report.num_eligible}")
+    out = [f"eligible test users: {report.num_eligible}"]
     out.append(f"{'k':>4}  {'recall':>10}  {'ndcg':>10}")
     for k in report.k_values:
         out.append(f"{k:>4}  {report.recall[k]:>10.6f}  {report.ndcg[k]:>10.6f}")

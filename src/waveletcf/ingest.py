@@ -506,7 +506,11 @@ def _header(path, line: str) -> dict:
     try:
         counts = [int(x) for x in head[2:]]
     except ValueError:
-        raise DataError(f"{path}: malformed header counts") from None
+        counts = None
+    # only the spelling `persist` writes: not `+2`, `02`, `-0`, `0_7` or
+    # non-ASCII digits, which `int` accepts
+    if counts is None or [str(c) for c in counts] != head[2:]:
+        raise DataError(f"{path}: malformed header counts")
     keys = ("num_users", "num_items", "num_pairs", "seed")
     return {"version": head[1], **dict(zip(keys, counts))}
 

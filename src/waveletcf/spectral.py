@@ -75,8 +75,7 @@ class BoxCoxResult:
     shifted eigenvalue; `std` uses divisor Q-1; `total` is the sum c used in
     the transfer function's scale normalization; an all-equal input
     sample has kappa 1 and std 0. `at_bound` flags a kappa within
-    `KAPPA_TOL` of a search bound. `boxcox_result` derives every field but
-    kappa.
+    `KAPPA_TOL` of a search bound.
     """
 
     kappa: float
@@ -214,60 +213,55 @@ def _loglik(values: np.ndarray, logs: np.ndarray, kappas) -> np.ndarray:
     return lls + (kappas - 1.0) * logs.sum()
 
 
-def boxcox_result(shifted_lambdas: np.ndarray, kappa: float) -> BoxCoxResult:
-    """The power transform at exponent `kappa` and its summary statistics.
-
-    All-equal input is degenerate: its std is 0 and it is never at a bound.
-    """
-    y = boxcox_transform(shifted_lambdas, kappa)
-    degenerate = bool(np.all(shifted_lambdas == shifted_lambdas[0]))
-    lo, hi = KAPPA_BOUNDS
-    return BoxCoxResult(
-        kappa=float(kappa),
-        values=np.asarray(shifted_lambdas, dtype=np.float64),
-        transformed=y,
-        mean=float(y.mean()),
-        std=0.0 if degenerate else float(y.std(ddof=1)),
-        total=float(y.sum()),
-        at_bound=not degenerate and min(kappa - lo, hi - kappa) <= KAPPA_TOL,
-    )
-
-
 def boxcox_fit(shifted_lambdas: np.ndarray) -> BoxCoxResult:
     """Fit the power-transform exponent by maximum likelihood.
 
     Coarse grid over `KAPPA_BOUNDS` followed by golden-section refinement
     to absolute tolerance `KAPPA_TOL` in kappa, both through `_loglik`.
-    All-equal input has a flat likelihood: kappa is defined as 1.
+    All-equal input is degenerate: its likelihood is flat, so kappa is
+    defined as 1, its std is 0 and it is never at a bound.
     """
     values = np.asarray(shifted_lambdas, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
         raise NumericalError("power-transform fit needs at least 2 values")
     if (values <= 0).any():
         raise NumericalError("power-transform fit requires positive inputs")
-    if np.all(values == values[0]):
-        return boxcox_result(values, 1.0)
+    degenerate = bool(np.all(values == values[0]))
+    if degenerate:
+        kappa = 1.0
+    else:
+        logs = np.log(values)
+        grid = np.linspace(*KAPPA_BOUNDS, 1001)
+        best = int(np.argmax(_loglik(values, logs, grid)))
+        a = grid[max(0, best - 1)]
+        b = grid[min(len(grid) - 1, best + 1)]
 
-    logs = np.log(values)
-    grid = np.linspace(*KAPPA_BOUNDS, 1001)
-    best = int(np.argmax(_loglik(values, logs, grid)))
-    a = grid[max(0, best - 1)]
-    b = grid[min(len(grid) - 1, best + 1)]
+        inv_phi = (math.sqrt(5) - 1) / 2
+        c = b - inv_phi * (b - a)
+        d = a + inv_phi * (b - a)
+        fc, fd = _loglik(values, logs, [c, d])
+        while b - a > KAPPA_TOL:
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                (fc,) = _loglik(values, logs, [c])
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                (fd,) = _loglik(values, logs, [d])
+        kappa = (a + b) / 2
 
-    inv_phi = (math.sqrt(5) - 1) / 2
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = _loglik(values, logs, [c, d])
-    while b - a > KAPPA_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            (fc,) = _loglik(values, logs, [c])
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            (fd,) = _loglik(values, logs, [d])
-    return boxcox_result(values, (a + b) / 2)
+    y = boxcox_transform(values, kappa)
+    lo, hi = KAPPA_BOUNDS
+    return BoxCoxResult(
+        kappa=float(kappa),
+        values=values,
+        transformed=y,
+        mean=float(y.mean()),
+        std=0.0 if degenerate else float(y.std(ddof=1)),
+        total=float(y.sum()),
+        at_bound=not degenerate and min(kappa - lo, hi - kappa) <= KAPPA_TOL,
+    )
 
 
 def filter_response(bc: BoxCoxResult, config: ModelConfig) -> np.ndarray:

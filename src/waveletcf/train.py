@@ -10,8 +10,8 @@ coefficients and touches N rows only to project in and out.
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -280,11 +280,8 @@ class TrainState:
         saved = meta["run_key"]
         if not isinstance(saved, dict):
             raise DataError(f"{path}: 'run_key' must be an object, got {saved!r}")
-        mismatch = bundles.key_mismatch(saved, run_key, "state")
-        if mismatch:
-            raise ConfigError(
-                f"{path}: {mismatch}; a resume may change only max_epochs and patience"
-            )
+        bundles.refuse_mismatch(path, saved, run_key, "state",
+                                "a resume may change only max_epochs and patience")
         params, best, m, v = (ModelParams.from_arrays(arrays, shapes, prefix)
                               for prefix in cls.PREFIXES)
         for key, kind in {"adam_step": int, **cls.COUNTERS}.items():
@@ -398,30 +395,26 @@ def fit(
 def grid_search(
     train_data: InteractionSet,
     decomp: SpectralDecomposition,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    learning_rates: List[float],
-    t_values: List[float],
+    cells: List[Tuple[ModelConfig, TrainConfig]],
     log_fn: Optional[Callable[[str], None]] = None,
 ):
-    """Exhaustive search over (learning_rate, t) by validation Recall@20.
+    """Exhaustive search over the (model_config, train_config) `cells` (see
+    `RunConfig.grid_cells`) by validation Recall@20.
 
     Returns the best cell's (model_config, train_config, fitted state);
-    of equally good cells, the first in (learning_rate, t) order wins.
+    of equally good cells, the first wins.
     """
-    if not learning_rates or not t_values:
-        raise ConfigError("grid search needs non-empty learning_rate and t lists")
+    if not cells:
+        raise ConfigError("grid search needs at least one cell")
     log = log_fn or (lambda line: None)
     best = None
-    for lr in learning_rates:
-        for t in t_values:
-            cell = (replace(model_config, t=float(t)),
-                    replace(train_config, learning_rate=float(lr)))
-            result = fit(train_data, decomp, *cell)
-            log(
-                f"grid lr={lr} t={t} recall@20={result.best_recall:.6f} "
-                f"ndcg@20={result.best_ndcg:.6f} best_epoch={result.best_epoch}"
-            )
-            if best is None or result.best_recall > best[2].best_recall:
-                best = (*cell, result)
+    for model_config, train_config in cells:
+        result = fit(train_data, decomp, model_config, train_config)
+        log(
+            f"grid lr={train_config.learning_rate} t={model_config.t} "
+            f"recall@20={result.best_recall:.6f} "
+            f"ndcg@20={result.best_ndcg:.6f} best_epoch={result.best_epoch}"
+        )
+        if best is None or result.best_recall > best[2].best_recall:
+            best = (model_config, train_config, result)
     return best

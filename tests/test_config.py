@@ -1,6 +1,7 @@
 """Tests for config file parsing, override precedence, and validation."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,27 @@ def test_derived_stage_objects():
     assert cfg.eig_seed() == seeds.child_seed(7, seeds.EIG)
     cap = RunConfig({"per_user_cap": 4}).split_spec()
     assert cap.per_user_cap == 4
+
+
+def test_grid_cells_are_checked_stage_configs():
+    cfg = RunConfig({"seed": 3, "learning_rate": 0.2, "t": 0.7, "eta": 0.25,
+                     "grid_learning_rates": (0.01, 0.05), "grid_t_values": (0.5, 1.0)})
+    cells = cfg.grid_cells()
+    assert [(tc.learning_rate, mc.t) for mc, tc in cells] == [
+        (0.01, 0.5), (0.01, 1.0), (0.05, 0.5), (0.05, 1.0)
+    ]
+    # each cell differs from the run's stage configs in the grid keys only
+    for mc, tc in cells:
+        assert replace(mc, t=0.7) == cfg.model_config()
+        assert replace(tc, learning_rate=0.2) == cfg.train_config()
+    assert RunConfig({}).grid_cells() == []
+    # a bad cell is refused by its config, named by its grid values
+    with pytest.raises(ConfigError, match=r"grid_learning_rates=0\.1, "
+                       r"grid_t_values=-0\.5: t must be >= 0"):
+        RunConfig({"grid_learning_rates": (0.1,), "grid_t_values": (0.5, -0.5)})
+    with pytest.raises(ConfigError, match=r"grid_learning_rates=-1\.0, "
+                       r"grid_t_values=0\.5: learning_rate must be strictly positive"):
+        RunConfig({"grid_learning_rates": (-1.0,), "grid_t_values": (0.5,)})
 
 
 def test_require_names_sources():

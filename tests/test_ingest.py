@@ -468,14 +468,18 @@ def test_empty_header_errors(tmp_path):
 
 def test_malformed_header_counts_error(tmp_path):
     p = tmp_path / "data.txt"
-    persist(grid_dataset(), p)
-    head, body = p.read_text().split("\n", 1)
-    fields = head.split(" ")
-    fields[3] = "x9"
-    p.write_text(" ".join(fields) + "\n" + body)
-    for read in (canonical_header, load_canonical):
-        with pytest.raises(DataError, match="malformed header counts"):
-            read(p)
+    # 2 users, 2 items, 4 pairs, seed 7; each spelling but `x9` is one `int`
+    # reads, and only `persist`'s is accepted
+    persist(grid_dataset(num_users=2, num_items=2, degree=2), p, seed=7)
+    head, body = p.read_text(encoding="utf-8").split("\n", 1)
+    for index, spelling in [(3, "x9"), (2, "+2"), (2, "02"), (2, "\u0662"),
+                            (5, "0_7"), (5, "-0")]:
+        fields = head.split(" ")
+        fields[index] = spelling
+        p.write_text(" ".join(fields) + "\n" + body, encoding="utf-8")
+        for read in (canonical_header, load_canonical):
+            with pytest.raises(DataError, match="malformed header counts"):
+                read(p)
 
 
 def test_persist_is_atomic(tmp_path, monkeypatch):

@@ -629,31 +629,19 @@ def test_grid_search_small():
     train_cfg = TrainConfig(
         batch_size=256, learning_rate=0.05, eta=0.1, max_epochs=2, patience=10, seed=14
     )
+    cells = [(replace(model_cfg, t=t), replace(train_cfg, learning_rate=lr))
+             for lr in (0.01, 0.05) for t in (0.2, 1.0)]
     lines = []
-    best_model, best_train, best_fit = grid_search(
-        train,
-        dec,
-        model_cfg,
-        train_cfg,
-        learning_rates=[0.01, 0.05],
-        t_values=[0.2, 1.0],
-        log_fn=lines.append,
-    )
-    assert len([l for l in lines if l.startswith("grid ")]) == 4
-    # each cell refitted on its own: the returned cell is the first best one
-    cells = [(lr, t) for lr in (0.01, 0.05) for t in (0.2, 1.0)]
-    recalls = [
-        fit(train, dec, replace(model_cfg, t=t),
-            replace(train_cfg, learning_rate=lr)).best_recall
-        for lr, t in cells
+    best_model, best_train, best_fit = grid_search(train, dec, cells, log_fn=lines.append)
+    assert [l.split()[:3] for l in lines] == [
+        ["grid", f"lr={lr}", f"t={t}"] for lr in (0.01, 0.05) for t in (0.2, 1.0)
     ]
-    assert (best_train.learning_rate, best_model.t) == cells[recalls.index(max(recalls))]
+    # each cell refitted on its own: the returned cell is the first best one
+    recalls = [fit(train, dec, *cell).best_recall for cell in cells]
+    assert (best_model, best_train) == cells[recalls.index(max(recalls))]
     assert best_fit.best_recall == max(recalls)
-    # the cell's configs differ from the caller's in the grid keys only
-    assert replace(best_model, t=model_cfg.t) == model_cfg
-    assert replace(best_train, learning_rate=train_cfg.learning_rate) == train_cfg
     with pytest.raises(ConfigError):
-        grid_search(train, dec, model_cfg, train_cfg, [], [1.0])
+        grid_search(train, dec, [])
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.37])
