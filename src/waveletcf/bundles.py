@@ -5,9 +5,9 @@ caches and checkpoints use this container instead: a magic line, a JSON
 metadata header (sorted keys), then raw .npy blocks in manifest order.
 Writing the same payload twice produces identical bytes. An artifact's
 header names its kind and format version (`save_artifact`), and
-`load_artifact` is the one place that checks them. `write_atomic`
-is the one durable write path, shared by bundles, the canonical dataset and
-the evaluation report.
+`load_artifact` is the one place that checks them and that every array
+is float64. `write_atomic` is the one durable write path, shared by
+bundles, the canonical dataset and the evaluation report.
 """
 
 import io
@@ -139,8 +139,9 @@ def save_artifact(path, kind: str, version: int, meta: dict, arrays: dict) -> No
 def load_artifact(path, kind: str, version: int, dataset_hash: str = None):
     """Load a bundle written by `save_artifact` as (meta, arrays).
 
-    Raises DataError unless the header names `kind` and `version` and, when
-    `dataset_hash` is given, records that dataset hash.
+    Raises DataError unless the header names `kind` and `version`, when
+    `dataset_hash` is given, records that dataset hash, and every array is
+    float64: a DataError names the first other array and its dtype.
     """
     meta, arrays = load_bundle(path)
     if meta.get("kind") != kind:
@@ -156,6 +157,9 @@ def load_artifact(path, kind: str, version: int, dataset_hash: str = None):
             f"{path}: {kind} was built for dataset {built_for}..., "
             f"not {dataset_hash[:12]}..."
         )
+    for name, array in arrays.items():
+        if array.dtype != np.float64:
+            raise DataError(f"{path}: '{name}' has dtype {array.dtype}, expected float64")
     return meta, arrays
 
 

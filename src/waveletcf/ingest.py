@@ -119,9 +119,11 @@ class InteractionLog:
         )
 
 
-def _read(path) -> bytes:
-    """Bytes of `path`; a file that cannot be read or is not UTF-8 is a
-    DataError naming the path."""
+def _read(path):
+    """Bytes of `path` with the line ends text mode reads, each CR LF and
+    each lone CR an LF, and their uint8 view; a file that cannot be read or
+    is not UTF-8 is a DataError naming the path. No multi-byte UTF-8
+    sequence holds a CR or an LF byte."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -132,13 +134,9 @@ def _read(path) -> bytes:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    return raw
-
-
-def _newlines(raw: bytes) -> bytes:
-    """`raw` with the line ends text mode reads: each CR LF and each lone CR
-    becomes an LF. No multi-byte UTF-8 sequence holds a CR or an LF byte."""
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw, np.frombuffer(raw, dtype=np.uint8)
 
 
 def _is_data(line: str) -> bool:
@@ -317,8 +315,7 @@ def load_interactions(path) -> InteractionLog:
     same row or the same error. The ids of all rows are then coded
     together, as byte spans, in file order.
     """
-    raw = _newlines(_read(path))
-    buf = np.frombuffer(raw, dtype=np.uint8)
+    raw, buf = _read(path)
     newlines = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], newlines + 1))
     ends = np.append(newlines, len(buf))
@@ -555,8 +552,7 @@ def load_canonical(path) -> InteractionSet:
     writes; one that spells its integers otherwise (`00`, `+0`, a space
     beside a field) is a DataError naming its line. The pair block is
     parsed in bulk, as bytes."""
-    raw = _newlines(_read(path))
-    buf = np.frombuffer(raw, dtype=np.uint8)
+    raw, buf = _read(path)
     ends = np.flatnonzero(buf == ord("\n"))  # the LF of every line but the last
     head_end = ends[0] if len(ends) else len(raw)
     if not head_end:

@@ -74,18 +74,14 @@ class ModelParams:
 
     @classmethod
     def from_arrays(cls, arrays, shapes: dict, prefix: str = "") -> "ModelParams":
-        """The tensors of `shapes` (see `param_shapes`) stored in a loaded
-        bundle's `arrays`, each behind `prefix`. One of another shape or
-        of a dtype other than float64 is a DataError naming the bundle,
-        the tensor and both shapes or its dtype."""
+        """The tensors of `shapes` (see `param_shapes`) stored in the
+        `arrays` of a loaded artifact, each behind `prefix`. One of another
+        shape is a DataError naming the bundle, the tensor and both shapes."""
         ts = [arrays[prefix + name] for name in shapes]
         for (name, shape), t in zip(shapes.items(), ts):
             if t.shape != shape:
                 raise DataError(f"{arrays.path}: '{prefix}{name}' has shape "
                                 f"{t.shape}, expected {shape}")
-            if t.dtype != np.float64:
-                raise DataError(f"{arrays.path}: '{prefix}{name}' has dtype "
-                                f"{t.dtype}, expected float64")
         layers = (len(ts) - 2) // 2
         return cls(ts[0], ts[1], ts[2: 2 + layers], ts[2 + layers:])
 

@@ -105,15 +105,13 @@ class BatchRows:
             np.sum(prod, axis=1, out=self.margins[part])
 
 
-def bpr_loss(trace: ForwardTrace, batch: np.ndarray, eta: float, rows=None) -> float:
+def bpr_loss(trace: ForwardTrace, rows: BatchRows, eta: float) -> float:
     """Pairwise ranking loss with batch-restricted L2 regularization.
 
-    Sum of softplus(-margin) over triples plus (eta/2) times the squared
-    norms of the distinct batch users' and distinct positive items'
-    concatenated embeddings. Overflow-safe via logaddexp. `rows` is the
-    batch's `BatchRows` when already built.
+    Sum of softplus(-margin) over the triples of `rows` plus (eta/2) times
+    the squared norms of the distinct batch users' and distinct positive
+    items' concatenated embeddings. Overflow-safe via logaddexp.
     """
-    rows = BatchRows(trace, batch) if rows is None else rows
     loss = float(np.logaddexp(0.0, -rows.margins).sum())
     if eta != 0.0:
         cu = trace.concat(rows.users)
@@ -126,11 +124,10 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, eta: float, rows=None) -> f
 
 def backward(
     trace: ForwardTrace,
-    batch: np.ndarray,
+    rows: BatchRows,
     params: ModelParams,
     oper: PropagationOperator,
     eta: float,
-    rows=None,
 ) -> ModelParams:
     """Reverse-mode gradients of the batch loss for every parameter.
 
@@ -138,12 +135,11 @@ def backward(
     activation, the mixing weights, the (self-adjoint) spectral operator,
     and the per-frequency gates. With e = Phi^T d_pre, a layer's weight
     gradient is (d * c)^T e and its input gradient Phi (d * (e W^T)).
-    `rows` as in `bpr_loss`. The x0 and y0 gradients are views of
-    `trace.grad`, which the next call on the same trace overwrites.
+    The x0 and y0 gradients are views of `trace.grad`, which the next
+    call on the same trace overwrites.
     """
     import scipy.sparse as sp
 
-    rows = BatchRows(trace, batch) if rows is None else rows
     dz = -sigmoid(-rows.margins)
 
     # The loss reads the concatenation only on the batch's distinct users
@@ -180,7 +176,7 @@ def backward(
             d_users += eta * cu
             d_items[rows.pos] += eta * ci[rows.pos]
         for at, grad in ((rows.users, d_users), (item_rows, d_items)):
-            d_next[at] = grad if layer == layers else d_next[at] + grad
+            d_next[at] += grad
 
     m = trace.num_users
     grads = ModelParams(x0=d_next[:m], y0=d_next[m:], w=grad_w, theta=grad_theta)
@@ -233,8 +229,8 @@ def step(trace, batch, params, oper, adam, config: TrainConfig):
     None), loss, gradients and the in-place Adam update. Returns (trace, loss)."""
     trace = forward(params, oper, out=trace)
     rows = BatchRows(trace, batch)
-    loss = bpr_loss(trace, batch, config.eta, rows)
-    grads = backward(trace, batch, params, oper, config.eta, rows)
+    loss = bpr_loss(trace, rows, config.eta)
+    grads = backward(trace, rows, params, oper, config.eta)
     adam_step(params, grads, adam, config)
     return trace, loss
 
@@ -275,7 +271,9 @@ class TrainState:
         of `shapes` (see `model.param_shapes`), continuing `rng`. A state
         saved for another run is a ConfigError naming the first key that
         differs. A malformed run key, counter or generator state is a
-        DataError naming its key."""
+        DataError naming its key, and so are counters that no run leaves:
+        a `best_epoch` outside [0, epoch], a `since_best` other than
+        epoch - best_epoch or an `adam_step` below `epoch`."""
         meta, arrays = bundles.load_artifact(path, "train-state", TRAIN_STATE_VERSION)
         saved = meta["run_key"]
         if not isinstance(saved, dict):
@@ -288,6 +286,15 @@ class TrainState:
             if type(meta[key]) not in ((int,) if kind is int else (int, float)):  # no bool
                 raise DataError(f"{path}: '{key}' must be of type {kind.__name__}, "
                                 f"got {meta[key]!r}")
+        epoch, best_epoch = meta["epoch"], meta["best_epoch"]
+        for key, rule, good in (
+            ("best_epoch", f"in [0, epoch] = [0, {epoch}]", 0 <= best_epoch <= epoch),
+            ("since_best", f"epoch - best_epoch = {epoch - best_epoch}",
+             meta["since_best"] == epoch - best_epoch),
+            ("adam_step", f">= epoch = {epoch}", meta["adam_step"] >= epoch),
+        ):
+            if not good:
+                raise DataError(f"{path}: '{key}' must be {rule}, got {meta[key]!r}")
         try:
             rng.bit_generator.state = json.loads(meta["rng_state"])
         except (TypeError, ValueError, KeyError, OverflowError) as exc:

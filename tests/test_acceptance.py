@@ -50,7 +50,7 @@ from waveletcf.spectral import (
     default_q,
     eigensolve,
 )
-from waveletcf.train import TrainConfig, backward, bpr_loss, fit
+from waveletcf.train import BatchRows, TrainConfig, backward, bpr_loss, fit
 
 pytestmark = pytest.mark.filterwarnings("ignore:embedding width")
 
@@ -206,9 +206,8 @@ def _finite_difference_worst():
         [rng.integers(0, m, 30), rng.integers(0, k, 30), rng.integers(0, k, 30)]
     )
     eta = 0.3
-    grads = dict(
-        backward(forward(params, oper), batch, params, oper, eta).tensors()
-    )
+    trace = forward(params, oper)
+    grads = dict(backward(trace, BatchRows(trace, batch), params, oper, eta).tensors())
     h = 1e-4
     worst = 0.0
     for name, tensor in params.tensors():
@@ -218,9 +217,11 @@ def _finite_difference_worst():
             idx = it.multi_index
             orig = tensor[idx]
             tensor[idx] = orig + h
-            up = bpr_loss(forward(params, oper), batch, eta)
+            trace = forward(params, oper)
+            up = bpr_loss(trace, BatchRows(trace, batch), eta)
             tensor[idx] = orig - h
-            down = bpr_loss(forward(params, oper), batch, eta)
+            trace = forward(params, oper)
+            down = bpr_loss(trace, BatchRows(trace, batch), eta)
             tensor[idx] = orig
             fd[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -242,7 +243,8 @@ def test_gradients_match_finite_differences():
     toy_dec = eigensolve(laplacian_for(toy), q=2)
     toy_oper = PropagationOperator(toy_dec, ModelConfig(t=0.0))
     eta, (u, i, j) = 0.21, (1, 2, 4)
-    grads = backward(trace, np.array([[u, i, j]]), params, toy_oper, eta)
+    rows = BatchRows(trace, np.array([[u, i, j]]))
+    grads = backward(trace, rows, params, toy_oper, eta)
     s = 1.0 / (1.0 + math.exp(-float(x[u] @ (y[i] - y[j]))))
     closed = max(
         np.abs(grads.x0[u] - (-(1 - s) * (y[i] - y[j]) + eta * x[u])).max(),

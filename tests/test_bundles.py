@@ -1,5 +1,7 @@
 """Tests for the bundle container: corruption maps to DataError, writes are atomic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,8 @@ def test_save_is_atomic(tmp_path, monkeypatch):
 
 def test_artifact_header_is_checked(tmp_path):
     p = tmp_path / "a.bundle"
-    save_artifact(p, "thing", 2, {"dataset_hash": "d" * 64, "q": 3}, arrays())
+    floats = {name: a.astype(np.float64) for name, a in arrays().items()}
+    save_artifact(p, "thing", 2, {"dataset_hash": "d" * 64, "q": 3}, floats)
     meta, loaded = load_artifact(p, "thing", 2, "d" * 64)
     assert (meta["kind"], meta["version"], meta["q"]) == ("thing", 2, 3)
     assert np.array_equal(loaded["b"], arrays()["b"])
@@ -108,3 +111,10 @@ def test_artifact_header_is_checked(tmp_path):
     ):
         with pytest.raises(DataError, match=message):
             load_artifact(p, *args)
+    # the container holds any native bool, int or float array; an artifact
+    # holds float64 arrays only
+    save_artifact(p, "thing", 2, {}, arrays())
+    assert load_bundle(p)[1]["a"].dtype == np.int64
+    message = f"{p}: 'a' has dtype int64, expected float64"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_artifact(p, "thing", 2)

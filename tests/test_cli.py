@@ -304,6 +304,8 @@ def test_spectral_cache_of_an_older_version(pipeline, tmp_path, capsys):
         ("lambdas", "nan"),
         ("phi", "1-D"),
         ("phi", "one column"),
+        ("lambdas", "int64"),
+        ("phi", "float32"),
     ],
 )
 def test_corrupt_spectral_cache_is_a_data_error(
@@ -312,7 +314,11 @@ def test_corrupt_spectral_cache_is_a_data_error(
     root, cfg = pipeline
     meta, arrays = bundles.load_bundle(root / "spec.bundle")
     lambdas, phi = arrays["lambdas"], arrays["phi"]
-    if value == "short":
+    expected = "must"
+    if value in ("int64", "float32"):
+        arrays = {**arrays, field: arrays[field].astype(value)}
+        expected = f"has dtype {value}, expected float64"
+    elif value == "short":
         arrays = {**arrays, "lambdas": lambdas[:-1]}
     elif value == "above 2":
         arrays = {**arrays, "lambdas": np.append(lambdas[:-1], 2.5)}
@@ -328,7 +334,35 @@ def test_corrupt_spectral_cache_is_a_data_error(
     code = main(["train", "--config", cfg, "--set", f"spectral_cache={damaged}",
                  "--set", f"checkpoint={tmp_path / 'x.ckpt'}"])
     assert code == 3
-    assert f"{damaged}: '{field}' must" in capsys.readouterr().err
+    assert f"{damaged}: '{field}' {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("field, dtype", [("lambdas", "int64"), ("phi", "float32")])
+def test_spectral_cache_of_another_dtype_is_refused(
+    pipeline, tmp_path, capsys, field, dtype
+):
+    # scoring refuses the cache as `train` does (see the test above);
+    # `spectral` offers a recompute, as for any cache that does not match
+    # its run
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "spec.bundle")
+    arrays[field] = arrays[field].astype(dtype)
+    damaged = tmp_path / "damaged.spec"
+    bundles.save_bundle(damaged, meta, arrays)
+    before = damaged.read_bytes()
+    args = ["--config", cfg, "--set", f"spectral_cache={damaged}",
+            "--set", f"report={tmp_path / 'x.report'}"]
+    message = f"{damaged}: '{field}' has dtype {dtype}, expected float64"
+    capsys.readouterr()
+    for command in (["evaluate"], ["recommend", "--users", "u3"]):
+        assert main([*command, *args]) == 3
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.report").exists()
+    assert main(["spectral", *args]) == 2
+    err = capsys.readouterr().err
+    assert f"{damaged} does not match this run ({message})" in err
+    assert damaged.read_bytes() == before
 
 
 @pytest.mark.parametrize("kappa", ["fitted", 5.5, "5"])
@@ -836,6 +870,10 @@ def test_resume_from_a_state_with_mismatched_shapes_is_a_data_error(
         ("best_recall", None, "'best_recall' must be of type float, got None"),
         ("rng_state", "{}", "'rng_state' is not a generator state"),
         ("run_key", ["x"], "'run_key' must be an object, got ['x']"),
+        # counters of the right types that no run leaves after epoch 1
+        ("best_epoch", 2, "'best_epoch' must be in [0, epoch] = [0, 1], got 2"),
+        ("since_best", -100, "'since_best' must be epoch - best_epoch = 0, got -100"),
+        ("adam_step", -5, "'adam_step' must be >= epoch = 1, got -5"),
     ],
 )
 def test_resume_from_a_state_with_malformed_metadata_is_a_data_error(

@@ -38,6 +38,7 @@ from waveletcf.seeds import VAL_SPLIT, child_seed
 from waveletcf.spectral import SpectralDecomposition, eigensolve
 from waveletcf.train import (
     AdamState,
+    BatchRows,
     TrainConfig,
     adam_step,
     backward,
@@ -145,13 +146,15 @@ def test_all_users_exhausted_errors():
 def test_loss_equal_scores_is_ln2():
     trace = make_trace([[1.0, 0.0]], [[0.3, 0.4], [0.3, 0.4]])
     batch = np.array([[0, 0, 1]])
-    assert bpr_loss(trace, batch, eta=0.0) == pytest.approx(math.log(2), rel=1e-12)
+    assert bpr_loss(trace, BatchRows(trace, batch), eta=0.0) == pytest.approx(
+        math.log(2), rel=1e-12
+    )
 
 
 def test_loss_saturates_to_zero():
     trace = make_trace([[100.0]], [[10.0], [-10.0]])
     batch = np.array([[0, 0, 1]])
-    assert bpr_loss(trace, batch, eta=0.0) <= 1e-300
+    assert bpr_loss(trace, BatchRows(trace, batch), eta=0.0) <= 1e-300
 
 
 def test_loss_matches_brute_force():
@@ -169,7 +172,9 @@ def test_loss_matches_brute_force():
         expected += eta / 2 * float(concat_users(trace)[u] @ concat_users(trace)[u])
     for i in sorted(set(batch[:, 1].tolist())):
         expected += eta / 2 * float(trace.concat_items[i] @ trace.concat_items[i])
-    assert bpr_loss(trace, batch, eta) == pytest.approx(expected, abs=1e-12)
+    assert bpr_loss(trace, BatchRows(trace, batch), eta) == pytest.approx(
+        expected, abs=1e-12
+    )
 
 
 def test_loss_permutation_invariant():
@@ -178,8 +183,9 @@ def test_loss_permutation_invariant():
     batch = np.column_stack(
         [rng.integers(0, 5, 64), rng.integers(0, 7, 64), rng.integers(0, 7, 64)]
     )
-    a = bpr_loss(trace, batch, eta=0.2)
-    b = bpr_loss(trace, batch[rng.permutation(64)], eta=0.2)
+    a = bpr_loss(trace, BatchRows(trace, batch), eta=0.2)
+    shuffled = batch[rng.permutation(64)]
+    b = bpr_loss(trace, BatchRows(trace, shuffled), eta=0.2)
     assert abs(a - b) <= 1e-10
     assert a >= 0.0
 
@@ -212,7 +218,7 @@ def test_depth_zero_gradients_match_closed_form():
     eta = 0.21
     u, i, j = 1, 2, 4
     batch = np.array([[u, i, j]])
-    grads = backward(trace, batch, params, dummy_operator(), eta)
+    grads = backward(trace, BatchRows(trace, batch), params, dummy_operator(), eta)
 
     z = float(x[u] @ (y[i] - y[j]))
     s = 1.0 / (1.0 + math.exp(-z))
@@ -244,9 +250,11 @@ def test_gradients_match_finite_differences_fused():
     eta = 0.3
 
     def loss_at(p):
-        return bpr_loss(forward(p, oper), batch, eta)
+        trace = forward(p, oper)
+        return bpr_loss(trace, BatchRows(trace, batch), eta)
 
-    grads = backward(forward(params, oper), batch, params, oper, eta)
+    trace = forward(params, oper)
+    grads = backward(trace, BatchRows(trace, batch), params, oper, eta)
     h = 1e-4
     for name, tensor in params.tensors():
         analytic = dict(grads.tensors())[name]
@@ -275,13 +283,9 @@ def test_zero_gradient_at_saturation():
         x = np.array(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grads = backward(
-                make_trace(x, y),
-                np.array([[0, 0, 1]]),
-                empty_params(x, y),
-                oper,
-                eta=0.0,
-            )
+            trace = make_trace(x, y)
+            rows = BatchRows(trace, np.array([[0, 0, 1]]))
+            grads = backward(trace, rows, empty_params(x, y), oper, eta=0.0)
         assert all(np.isfinite(g).all() for _, g in grads.tensors())
         np.testing.assert_array_equal(grads.x0, dz * (y[[0]] - y[[1]]))
         np.testing.assert_array_equal(grads.y0, np.vstack([dz * x, -dz * x]))
@@ -291,14 +295,10 @@ def test_zero_gradient_at_saturation():
 def test_nonfinite_gradient_raises():
     x = np.array([[np.inf, 1.0]])
     y = np.array([[1.0, 0.0], [0.5, 0.0]])
+    trace = make_trace(x, y)
+    rows = BatchRows(trace, np.array([[0, 0, 1]]))
     with pytest.raises(NumericalError):
-        backward(
-            make_trace(x, y),
-            np.array([[0, 0, 1]]),
-            empty_params(x, y),
-            dummy_operator(),
-            eta=0.0,
-        )
+        backward(trace, rows, empty_params(x, y), dummy_operator(), eta=0.0)
 
 
 def oracle_case(layers, one_triple, seed=43):
@@ -340,7 +340,7 @@ def test_backward_matches_add_at_oracle(layers, one_triple, eta):
     if not one_triple:
         assert len(np.unique(batch[:, 0])) < len(batch)
         assert np.intersect1d(batch[:, 1], batch[:, 2]).size
-    grads = dict(backward(trace, batch, params, oper, eta).tensors())
+    grads = dict(backward(trace, BatchRows(trace, batch), params, oper, eta).tensors())
     for name, want in reference_backward(trace, batch, params, oper, eta).tensors():
         err = np.abs(grads[name] - want).max()
         assert err <= 1e-12 * np.abs(want).max(), f"{name}: {err:.2e}"
