@@ -133,10 +133,11 @@ def _resolved_q(cfg, train) -> int:
     return q
 
 
-def _solve(cfg, train, q):
-    """Eigendecomposition of a training graph, its filter checked."""
+def _solve(cfg, train):
+    """Eigendecomposition of a training graph at the run's `q`, its filter checked."""
     from . import graph, spectral
 
+    q = _resolved_q(cfg, train)
     lap = graph.build_laplacian(
         graph.build_adjacency(train), train.num_users, train.num_items
     )
@@ -158,15 +159,19 @@ def _check_filter(cfg, decomp) -> None:
               f"{(g < 1e-6).sum()} of {len(g)} below 1e-6", file=sys.stderr)
 
 
-def _load_cache(cfg, q, train_hash, fix="rerun `spectral --force` to recompute it"):
-    """The spectral cache's decomposition, if it serves this run. One rule
-    decides: the loader checks the training split's hash, and its q (the
-    run's resolved `q`), eig_tol and eigensolver seed must be the run's.
-    `fix` ends the error that names the first one that differs."""
+def _load_cache(cfg, train, train_hash, fix="rerun `spectral --force` to recompute it"):
+    """The spectral cache's decomposition, if it serves the run on the
+    training split `train`: the loader checks its hash, `phi` must have one
+    row per node, and q (the run's resolved `q`), eig_tol and eigensolver
+    seed must be the run's; `fix` ends the error naming the first that differs."""
     from . import bundles, spectral
 
+    q = _resolved_q(cfg, train)
     path = cfg.require("spectral_cache")
     decomp, _, meta = spectral.load_spectral_cache(path, expected_hash=train_hash)
+    n = train.num_users + train.num_items
+    if decomp.n != n:
+        raise DataError(f"{path}: 'phi' has {decomp.n} rows, expected {n}, one per node")
     saved = {"q": decomp.q, "eig_tol": meta["eig_tol"], "eig_seed": meta["eig_seed"]}
     wanted = {"q": q, "eig_tol": cfg["eig_tol"], "eig_seed": cfg.eig_seed()}
     bundles.refuse_mismatch(f"{path} exists with different parameters",
@@ -197,13 +202,12 @@ def cmd_spectral(args, cfg) -> int:
     from . import spectral
 
     train, _, train_hash = _load_split(cfg)
-    q = _resolved_q(cfg, train)
     out = cfg.require("spectral_cache")
 
     hit = os.path.exists(out) and not args.force
     if hit:
         try:
-            decomp = _load_cache(cfg, q, train_hash, "pass --force to recompute")
+            decomp = _load_cache(cfg, train, train_hash, "pass --force to recompute")
         except DataError as exc:
             raise ConfigError(
                 f"{out} does not match this run ({exc}); pass --force to recompute"
@@ -212,7 +216,7 @@ def cmd_spectral(args, cfg) -> int:
         _check_filter(cfg, decomp)
         print(f"cache hit {out}")
     else:
-        decomp = _solve(cfg, train, q)
+        decomp = _solve(cfg, train)
         spectral.save_spectral_cache(out, decomp, train_hash, cfg["eig_tol"], cfg.eig_seed())
     fit = decomp.boxcox
     print(f"Q {decomp.q}")
@@ -230,7 +234,7 @@ def cmd_train(args, cfg) -> int:
     from . import model, train as train_mod
 
     train_set, _, train_hash = _load_split(cfg)
-    decomp = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
+    decomp = _load_cache(cfg, train_set, train_hash)
     out = cfg.require("checkpoint")
     if not args.resume:
         _refuse_overwrite(out, args.force)
@@ -318,7 +322,7 @@ def _load_trained(cfg):
     from . import bundles, model
 
     train_set, test_set, train_hash = _load_split(cfg)
-    decomp = _load_cache(cfg, _resolved_q(cfg, train_set), train_hash)
+    decomp = _load_cache(cfg, train_set, train_hash)
     path = cfg.require("checkpoint")
     ckpt_config, params, meta = model.load_checkpoint(
         path, train_set.num_users, train_set.num_items, decomp.q, train_hash
@@ -370,7 +374,7 @@ def cmd_cold_start(args, cfg) -> int:
         train_set, test_set = ingest.split(
             data, replace(cfg.split_spec(), per_user_cap=cap)
         )
-        decomp = _solve(cfg, train_set, _resolved_q(cfg, train_set))
+        decomp = _solve(cfg, train_set)
         result = train_mod.fit(train_set, decomp, model_config, cfg.train_config())
         trace = _score_trace(decomp, model_config, result.best_params)
         report = eval_mod.evaluate(

@@ -70,11 +70,17 @@ class InteractionSet:
 
     def validate(self) -> None:
         """Check index-range and coverage invariants: every user and item
-        index occurs in at least one pair."""
+        index occurs in at least one pair, and no external id names two."""
         if self.num_users < 1 or self.num_items < 1 or self.num_pairs == 0:
             raise DataError("dataset fully filtered")
         if len(self.user_ids) != self.num_users or len(self.item_ids) != self.num_items:
             raise DataError("id map sizes disagree with declared dimensions")
+        for kind, ids in (("user", self.user_ids), ("item", self.item_ids)):
+            seen = set()
+            for x in ids:
+                if x in seen:
+                    raise DataError(f"repeated {kind} id {x!r}")
+                seen.add(x)
         if self.pairs[:, 0].min() < 0 or self.pairs[:, 0].max() >= self.num_users:
             raise DataError("user index out of range")
         if self.pairs[:, 1].min() < 0 or self.pairs[:, 1].max() >= self.num_items:

@@ -131,7 +131,6 @@ class PropagationOperator:
     def __init__(self, decomp: SpectralDecomposition, config: ModelConfig):
         self.phi = decomp.phi
         self.lam = decomp.shifted_lambdas
-        self.n = decomp.n
         self.g = filter_response(decomp.boxcox, config)
 
     def gate(self, theta: np.ndarray) -> np.ndarray:
@@ -171,13 +170,7 @@ def propagate_layer(
 
     sigmoid(Phi diag(d) Phi^T z W), d = lam * h, is computed as
     sigmoid(Phi ((d * c) W)) with c = Phi^T z: channels mix on Q rows."""
-    if z.shape[0] != oper.n:
-        raise DataError(f"input block has {z.shape[0]} rows, expected {oper.n}")
     w = params.w[layer]
-    if z.shape[1] != w.shape[0]:
-        raise DataError(
-            f"input width {z.shape[1]} does not match weight shape {w.shape}"
-        )
     h = oper.gate(params.theta[layer])
     coeff = oper.phi.T @ z
     pre = np.matmul(oper.phi, ((oper.lam * h)[:, None] * coeff) @ w, out=out)

@@ -85,18 +85,16 @@ def sample_triples(
 
 
 class BatchRows:
-    """A batch's distinct users and items, found once per step for the loss
-    and the gradients, and the triples' margins cu[u] . (ci[i] - ci[j]) on
-    the concatenated embeddings, each summed along its row."""
+    """A batch's distinct users and items as stacked rows, found once per
+    step for the loss and the gradients, and the triples' margins cu[u] .
+    (ci[i] - ci[j]) on the concatenated embeddings, each summed along its row."""
 
     def __init__(self, trace: ForwardTrace, batch: np.ndarray):
-        if len(batch) == 0:
-            raise DataError("batch must be non-empty")
-        self.users, self.u_at = np.unique(batch[:, 0], return_inverse=True)
-        # i_at places the positives, then the negatives, among the items
-        self.items, self.i_at = np.unique(batch[:, 1:].T.ravel(), return_inverse=True)
-        self.pos = np.unique(self.i_at[: len(batch)])
         at = batch + [0, trace.num_users, trace.num_users]  # stacked rows
+        self.users, self.u_at = np.unique(at[:, 0], return_inverse=True)
+        # i_at places the positives, then the negatives, among the items
+        self.items, self.i_at = np.unique(at[:, 1:].T.ravel(), return_inverse=True)
+        self.pos = np.unique(self.i_at[: len(batch)])
         self.margins = np.empty(len(batch))
         for part in row_blocks(len(batch), trace.zs.shape[0] * trace.zs.shape[2]):
             prod = trace.concat(at[part, 1])
@@ -115,7 +113,7 @@ def bpr_loss(trace: ForwardTrace, rows: BatchRows, eta: float) -> float:
     loss = float(np.logaddexp(0.0, -rows.margins).sum())
     if eta != 0.0:
         cu = trace.concat(rows.users)
-        ci = trace.concat(trace.num_users + rows.items[rows.pos])
+        ci = trace.concat(rows.items[rows.pos])
         loss += 0.5 * eta * float(
             np.sum(np.square(cu, out=cu)) + np.sum(np.square(ci, out=ci))
         )
@@ -149,7 +147,6 @@ def backward(
     s = sp.csr_matrix((np.concatenate([dz, -dz]), (np.tile(rows.u_at, 2), rows.i_at)),
                       shape=(len(rows.users), len(rows.items)))
     s_t = s.T
-    item_rows = trace.num_users + rows.items
     layers = len(params.w)
     grad_w = [None] * layers
     grad_theta = [None] * layers
@@ -170,12 +167,12 @@ def backward(
             grad_theta[layer] = d_f * oper.lam * oper.g * h * (1.0 - h)
             np.matmul(oper.phi, d * d_scaled, out=d_next)
         # the loss's gradient on the batch rows of this layer's columns
-        cu, ci = trace.zs[layer][rows.users], trace.zs[layer][item_rows]
+        cu, ci = trace.zs[layer][rows.users], trace.zs[layer][rows.items]
         d_users, d_items = s @ ci, s_t @ cu
         if eta != 0.0:
             d_users += eta * cu
             d_items[rows.pos] += eta * ci[rows.pos]
-        for at, grad in ((rows.users, d_users), (item_rows, d_items)):
+        for at, grad in ((rows.users, d_users), (rows.items, d_items)):
             d_next[at] += grad
 
     m = trace.num_users

@@ -365,6 +365,49 @@ def test_spectral_cache_of_another_dtype_is_refused(
     assert damaged.read_bytes() == before
 
 
+def test_spectral_cache_without_a_row_per_node_is_refused(pipeline, tmp_path, capsys):
+    # a cache whose eigenvectors lost a row is refused where it is read,
+    # naming the file and both counts, before any training or scoring
+    root, cfg = pipeline
+    meta, arrays = bundles.load_bundle(root / "spec.bundle")
+    n = len(arrays["phi"])
+    short = tmp_path / "short.spec"
+    bundles.save_bundle(short, meta, {**arrays, "phi": arrays["phi"][:-1]})
+    before = short.read_bytes()
+    args = ["--config", cfg, "--set", f"spectral_cache={short}",
+            "--set", f"report={tmp_path / 'x.report'}"]
+    message = f"{short}: 'phi' has {n - 1} rows, expected {n}, one per node"
+    capsys.readouterr()
+    for command in (["train", "--set", f"checkpoint={tmp_path / 'x.ckpt'}"],
+                    ["evaluate"], ["recommend", "--users", "u3"]):
+        assert main([*command, *args]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+    assert main(["spectral", *args]) == 2
+    err = capsys.readouterr().err
+    assert f"{short} does not match this run ({message}); pass --force" in err
+    assert short.read_bytes() == before
+    assert not (tmp_path / "x.ckpt").exists()
+    assert not (tmp_path / "x.report").exists()
+
+
+@pytest.mark.parametrize("kind", ["user", "item"])
+def test_dataset_with_a_repeated_id_is_a_data_error(pipeline, tmp_path, capsys, kind):
+    root, cfg = pipeline
+    lines = (root / "data.ds").read_text().split("\n")
+    at = lines.index(f"#{kind}s") + 1
+    lines[at + 1] = lines[at]
+    repeated = tmp_path / "repeated.ds"
+    repeated.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["recommend", "--config", cfg, "--set", f"dataset={repeated}",
+                 "--users", lines[at]]) == 3
+    captured = capsys.readouterr()
+    assert f"repeated {kind} id {lines[at]!r}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kappa", ["fitted", 5.5, "5"])
 def test_spectral_cache_with_a_stored_kappa_is_refitted(
     pipeline, tmp_path, capsys, kappa

@@ -644,6 +644,20 @@ def test_interaction_set_refuses_duplicate_pairs(tmp_path):
         load_canonical(p)
 
 
+@pytest.mark.parametrize("kind", ["user", "item"])
+def test_canonical_file_with_a_repeated_id_is_refused(tmp_path, kind):
+    # `persist` writes each id once; a file naming one id twice would map
+    # it to the last index that holds it, another user's or item's rows
+    p = tmp_path / "data.txt"
+    persist(grid_dataset(), p)
+    lines = p.read_text().split("\n")
+    at = lines.index(f"#{kind}s") + 1
+    lines[at + 1] = lines[at]
+    p.write_text("\n".join(lines))
+    with pytest.raises(DataError, match=f"^repeated {kind} id {lines[at]!r}$"):
+        load_canonical(p)
+
+
 def pinned_log():
     """Rows with repeats, a four-step cascade at thresholds (2, 2), and
     users with a single interaction."""

@@ -156,17 +156,6 @@ def test_layer_output_range():
     assert (out > 0).all() and (out < 1).all()
 
 
-def test_layer_shape_mismatch():
-    _, _, dec = spectral_setup(seed=8)
-    cfg = ModelConfig(layers=1, width=4, seed=5)
-    params = init_params(cfg, 9, 9, q=dec.q)
-    oper = PropagationOperator(dec, ModelConfig(t=0.2))
-    with pytest.raises(DataError):
-        propagate_layer(np.zeros((dec.n + 1, 4)), 0, params, oper)
-    with pytest.raises(DataError):
-        propagate_layer(np.zeros((dec.n, 5)), 0, params, oper)
-
-
 @pytest.mark.parametrize(
     "max_nodes, q", [(40, None), (100, 30)], ids=["full", "truncated"]
 )
