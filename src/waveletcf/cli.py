@@ -233,6 +233,13 @@ def cmd_spectral(args, cfg) -> int:
 def cmd_train(args, cfg) -> int:
     from . import model, train as train_mod
 
+    cells = cfg.grid_cells()
+    if cells and (args.resume or cfg["train_state"]):
+        # a grid keeps one of many fits, which no one train state describes
+        raise ConfigError(
+            "grid search saves and resumes no train state: drop --resume "
+            "and unset train_state (--set train_state=)"
+        )
     train_set, _, train_hash = _load_split(cfg)
     decomp = _load_cache(cfg, train_set, train_hash)
     out = cfg.require("checkpoint")
@@ -257,10 +264,7 @@ def cmd_train(args, cfg) -> int:
             header = None
         print(line)
 
-    cells = cfg.grid_cells()
     if cells:
-        if args.resume:
-            raise ConfigError("resume is not supported together with grid search")
         model_config, train_config, result = train_mod.grid_search(
             train_set, decomp, cells, log_fn=log
         )

@@ -165,14 +165,24 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_spectral_cache_hit(pipeline, capsys):
-    _, cfg = pipeline
+def test_spectral_cache_hit(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
     assert main(["spectral", "--config", cfg]) == 0
     captured = capsys.readouterr().out
     assert "cache hit" in captured
     assert "Q 64" in captured
     assert "kappa " in captured
     assert "transformed std " in captured
+    # the cache holds lambda and Phi only, so a hit refits kappa: it prints
+    # what a solve prints, on a copy that leaves the fixture's cache as it was
+    copy = tmp_path / "spec.bundle"
+    copy.write_bytes((root / "spec.bundle").read_bytes())
+    assert main(["spectral", "--config", cfg, "--set", f"spectral_cache={copy}",
+                 "--force"]) == 0
+    hit, *shown = captured.splitlines()
+    *solved, wrote = capsys.readouterr().out.splitlines()
+    assert (hit, wrote) == (f"cache hit {root / 'spec.bundle'}", f"wrote {copy}")
+    assert shown == solved
 
 
 def test_spectral_parameter_change_needs_force(pipeline, capsys):
@@ -561,6 +571,22 @@ def test_train_grid_enumerates_and_reports_best(pipeline, tmp_path, capsys):
     recalls = [dict(kv.split("=") for kv in line.split()[1:])["recall@20"] for line in runs]
     assert f"{meta['best_recall']:.6f}" == best_fields["recall@20"]
     assert float(best_fields["recall@20"]) == max(map(float, recalls))
+
+
+@pytest.mark.parametrize("refused", [["--resume"], ["--set", "train_state={state}"]],
+                         ids=["resume", "train_state"])
+def test_grid_search_saves_and_resumes_no_train_state(pipeline, tmp_path, capsys, refused):
+    _, cfg = pipeline
+    # refused before any data is read: the dataset need not exist
+    code = main(["train", "--config", cfg, "--set", f"dataset={tmp_path / 'no.ds'}",
+                 "--set", f"checkpoint={tmp_path / 'grid.ckpt'}",
+                 "--set", "grid_learning_rates=0.01,0.05", "--set", "grid_t_values=0.5",
+                 *(arg.format(state=tmp_path / "grid.state") for arg in refused)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unset train_state (--set train_state=)" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_power_transform_is_fitted_once_per_decomposition(

@@ -17,6 +17,7 @@ from helpers import (
 )
 
 from waveletcf import ingest
+from waveletcf.cli import main
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.ingest import (
     InteractionSet,
@@ -466,8 +467,8 @@ def test_empty_header_errors(tmp_path):
         load_canonical(p)
 
 
-def test_malformed_header_counts_error(tmp_path):
-    p = tmp_path / "data.txt"
+def test_malformed_header_counts_error(tmp_path, capsys):
+    p, cache = tmp_path / "data.txt", tmp_path / "data.spec"
     # 2 users, 2 items, 4 pairs, seed 7; each spelling but `x9` is one `int`
     # reads, and only `persist`'s is accepted
     persist(grid_dataset(num_users=2, num_items=2, degree=2), p, seed=7)
@@ -477,6 +478,10 @@ def test_malformed_header_counts_error(tmp_path):
         fields = head.split(" ")
         fields[index] = spelling
         p.write_text(" ".join(fields) + "\n" + body, encoding="utf-8")
+        assert main(["spectral", "--set", f"dataset={p}", "--set",
+                     f"spectral_cache={cache}", "--force"]) == 3
+        assert f"{p}: malformed header counts" in capsys.readouterr().err
+        assert not cache.exists()
         for read in (canonical_header, load_canonical):
             with pytest.raises(DataError, match="malformed header counts"):
                 read(p)
