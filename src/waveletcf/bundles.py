@@ -163,6 +163,14 @@ def load_artifact(path, kind: str, version: int, dataset_hash: str = None):
     return meta, arrays
 
 
+def refuse_unread(arrays, read) -> None:
+    """Raise DataError naming the bundle of `arrays` and each array not in `read`."""
+    unread = sorted(set(arrays) - set(read))
+    if unread:
+        raise DataError(f"{arrays.path}: holds array(s) {', '.join(map(repr, unread))} "
+                        "that its reader does not read")
+
+
 def refuse_mismatch(lead, saved: dict, wanted: dict, what: str, fix: str) -> None:
     """Raise ConfigError "<lead>: the saved <what> has k=<saved value>,
     this run has k=<wanted value>; <fix>" for the first key k, in sorted

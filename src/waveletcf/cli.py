@@ -9,8 +9,9 @@ numpy for this reason. Likewise no module imports scipy at its top: only
 the functions that build or solve a sparse matrix do, so `ingest`,
 `evaluate` and `recommend` never pay for its import.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 configuration
+error, 3 data error, 4 numerical failure. Reports go to stdout,
+diagnostics to stderr.
 """
 
 import argparse
@@ -436,12 +437,20 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_mod.resolve(args.config, args.overrides)
-        _pin_threads(cfg["threads"])
-        return COMMANDS[args.command](args, cfg)
-    except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES[type(exc)]
+        try:
+            cfg = config_mod.resolve(args.config, args.overrides)
+            _pin_threads(cfg["threads"])
+            return COMMANDS[args.command](args, cfg)
+        except tuple(EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CODES[type(exc)]
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone; what is left to flush at exit goes to
+        # devnull, so that no second BrokenPipeError is reported
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -207,7 +207,7 @@ def load_config_file(path) -> Dict[str, object]:
     """Read a flat key=value file; '#' starts a comment, blanks ignored."""
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")

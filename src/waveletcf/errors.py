@@ -18,11 +18,4 @@ class DataError(WaveletCFError):
 
 
 class NumericalError(WaveletCFError):
-    """A numerical procedure failed to meet its contract.
-
-    `details` may carry diagnostic payload (e.g. residual norms).
-    """
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details
+    """A numerical procedure failed to meet its contract."""

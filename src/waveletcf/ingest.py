@@ -308,12 +308,13 @@ def load_interactions(path) -> InteractionLog:
     rows in file order.
 
     Line ends are read as text mode reads them: a CR LF or a lone CR ends
-    a line, as an LF does. The first data line sets the delimiter for the
-    whole file: tab if it holds one, else comma. Blank lines and lines
-    starting with '#' are skipped. Each data row needs user and item
-    columns; a third column must parse as a float rating and a fourth as
-    an integer timestamp, of any number of digits. Both are checked, then
-    dropped: the interactions are binary.
+    a line, as an LF does. One leading UTF-8 byte order mark is dropped,
+    as the utf-8-sig codec drops it. The first data line sets the
+    delimiter for the whole file: tab if it holds one, else comma. Blank
+    lines and lines starting with '#' are skipped. Each data row needs
+    user and item columns; a third column must parse as a float rating
+    and a fourth as an integer timestamp, of any number of digits. Both
+    are checked, then dropped: the interactions are binary.
 
     The file is read once as bytes. A plain line (printable ASCII ids, a
     rating of digits with at most one '.', a timestamp of digits) is
@@ -322,6 +323,8 @@ def load_interactions(path) -> InteractionLog:
     together, as byte spans, in file order.
     """
     raw, buf = _read(path)
+    if raw.startswith(b"\xef\xbb\xbf"):  # the byte order mark
+        raw, buf = raw[3:], buf[3:]
     newlines = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], newlines + 1))
     ends = np.append(newlines, len(buf))

@@ -214,7 +214,6 @@ def save_checkpoint(
         "dataset_hash": dataset_hash,
         "basis": basis,
         "config": asdict(config),
-        "num_w": len(params.w),
         **(extra_meta or {}),
     }
     bundles.save_artifact(
@@ -227,7 +226,7 @@ def load_checkpoint(
 ):
     """Load the checkpoint of a model of M = `num_users`, K = `num_items`
     and Q = `q`; refuses one built for a different dataset, holding a
-    config that fails validation or tensors of other shapes.
+    config that fails validation, tensors of other shapes or other arrays.
 
     Returns (config, params, meta).
     """
@@ -240,10 +239,6 @@ def load_checkpoint(
         )
     except (ConfigError, TypeError) as exc:
         raise DataError(f"{path}: invalid stored config ({exc})") from exc
-    if meta["num_w"] != config.layers:
-        raise DataError(
-            f"{path}: checkpoint holds {meta['num_w']} layer(s) of weights "
-            f"but its config says layers={config.layers}"
-        )
     shapes = param_shapes(config, num_users, num_items, q)
+    bundles.refuse_unread(arrays, shapes)
     return config, ModelParams.from_arrays(arrays, shapes), meta

@@ -119,8 +119,8 @@ def eigensolve(
     Otherwise, or when those reach sigma ~ 0 (R of rank below q), L is
     diagonalized densely: O(N^2) memory, O(N^3) time.
 
-    Raises NumericalError (with per-pair residual norms in `details`) if
-    any pair has ||L x - lambda x|| above `tol`.
+    Raises NumericalError naming the largest residual if any pair has
+    ||L x - lambda x|| above `tol`.
     """
     # imported here so that commands which never solve skip its slow import
     from scipy.sparse.csgraph import connected_components
@@ -177,8 +177,7 @@ def eigensolve(
     residuals = np.linalg.norm(mat @ X - X * theta, axis=0)
     if residuals.max() > tol:
         raise NumericalError(
-            f"eigenpairs miss tol={tol} (largest residual {residuals.max():.3g})",
-            details={"residual_norms": residuals.tolist()},
+            f"eigenpairs miss tol={tol} (largest residual {residuals.max():.3g})"
         )
 
     lambdas = np.clip(theta, 0.0, 2.0)
@@ -345,10 +344,10 @@ def save_spectral_cache(
 
 
 def load_spectral_cache(path, expected_hash: str = None):
-    """Load a spectral cache; refuses a mismatched dataset hash and stored
-    values that no solve could have produced. The power transform is
-    refitted from the stored eigenvalues, bit for bit the fit of the solve
-    that wrote them; a `kappa` key of an older cache is ignored.
+    """Load a spectral cache; refuses a mismatched dataset hash, arrays
+    other than `lambdas` and `phi`, and values no solve could have produced.
+    The power transform is refitted from the stored eigenvalues, bit for
+    bit the fit of the solve that wrote them; an older cache's `kappa` is ignored.
 
     Returns (decomp, decomp.boxcox, meta).
     """
@@ -356,6 +355,7 @@ def load_spectral_cache(path, expected_hash: str = None):
         path, "spectral-cache", SPECTRAL_CACHE_VERSION, expected_hash
     )
     lambdas, phi = arrays["lambdas"], arrays["phi"]
+    bundles.refuse_unread(arrays, ("lambdas", "phi"))
     if phi.ndim != 2 or phi.shape[1] < 2:
         raise DataError(f"{path}: 'phi' must be 2-D with >= 2 columns, got {phi.shape}")
     if lambdas.shape != (phi.shape[1],) or not ((lambdas >= 0) & (lambdas <= 2)).all():

@@ -34,7 +34,7 @@ from .model import (
 from .seeds import TRIPLES, VAL_SPLIT, child_seed
 from .spectral import SpectralDecomposition
 
-TRAIN_STATE_VERSION = 4
+TRAIN_STATE_VERSION = 5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -246,31 +246,32 @@ class TrainState:
     best_epoch: int = 0
     best_recall: float = -np.inf
     best_ndcg: float = 0.0
-    since_best: int = 0
     # each counter's type; a real may be stored as a JSON integer
-    COUNTERS = {"epoch": int, "best_epoch": int, "best_recall": float,
-                "best_ndcg": float, "since_best": int}
+    COUNTERS = {"epoch": int, "best_epoch": int, "best_recall": float, "best_ndcg": float}
     # stored name prefixes of params, best_params, adam.m and adam.v
     PREFIXES = ("cur_", "best_", "adam_m_", "adam_v_")
+
+    @property
+    def since_best(self) -> int:  # epochs run since the best one
+        return self.epoch - self.best_epoch
 
     def save(self, path, run_key: dict) -> None:
         sets = (self.params, self.best_params, self.adam.m, self.adam.v)
         arrays = {prefix + name: t for prefix, tensors in zip(self.PREFIXES, sets)
                   for name, t in tensors.tensors()}
         meta = {"run_key": run_key, **{k: getattr(self, k) for k in self.COUNTERS},
-                "adam_step": self.adam.step,
                 "rng_state": json.dumps(self.rng.bit_generator.state)}
         bundles.save_artifact(path, "train-state", TRAIN_STATE_VERSION, meta, arrays)
 
     @classmethod
-    def load(cls, path, run_key: dict, shapes: dict, rng):
+    def load(cls, path, run_key: dict, shapes: dict, rng, steps_per_epoch: int):
         """The state saved at `path` for the run `run_key`, with tensors
-        of `shapes` (see `model.param_shapes`), continuing `rng`. A state
-        saved for another run is a ConfigError naming the first key that
-        differs. A malformed run key, counter or generator state is a
-        DataError naming its key, and so are counters that no run leaves:
-        a `best_epoch` outside [0, epoch], a `since_best` other than
-        epoch - best_epoch or an `adam_step` below `epoch`."""
+        of `shapes` (see `model.param_shapes`), continuing `rng`, with Adam
+        at step epoch * `steps_per_epoch`. A state saved for another run is
+        a ConfigError naming the first key that differs. A malformed run
+        key, counter or generator state is a DataError naming its key, and
+        so are a `best_epoch` outside [0, epoch] and any array but the
+        four prefixed copies of the tensors of `shapes`."""
         meta, arrays = bundles.load_artifact(path, "train-state", TRAIN_STATE_VERSION)
         saved = meta["run_key"]
         if not isinstance(saved, dict):
@@ -279,24 +280,20 @@ class TrainState:
                                 "a resume may change only max_epochs and patience")
         params, best, m, v = (ModelParams.from_arrays(arrays, shapes, prefix)
                               for prefix in cls.PREFIXES)
-        for key, kind in {"adam_step": int, **cls.COUNTERS}.items():
+        bundles.refuse_unread(arrays, [p + name for p in cls.PREFIXES for name in shapes])
+        for key, kind in cls.COUNTERS.items():
             if type(meta[key]) not in ((int,) if kind is int else (int, float)):  # no bool
                 raise DataError(f"{path}: '{key}' must be of type {kind.__name__}, "
                                 f"got {meta[key]!r}")
         epoch, best_epoch = meta["epoch"], meta["best_epoch"]
-        for key, rule, good in (
-            ("best_epoch", f"in [0, epoch] = [0, {epoch}]", 0 <= best_epoch <= epoch),
-            ("since_best", f"epoch - best_epoch = {epoch - best_epoch}",
-             meta["since_best"] == epoch - best_epoch),
-            ("adam_step", f">= epoch = {epoch}", meta["adam_step"] >= epoch),
-        ):
-            if not good:
-                raise DataError(f"{path}: '{key}' must be {rule}, got {meta[key]!r}")
+        if not 0 <= best_epoch <= epoch:
+            raise DataError(f"{path}: 'best_epoch' must be in [0, epoch] = [0, {epoch}], "
+                            f"got {best_epoch!r}")
         try:
             rng.bit_generator.state = json.loads(meta["rng_state"])
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise DataError(f"{path}: 'rng_state' is not a generator state ({exc})") from exc
-        adam = AdamState(meta["adam_step"], m, v)
+        adam = AdamState(epoch * steps_per_epoch, m, v)
         return cls(params, best, adam, rng, *(meta[k] for k in cls.COUNTERS))
 
 
@@ -349,7 +346,6 @@ def fit(
         # through max_epochs and patience only
         run_key = {
             "dataset_hash": dataset_hash or ingest.dataset_hash(train_data),
-            "q": int(decomp.q),
             "basis": decomp.fingerprint,
             **{f"model.{k}": v for k, v in asdict(model_config).items()},
             **{f"train.{k}": v for k, v in asdict(train_config).items()
@@ -357,7 +353,8 @@ def fit(
         }
     sizes = (model_config, train_data.num_users, train_data.num_items, decomp.q)
     if resume:
-        state = TrainState.load(state_path, run_key, param_shapes(*sizes), rng)
+        steps = -(-inner_train.num_pairs // train_config.batch_size)
+        state = TrainState.load(state_path, run_key, param_shapes(*sizes), rng, steps)
     else:
         params = init_params(*sizes)
         state = TrainState(params, params.map(np.copy), AdamState.init(params), rng)
@@ -388,9 +385,6 @@ def fit(
             state.best_recall, state.best_ndcg = float(recall), float(ndcg)
             state.best_epoch = state.epoch
             state.best_params = params.map(np.copy)
-            state.since_best = 0
-        else:
-            state.since_best += 1
         if state_path:
             state.save(state_path, run_key)
     return state

@@ -54,10 +54,11 @@ def from_rows(rows) -> InteractionLog:
 
 def reference_rows(path) -> list:
     """Log parser oracle: the per-line rules applied to every line of the
-    file as text mode reads it, giving (user_id, item_id) rows in file
-    order or the first line's DataError."""
+    file as text mode reads it, one leading byte order mark dropped,
+    giving (user_id, item_id) rows in file order or the first line's
+    DataError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc

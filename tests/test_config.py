@@ -43,6 +43,14 @@ def test_file_parsing_comments_and_blanks(tmp_path):
     assert values == {"seed": 42, "k_values": (5, 10, 20)}
 
 
+def test_file_with_a_byte_order_mark(tmp_path):
+    # a leading BOM is not part of the first key
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffseed=42\nwidth=8\n".encode("utf-8"))
+    assert load_config_file(path) == {"seed": 42, "width": 8}
+    assert resolve(path, [], environ={})["seed"] == 42
+
+
 def test_file_unknown_key_suggests(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("batchsize=512\n")

@@ -40,6 +40,32 @@ def test_load_three_line_tsv(tmp_path):
     assert (log.user_ids, log.item_ids) == (("u1", "u2"), ("i1", "i2"))
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # as Excel's "CSV UTF-8" writes it: the first id is `user0`, not
+    # '\ufeffuser0'; only one is dropped, so a second stays in the id
+    p = tmp_path / "bom.tsv"
+    p.write_text("\ufeffuser0\titem0\nuser0\titem1\nuser1\titem0\n", encoding="utf-8")
+    log = load_interactions(p)
+    assert log.user_ids == ("user0", "user1") and log.users.tolist() == [0, 0, 1]
+    assert log == from_rows(reference_rows(p))
+    p.write_text("\ufeff\ufeffuser0\titem0\n", encoding="utf-8")
+    assert load_interactions(p).user_ids == ("\ufeffuser0",)
+    assert load_interactions(p) == from_rows(reference_rows(p))
+
+
+def test_canonical_dataset_with_a_byte_order_mark_is_a_data_error(tmp_path, capsys):
+    # `persist` never writes one, so `load_canonical` keeps refusing it
+    p = tmp_path / "toy.ds"
+    persist(random_bipartite(1), p)
+    p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    with pytest.raises(DataError, match="not a canonical dataset file"):
+        load_canonical(p)
+    assert main(["spectral", "--set", f"dataset={p}",
+                 "--set", f"spectral_cache={tmp_path / 'toy.spec'}"]) == 3
+    assert f"error: {p}: not a canonical dataset file" in capsys.readouterr().err
+    assert not (tmp_path / "toy.spec").exists()
+
+
 def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")

@@ -169,11 +169,14 @@ def test_eigensolve_deterministic():
     assert np.array_equal(a.lambdas, b.lambdas)
 
 
+# the message gives the largest residual; no per-pair list comes with it
+MISSED_TOL = r"^eigenpairs miss tol=1e-300 \(largest residual \d\.?\d*e-\d+\)$"
+
+
 def test_eigensolve_unreachable_tolerance():
     lap = laplacian_for(random_bipartite(9, max_nodes=40))
-    with pytest.raises(NumericalError) as exc:
+    with pytest.raises(NumericalError, match=MISSED_TOL):
         eigensolve(lap, q=4, tol=1e-300)
-    assert "residual_norms" in exc.value.details
 
 
 def test_eigensolve_unreachable_tolerance_after_restarts():
@@ -181,9 +184,8 @@ def test_eigensolve_unreachable_tolerance_after_restarts():
     # restarts; it stops at machine precision and the residual gate fails
     data = random_bipartite(4, max_nodes=300, density_range=(0.05, 0.1))
     assert min(data.num_users, data.num_items) == 110
-    with pytest.raises(NumericalError) as exc:
+    with pytest.raises(NumericalError, match=MISSED_TOL):
         eigensolve(laplacian_for(data), q=4, tol=1e-300)
-    assert len(exc.value.details["residual_norms"]) == 4
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])

@@ -571,17 +571,18 @@ def test_train_state_round_trip(tmp_path):
     params = init_params(*sizes)
     state = train_mod.TrainState(
         params, params.map(np.copy), AdamState.init(params), np.random.default_rng(27),
-        epoch=2, best_epoch=1, best_recall=0.25, best_ndcg=0.125, since_best=1,
+        epoch=2, best_epoch=1, best_recall=0.25, best_ndcg=0.125,
     )
     trace = None
     for _ in range(2):
         batch = sample_triples(train, train_cfg.batch_size, state.rng)
         trace, _ = train_mod.step(trace, batch, params, oper, state.adam, train_cfg)
-    run_key = {"q": dec.q, "model.seed": model_cfg.seed}
+    run_key = {"basis": dec.fingerprint, "model.seed": model_cfg.seed}
     first, second = tmp_path / "first.bundle", tmp_path / "second.bundle"
     state.save(first, run_key)
+    # two epochs of one step each
     loaded = train_mod.TrainState.load(
-        first, run_key, param_shapes(*sizes), np.random.default_rng(0)
+        first, run_key, param_shapes(*sizes), np.random.default_rng(0), 1
     )
     loaded.save(second, run_key)
     assert first.read_bytes() == second.read_bytes()
@@ -596,6 +597,7 @@ def test_train_state_round_trip(tmp_path):
             assert np.array_equal(a, b), name
     for key in train_mod.TrainState.COUNTERS:
         assert getattr(loaded, key) == getattr(state, key), key
+    assert loaded.since_best == 1
     assert loaded.adam.step == state.adam.step == 2
     assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
     assert loaded.rng.integers(1 << 62) == state.rng.integers(1 << 62)
