@@ -287,20 +287,7 @@ def cmd_train(args, cfg) -> int:
         )
 
     model.save_checkpoint(
-        out,
-        model_config,
-        result.best_params,
-        train_hash,
-        decomp.fingerprint,
-        extra_meta={
-            "best_epoch": result.best_epoch,
-            "best_recall": result.best_recall,
-            "best_ndcg": result.best_ndcg,
-            "epochs_run": result.epoch,
-            "stopped_early": result.since_best > train_config.patience,
-            "learning_rate": train_config.learning_rate,
-            "root_seed": cfg["seed"],
-        },
+        out, model_config, result.best_params, train_hash, decomp.fingerprint
     )
     log(
         f"best epoch {result.best_epoch} "
@@ -370,6 +357,13 @@ def cmd_cold_start(args, cfg) -> int:
     from . import evaluate as eval_mod, ingest, model
     from . import train as train_mod
 
+    if cfg["grid_learning_rates"] or cfg["train_state"]:
+        # each cap trains one model at the run's own learning_rate and t
+        raise ConfigError(
+            "cold-start runs no grid search and saves no train state: drop "
+            "grid_learning_rates and grid_t_values, and unset train_state "
+            "(--set train_state=)"
+        )
     data = ingest.load_canonical(cfg.require("dataset"))
     k_values = cfg["k_values"]
     k = 20 if 20 in k_values else max(k_values)

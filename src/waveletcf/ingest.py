@@ -412,13 +412,13 @@ def split(data: InteractionSet, spec: SplitSpec):
     rng = np.random.default_rng(spec.seed)
     degrees = data.user_degrees()
     starts = np.cumsum(degrees) - degrees
-    # one draw per user, in user order: this is what fixes the split
-    perms = [starts[u] + rng.permutation(n) for u, n in enumerate(degrees) if n]
+    # one shuffle per user, in user order: this is what fixes the split
+    order = np.arange(data.num_pairs)
+    for lo, n in zip(starts.tolist(), degrees.tolist()):
+        rng.shuffle(order[lo: lo + n])
     # each pair's position in its user's shuffled order, in sorted pair order
     rank = np.empty(data.num_pairs, dtype=np.int64)
-    if perms:
-        order = np.concatenate(perms)
-        rank[order] = np.arange(data.num_pairs) - np.repeat(starts, degrees)
+    rank[order] = np.arange(data.num_pairs) - np.repeat(starts, degrees)
     n_train = np.maximum(1, np.floor(degrees * spec.train_fraction).astype(np.int64))
     cap = spec.per_user_cap or n_train
     trained = rank < np.repeat(n_train, degrees)

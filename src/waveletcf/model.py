@@ -200,22 +200,13 @@ def score_user(trace: ForwardTrace, user) -> np.ndarray:
 
 
 def save_checkpoint(
-    path,
-    config: ModelConfig,
-    params: ModelParams,
-    dataset_hash: str,
-    basis: str,
-    extra_meta: dict = None,
+    path, config: ModelConfig, params: ModelParams, dataset_hash: str, basis: str
 ) -> None:
     """Persist config + parameters keyed by the dataset content hash and
     the `SpectralDecomposition.fingerprint` of the eigenbasis they were
-    trained on."""
-    meta = {
-        "dataset_hash": dataset_hash,
-        "basis": basis,
-        "config": asdict(config),
-        **(extra_meta or {}),
-    }
+    trained on: the header holds only what `load_checkpoint` and its
+    callers read."""
+    meta = {"dataset_hash": dataset_hash, "basis": basis, "config": asdict(config)}
     bundles.save_artifact(
         path, "model-checkpoint", CHECKPOINT_VERSION, meta, dict(params.tensors())
     )

@@ -497,6 +497,7 @@ def test_train_log_and_checkpoint_meta(pipeline, capsys):
     assert "batch_size=1024" in header
     assert "layers=3" in header
     assert "width=16" in header
+    assert "seed=11" in header
     assert "dataset_hash=" in header
     epoch_lines = [
         line for line in captured.splitlines() if line and line[0].isdigit()
@@ -504,10 +505,14 @@ def test_train_log_and_checkpoint_meta(pipeline, capsys):
     assert len(epoch_lines) == 4
     assert all(len(line.split()) == 5 for line in epoch_lines)
 
-    config, params, meta = model.load_checkpoint(ckpt, 60, 40, 64)
-    assert meta["best_epoch"] >= 0
-    assert meta["root_seed"] == 11
-    assert 0.0 <= meta["best_recall"] <= 1.0
+    best = [line.split() for line in captured.splitlines() if line.startswith("best epoch")]
+    assert len(best) == 1 and best[0][3] == "val_recall@20"
+    assert 0 <= int(best[0][2]) <= 4
+    assert 0.0 <= float(best[0][4]) <= 1.0
+
+    # the header holds only what a reader reads: a new unread key fails here
+    _, params, meta = model.load_checkpoint(ckpt, 60, 40, 64)
+    assert sorted(meta) == ["basis", "config", "dataset_hash", "kind", "version"]
     assert params.x0.shape == (60, 16)
 
 
@@ -586,15 +591,17 @@ def test_train_grid_enumerates_and_reports_best(pipeline, tmp_path, capsys):
     best = [line for line in captured.splitlines() if line.startswith("grid best")]
     assert len(best) == 1 and "(4 runs)" in best[0]
     best_fields = dict(kv.split("=") for kv in best[0].split()[2:6])
-    config, _, meta = model.load_checkpoint(ckpt, 60, 40, 64)
-    assert (meta["learning_rate"], config.t) in [
+    assert (float(best_fields["lr"]), float(best_fields["t"])) in [
         (lr, t) for lr in (0.01, 0.05) for t in (0.5, 1.0)
     ]
-    assert meta["learning_rate"] == float(best_fields["lr"])
-    assert config.t == float(best_fields["t"])
     recalls = [dict(kv.split("=") for kv in line.split()[1:])["recall@20"] for line in runs]
-    assert f"{meta['best_recall']:.6f}" == best_fields["recall@20"]
     assert float(best_fields["recall@20"]) == max(map(float, recalls))
+    # the checkpoint is the winning cell's: a plain train of that cell writes its bytes
+    plain = tmp_path / "plain.ckpt"
+    assert main(["train", "--config", cfg, "--set", f"checkpoint={plain}",
+                 "--set", f"learning_rate={best_fields['lr']}",
+                 "--set", f"t={best_fields['t']}", "--set", "max_epochs=2"]) == 0
+    assert plain.read_bytes() == ckpt.read_bytes()
 
 
 @pytest.mark.parametrize("refused", [["--resume"], ["--set", "train_state={state}"]],
@@ -633,7 +640,10 @@ def test_train_resume_round_trip(pipeline, tmp_path, capsys):
     _, cfg = pipeline
     ckpt = tmp_path / "resume.ckpt"
     state = tmp_path / "state.bundle"
-    args = ["--set", f"checkpoint={ckpt}", "--set", f"train_state={state}"]
+    # at 256 triples a batch an epoch takes several Adam steps, so the
+    # resumed run must restore Adam's step count, not just the epoch
+    batch = ["--set", "batch_size=256"]
+    args = [*batch, "--set", f"checkpoint={ckpt}", "--set", f"train_state={state}"]
     assert main(["train", "--config", cfg, "--set", "max_epochs=2", *args]) == 0
     capsys.readouterr()
     code = main(
@@ -649,7 +659,7 @@ def test_train_resume_round_trip(pipeline, tmp_path, capsys):
 
     fresh = tmp_path / "fresh.ckpt"
     assert main(
-        ["train", "--config", cfg, "--set", "max_epochs=4", "--set",
+        ["train", "--config", cfg, "--set", "max_epochs=4", *batch, "--set",
          f"checkpoint={fresh}"]
     ) == 0
     _, resumed_params, _ = model.load_checkpoint(ckpt, 60, 40, 64)
@@ -1037,7 +1047,8 @@ def test_resume_of_a_run_that_stopped_early_trains_no_further(
             "--set", f"train_state={state}", "--set", "max_epochs=50",
             "--set", "patience=0"]
     assert main(args) == 0
-    assert bundles.load_bundle(ckpt)[0]["stopped_early"]
+    counters = bundles.load_bundle(state)[0]
+    assert counters["epoch"] - counters["best_epoch"] > 0  # stopped early at patience 0
     before = ckpt.read_bytes(), state.read_bytes()
     capsys.readouterr()
     assert main([*args, "--resume"]) == 0
@@ -1315,6 +1326,27 @@ def test_cold_start_vacuous_cap_is_train_then_evaluate(pipeline, tmp_path, capsy
         if line.split()[1:3] == ["20", "all"]
     }
     assert row.split() == ["1000", f"{report['recall']:.6f}", f"{report['ndcg']:.6f}"]
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [["--set", "grid_learning_rates=0.01,0.05", "--set", "grid_t_values=0.5"],
+     ["--set", "train_state={state}"]],
+    ids=["grid", "train_state"],
+)
+def test_cold_start_refuses_a_grid_and_a_train_state(pipeline, tmp_path, capsys, refused):
+    # each cap trains one model at the run's own rate and t, so neither
+    # setting would take effect; refused before any data is read
+    _, cfg = pipeline
+    code = main(["cold-start", "--config", cfg, "--set", f"dataset={tmp_path / 'no.ds'}",
+                 "--set", "cold_start_caps=3",
+                 *(arg.format(state=tmp_path / "x.state") for arg in refused)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("drop grid_learning_rates and grid_t_values, and unset train_state "
+            "(--set train_state=)") in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pipeline_is_bitwise_reproducible(pipeline, tmp_path, capsys):

@@ -17,9 +17,10 @@ from helpers import (
     wavelet_pair_forward,
 )
 
-from waveletcf.bundles import load_bundle
+from waveletcf.bundles import load_bundle, save_artifact
 from waveletcf.errors import ConfigError, DataError
 from waveletcf.model import (
+    CHECKPOINT_VERSION,
     ModelConfig,
     ModelParams,
     PropagationOperator,
@@ -241,11 +242,10 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg = ModelConfig(layers=2, width=3, seed=11)
     params = init_params(cfg, 12, 9, q=5)
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, cfg, params, dataset_hash="d" * 64, basis="b" * 64,
-                    extra_meta={"epoch": 4})
+    save_checkpoint(p, cfg, params, dataset_hash="d" * 64, basis="b" * 64)
     cfg2, params2, meta = load_checkpoint(p, 12, 9, 5, expected_dataset_hash="d" * 64)
     assert cfg2 == cfg
-    assert (meta["epoch"], meta["basis"]) == (4, "b" * 64)
+    assert meta["basis"] == "b" * 64
     for (_, ta), (_, tb) in zip(params.tensors(), params2.tensors()):
         assert np.array_equal(ta, tb)
 
@@ -264,12 +264,15 @@ def test_checkpoint_with_num_theta_still_loads(tmp_path):
     params = init_params(cfg, 12, 9, q=5)
     fresh, old = tmp_path / "fresh.ckpt", tmp_path / "old.ckpt"
     save_checkpoint(fresh, cfg, params, dataset_hash="d" * 64, basis="b" * 64)
-    assert "num_theta" not in load_bundle(fresh)[0]
-    # checkpoints of older builds also record the gate count
-    save_checkpoint(
-        old, cfg, params, dataset_hash="d" * 64, basis="b" * 64,
-        extra_meta={"num_theta": 2},
-    )
+    fresh_meta, arrays = load_bundle(fresh)
+    assert "num_theta" not in fresh_meta
+    # checkpoints of older builds also record the gate count and a run
+    # summary, which no reader reads
+    summary = {"num_theta": 2, "best_epoch": 3, "best_recall": 0.25, "best_ndcg": 0.125,
+               "epochs_run": 14, "stopped_early": True, "learning_rate": 0.05,
+               "root_seed": 11}
+    save_artifact(old, "model-checkpoint", CHECKPOINT_VERSION,
+                  {**fresh_meta, **summary}, arrays)
     assert load_bundle(old)[0]["num_theta"] == 2
     cfg2, params2, _ = load_checkpoint(old, 12, 9, 5, expected_dataset_hash="d" * 64)
     assert cfg2 == cfg
